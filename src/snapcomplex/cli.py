@@ -56,10 +56,6 @@ EXIT_FAILURE = 1
 EXIT_USAGE = 2
 EXIT_TOO_LARGE = 3
 
-# Fixed default so repeated CI runs agree; currently every check is
-# exhaustive, the seed is recorded in reports for forward compatibility.
-DEFAULT_SEED = 0x5EED
-
 CHECK_ORDER = (
     "purity",
     "pseudomanifold",
@@ -266,7 +262,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     ok = all(r["status"] in ("ok", "skipped") for r in results.values())
     report = {
         "counter": counter.to_json_obj(),
-        "seed": args.seed,
         "checks": results,
         "ok": ok,
     }
@@ -524,12 +519,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--checks",
         required=True,
         help="comma-separated list drawn from: " + ",".join(CHECK_ORDER),
-    )
-    p_verify.add_argument(
-        "--seed",
-        type=int,
-        default=DEFAULT_SEED,
-        help="seed recorded for sampled checks (all current checks are exhaustive)",
     )
     p_verify.set_defaults(func=_cmd_verify)
 

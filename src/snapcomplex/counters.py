@@ -83,10 +83,6 @@ class RoundCounter(Mapping[int, int]):
         """Total number of rounds across the support."""
         return sum(self._entries.values())
 
-    def classify(self) -> tuple[frozenset[int], frozenset[int], frozenset[int], int]:
-        """Return (support, active, passive, cardinality)."""
-        return self.support, self.active, self.passive, self.cardinality
-
     # -- operations ------------------------------------------------------------
 
     def delete(self, drop: Iterable[int]) -> "RoundCounter":
@@ -123,21 +119,6 @@ class RoundCounter(Mapping[int, int]):
                 f"cannot drop {sorted(drop - self.support)}: outside the support"
             )
         return self.execute(step).delete(drop)
-
-    def chi(self) -> "RoundCounter":
-        """Collapse every count to 1 (active) or 0 (passive)."""
-        return RoundCounter({p: min(c, 1) for p, c in self._entries.items()})
-
-    @classmethod
-    def chi_of(cls, ones: Iterable[int], zeros: Iterable[int]) -> "RoundCounter":
-        """The indicator counter: 1 on ``ones``, 0 on ``zeros``."""
-        ones = frozenset(ones)
-        zeros = frozenset(zeros)
-        if ones & zeros:
-            raise ValueError(f"overlapping sets: {sorted(ones & zeros)}")
-        entries = {p: 1 for p in ones}
-        entries.update({p: 0 for p in zeros})
-        return cls(entries)
 
     # -- textual and JSON syntax -------------------------------------------------
 

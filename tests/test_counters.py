@@ -38,7 +38,6 @@ def test_classification():
     assert r.active == {0, 2}
     assert r.passive == {1}
     assert r.cardinality == 3
-    assert r.classify() == ({0, 1, 2}, {0, 2}, {1}, 3)
 
 
 def test_delete_ignores_absent_processes():
@@ -71,16 +70,6 @@ def test_restrict_rejects_drop_outside_support():
         RoundCounter.parse("1,1").restrict({0}, {5})
 
 
-def test_chi_flattens_counts():
-    assert RoundCounter.parse("3,0,2").chi() == RoundCounter({0: 1, 1: 0, 2: 1})
-    assert RoundCounter.chi_of({0, 2}, {1}) == RoundCounter({0: 1, 1: 0, 2: 1})
-
-
-def test_chi_of_rejects_overlap():
-    with pytest.raises(ValueError):
-        RoundCounter.chi_of({0}, {0})
-
-
 def test_rejects_negative_entries():
     with pytest.raises(ValueError):
         RoundCounter({0: -1})
@@ -105,10 +94,3 @@ def test_execute_full_active_step_drops_cardinality(r):
     stepped = r.execute(r.active)
     assert stepped.cardinality == r.cardinality - len(r.active)
     assert stepped.support == r.support
-
-
-@given(counters)
-def test_chi_is_idempotent(r):
-    assert r.chi().chi() == r.chi()
-    assert r.chi().active == r.active
-    assert r.chi().passive == r.passive

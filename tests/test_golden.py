@@ -1,0 +1,79 @@
+"""Golden CLI outputs: exit code and stdout digest of every subcommand.
+
+Each case runs ``main()`` in-process over the shared test counters and
+compares ``(exit code, sha256 of stdout)`` with ``golden_digests.json``.
+A refactor must leave every digest unchanged.  After a deliberate output
+change, regenerate the file with ``PYTHONPATH=src python -m tests.test_golden``
+and review the diff.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+from pathlib import Path
+
+import pytest
+
+from snapcomplex.cli import CHECK_ORDER, main
+
+from .conftest import TEST_COUNTERS
+
+DIGEST_FILE = Path(__file__).with_name("golden_digests.json")
+
+_VARIANTS = {
+    "build": ("build",),
+    "facets": ("facets",),
+    "facets-count": ("facets", "--count"),
+    "verify-all": ("verify", "--checks", ",".join(CHECK_ORDER)),
+    "strata-list": ("strata", "--list"),
+    "strata-nerve": ("strata", "--nerve"),
+    "collapse-full": ("collapse", "--full", "--validate"),
+    "collapse-relative": ("collapse", "--validate"),
+    "export-dot": ("export", "--format", "dot"),
+    "export-json": ("export", "--format", "json"),
+    "export-svg": ("export", "--format", "svg"),
+}
+
+
+def _cases() -> dict[str, list[str]]:
+    cases = {}
+    for counter in TEST_COUNTERS:
+        for name, (command, *flags) in _VARIANTS.items():
+            if name == "export-svg" and len(counter.split(",")) > 3:
+                continue
+            cases[f"{name}:{counter}"] = [command, "-r", counter, *flags]
+    return cases
+
+
+CASES = _cases()
+
+
+def run_case(argv: list[str]) -> list:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    return [code, hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest()]
+
+
+@pytest.fixture(scope="module")
+def golden() -> dict[str, list]:
+    return json.loads(DIGEST_FILE.read_text(encoding="utf-8"))
+
+
+def test_digest_file_covers_every_case(golden):
+    assert sorted(golden) == sorted(CASES)
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_cli_output_matches_golden_digest(case, golden):
+    assert run_case(CASES[case]) == golden[case]
+
+
+if __name__ == "__main__":
+    digests = {case: run_case(argv) for case, argv in sorted(CASES.items())}
+    lines = [f"  {json.dumps(case)}: {json.dumps(d)}" for case, d in digests.items()]
+    DIGEST_FILE.write_text("{\n" + ",\n".join(lines) + "\n}\n", encoding="utf-8")
+    print(f"wrote {len(digests)} digests to {DIGEST_FILE}")
