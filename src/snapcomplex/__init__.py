@@ -86,13 +86,8 @@ from .topology import (
 )
 from .witness import (
     Classification,
-    TraceForm,
     WitnessStructure,
-    canonical_form,
-    from_trace_form,
     ghost,
-    stabilize,
-    to_trace_form,
     validate,
 )
 
@@ -115,13 +110,11 @@ __all__ = [
     "Schedule",
     "SnapComplexError",
     "StratumRef",
-    "TraceForm",
     "ValidationReport",
     "VerificationError",
     "WitnessStructure",
     "boundary",
     "build",
-    "canonical_form",
     "check_purity",
     "chromatic_f_vector",
     "chromatic_oracle",
@@ -135,7 +128,6 @@ __all__ = [
     "euler",
     "facet_structures",
     "facets",
-    "from_trace_form",
     "gamma",
     "ghost",
     "greedy_collapse",
@@ -157,11 +149,9 @@ __all__ = [
     "schedule_count",
     "schedule_from_json_obj",
     "schedule_to_json_obj",
-    "stabilize",
     "strong_connectivity",
     "table_map",
     "to_facet",
-    "to_trace_form",
     "validate",
     "validate_collapse",
     "verify_diagrams",

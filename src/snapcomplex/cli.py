@@ -34,7 +34,7 @@ from .complexes import (
     build,
     check_purity,
     cone_split,
-    facets,
+    simplex_cap,
     verify_ghost_composition,
 )
 from .counters import RoundCounter
@@ -283,7 +283,12 @@ def _cmd_build(args: argparse.Namespace) -> int:
 
 def _cmd_facets(args: argparse.Namespace) -> int:
     counter = _parse_counter(args.counter)
-    all_facets = facets(counter)
+    if not counter.support:
+        raise UsageError("facets need a nonempty support")
+    schedules = enumerate_schedules(
+        counter, max_schedules=simplex_cap(args.max_simplices)
+    )
+    all_facets = {to_facet(s, counter) for s in schedules}
     if args.count:
         _emit(f"{len(all_facets)}\n", args.out)
         return EXIT_OK

@@ -10,10 +10,11 @@ from __future__ import annotations
 
 import os
 from collections.abc import Iterable, Iterator
-from itertools import chain, combinations
+from itertools import combinations
 
 from .counters import RoundCounter
 from .errors import ComplexTooLargeError, VerificationError
+from .schedules import enumerate_schedules, to_facet
 from .witness import WitnessStructure, ghost
 
 DEFAULT_SIMPLEX_CAP = 2_000_000
@@ -26,37 +27,19 @@ def simplex_cap(override: int | None = None) -> int:
         return override
     env = os.environ.get(CAP_ENV_VAR)
     if env:
-        return int(env)
+        try:
+            return int(env)
+        except ValueError:
+            raise ValueError(f"{CAP_ENV_VAR} must be an integer, got {env!r}") from None
     return DEFAULT_SIMPLEX_CAP
-
-
-def _nonempty_subsets(items: frozenset[int]) -> Iterator[frozenset[int]]:
-    ordered = sorted(items)
-    for k in range(1, len(ordered) + 1):
-        for combo in combinations(ordered, k):
-            yield frozenset(combo)
-
-
-def _layer_sequences(remaining: dict[int, int]) -> Iterator[tuple[frozenset[int], ...]]:
-    live = frozenset(p for p, c in remaining.items() if c > 0)
-    if not live:
-        yield ()
-        return
-    for layer in _nonempty_subsets(live):
-        rest = {p: c - 1 if p in layer else c for p, c in remaining.items()}
-        for tail in _layer_sequences(rest):
-            yield (layer,) + tail
 
 
 def facet_structures(r: RoundCounter) -> Iterator[WitnessStructure]:
     """All facets of the complex: one per layered schedule of ``r``."""
     if not r.support:
         raise ValueError("facets need a nonempty support")
-    supp = r.support
-    for layers in _layer_sequences(dict(r)):
-        rows: list[tuple[frozenset[int], frozenset[int]]] = [(supp, frozenset())]
-        rows.extend((layer, frozenset()) for layer in layers)
-        yield WitnessStructure(rows)
+    for schedule in enumerate_schedules(r):
+        yield to_facet(schedule, r)
 
 
 def facets(r: RoundCounter) -> frozenset[WitnessStructure]:

@@ -26,27 +26,48 @@ def is_valid_schedule(s: Sequence[frozenset[int]], r: RoundCounter) -> bool:
     return all(sum(1 for layer in s if p in layer) == r[p] for p in r.support)
 
 
+def _layer_choices(remaining: dict[int, int]) -> Iterator[frozenset[int]]:
+    """The possible next layers: nonempty sets of processes with rounds left,
+    by size, then lexicographically."""
+    live = sorted(p for p, c in remaining.items() if c > 0)
+    return (
+        frozenset(chosen)
+        for k in range(1, len(live) + 1)
+        for chosen in combinations(live, k)
+    )
+
+
+def _walk(remaining: dict[int, int]) -> Iterator[Schedule]:
+    """Depth-first search with an explicit stack of layer choices, so the
+    schedule length is not bounded by the interpreter's recursion limit."""
+    if not any(remaining.values()):
+        yield ()
+        return
+    prefix: list[frozenset[int]] = []
+    stack = [_layer_choices(remaining)]
+    while stack:
+        layer = next(stack[-1], None)
+        if layer is None:
+            stack.pop()
+            if prefix:
+                for p in prefix.pop():
+                    remaining[p] += 1
+            continue
+        for p in layer:
+            remaining[p] -= 1
+        prefix.append(layer)
+        if not any(remaining.values()):
+            yield tuple(prefix)
+        stack.append(_layer_choices(remaining))
+
+
 def enumerate_schedules(
     r: RoundCounter, *, max_schedules: int | None = None
 ) -> Iterator[Schedule]:
     """Yield every layered schedule of ``r`` (left to right, with
-    remaining-multiplicity pruning)."""
-    produced = 0
-
-    def walk(remaining: dict[int, int]) -> Iterator[Schedule]:
-        live = sorted(p for p, c in remaining.items() if c > 0)
-        if not live:
-            yield ()
-            return
-        for k in range(1, len(live) + 1):
-            for chosen in combinations(live, k):
-                layer = frozenset(chosen)
-                rest = {p: c - 1 if p in layer else c for p, c in remaining.items()}
-                for tail in walk(rest):
-                    yield (layer,) + tail
-
-    for schedule in walk(dict(r)):
-        produced += 1
+    remaining-multiplicity pruning).  Raises :class:`ComplexTooLargeError`
+    once more than ``max_schedules`` have been produced."""
+    for produced, schedule in enumerate(_walk(dict(r)), start=1):
         if max_schedules is not None and produced > max_schedules:
             raise ComplexTooLargeError(max_schedules, "schedule cap exceeded")
         yield schedule

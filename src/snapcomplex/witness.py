@@ -2,12 +2,9 @@
 
 A witness structure is a sequence of rows ``(W_i, G_i)``: ``W_i`` holds the
 processes whose activity is witnessed in round ``i``, ``G_i`` the processes
-whose last (passive) appearance is round ``i``.  Two presentations are kept:
-
-* the *pair form* above, which is the storage and interchange form, and
-* the *trace form* ``(active, ghost, traces)``, which records for every
-  process the set of rounds it appears in and is the convenient form for
-  stabilization.
+whose last (passive) appearance is round ``i``.  This pair form is the one
+representation: it is stored, compared, encoded and ghosted directly.
+:func:`ghost` computes every face of a simplex in one pass over the rows.
 
 Rows are addressed leniently: reading past the last row yields the empty
 set, which is the convention used throughout the stratification code.
@@ -18,7 +15,6 @@ from __future__ import annotations
 import enum
 import json
 from collections.abc import Iterable, Mapping
-from dataclasses import dataclass
 
 Row = tuple[frozenset[int], frozenset[int]]
 
@@ -206,110 +202,44 @@ class WitnessStructure:
         return cls(obj["pairs"])  # type: ignore[arg-type]
 
 
-@dataclass(frozen=True)
-class TraceForm:
-    """The ``(active, ghost, traces)`` presentation of a prestructure."""
+def ghost(sigma: WitnessStructure, hide: Iterable[int]) -> WitnessStructure:
+    """The face of ``sigma`` that forgets the views of the processes in ``hide``.
 
-    active: frozenset[int]
-    ghost: frozenset[int]
-    traces: Mapping[int, frozenset[int]]
+    ``hide`` must consist of active processes; the dimension drops by
+    exactly ``len(hide)``.  One pass over the rows:
 
-    def last(self, p: int) -> int:
-        """Largest row in which ``p`` is witnessed (-1 if never)."""
-        tr = self.traces[p]
-        if p in self.ghost:
-            inner = tr - {max(tr)}
-            return max(inner) if inner else -1
-        return max(tr)
-
-
-def to_trace_form(sigma: WitnessStructure) -> TraceForm:
-    return TraceForm(sigma.active_set, sigma.ghost_union, sigma.traces())
-
-
-def from_trace_form(tf: TraceForm) -> WitnessStructure:
-    """Rebuild the pair form.  Inverse of :func:`to_trace_form` on stable
-    prestructures.
-
-    An active process occupies ``W_i`` for every trace entry ``i``; a ghost
-    occupies ``G_m`` at its last trace entry ``m`` and ``W_i`` before that.
-    """
-    if tf.active & tf.ghost:
-        raise ValueError(f"active and ghost sets overlap: {sorted(tf.active & tf.ghost)}")
-    if set(tf.traces) != set(tf.active | tf.ghost):
-        raise ValueError("traces must cover exactly the active and ghost processes")
-    for p, tr in tf.traces.items():
-        if 0 not in tr:
-            raise ValueError(f"trace of process {p} does not contain round 0")
-        if any(i < 0 for i in tr):
-            raise ValueError(f"trace of process {p} has a negative round")
-    top = max((max(tr) for tr in tf.traces.values()), default=0)
-    witnesses: list[set[int]] = [set() for _ in range(top + 1)]
-    ghosts: list[set[int]] = [set() for _ in range(top + 1)]
-    for p in tf.active:
-        for i in tf.traces[p]:
-            witnesses[i].add(p)
-    for p in tf.ghost:
-        m = max(tf.traces[p])
-        ghosts[m].add(p)
-        for i in tf.traces[p]:
-            if i < m:
-                witnesses[i].add(p)
-    return WitnessStructure(zip(witnesses, ghosts))
-
-
-def canonical_form(sigma: WitnessStructure) -> WitnessStructure:
-    """Drop rows with empty witness sets, merging their ghosts forward.
-
-    Requires a stable prestructure; the result is a witness structure and
-    the operation is the identity on witness structures.
-    """
-    if not sigma.is_stable:
-        raise ValueError("canonical form is defined for stable prestructures only")
-    keep = [i for i in range(1, sigma.t + 1) if sigma.witness_row(i)]
-    rows: list[Row] = [sigma.rows[0]]
-    prev = 0
-    for k in keep:
-        merged: frozenset[int] = frozenset()
-        for j in range(prev + 1, k + 1):
-            merged |= sigma.ghost_row(j)
-        rows.append((sigma.witness_row(k), merged))
-        prev = k
-    return WitnessStructure(rows)
-
-
-def stabilize(sigma: WitnessStructure, hide: Iterable[int]) -> WitnessStructure:
-    """Ghost the processes in ``hide`` and truncate unwitnessed activity.
-
-    ``hide`` must consist of active processes.  Rows are cut at the last row
-    whose witness set is not absorbed by ``hide`` and the existing ghosts
-    (round 0 when no such row remains), and every trace is restricted
-    accordingly.  The result is a stable prestructure.
+    1. cut at the last row whose witnesses are not absorbed by ``hide`` and
+       the existing ghosts (row 0 when no such row remains);
+    2. move every hidden process, and every old ghost past the cut, from
+       its last remaining witness row into that row's ghost set;
+    3. drop the rows past row 0 whose witness set is now empty, carrying
+       their ghosts forward to the next remaining row.
     """
     hide = frozenset(hide)
     if not hide <= sigma.active_set:
         raise ValueError(
             f"cannot ghost {sorted(hide - sigma.active_set)}: not active in the structure"
         )
+    rows = sigma.rows
     absorbed = hide | sigma.ghost_union
-    cut = max(
-        (i for i in range(sigma.t + 1) if not sigma.witness_row(i) <= absorbed),
-        default=0,
-    )
-    traces = sigma.traces()
-    return from_trace_form(
-        TraceForm(
-            active=sigma.active_set - hide,
-            ghost=sigma.ghost_union | hide,
-            traces={p: frozenset(i for i in tr if i <= cut) for p, tr in traces.items()},
-        )
-    )
-
-
-def ghost(sigma: WitnessStructure, hide: Iterable[int]) -> WitnessStructure:
-    """Stabilize modulo ``hide`` and take the canonical form.
-
-    This realizes the face of ``sigma`` obtained by forgetting the views of
-    the processes in ``hide``; the dimension drops by exactly ``len(hide)``.
-    """
-    return canonical_form(stabilize(sigma, hide))
+    cut = max((i for i, (w, _) in enumerate(rows) if not w <= absorbed), default=0)
+    pending = set(hide)
+    for _, g in rows[cut + 1 :]:
+        pending |= g
+    # Walk back from the cut, so a process is met first at its last row.
+    # The row at the cut keeps a witness outside ``absorbed``, so ``out`` is
+    # nonempty whenever a later row has to take over an emptied row's ghosts.
+    out: list[Row] = []
+    for w, g in reversed(rows[1 : cut + 1]):
+        moved = w & pending
+        pending -= moved
+        w, g = w - moved, g | moved
+        if w:
+            out.append((w, g))
+        else:
+            later_w, later_g = out[-1]
+            out[-1] = (later_w, later_g | g)
+    w0, g0 = rows[0]
+    out.append((w0 - pending, g0 | pending))
+    out.reverse()
+    return WitnessStructure(out)

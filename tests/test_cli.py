@@ -154,6 +154,27 @@ def test_cap_exceeded_exits_three(capsys):
     assert json.loads(err)["limit"] == 5
 
 
+def test_long_single_process_counter_builds(capsys):
+    code, out, err = run(capsys, "build", "-r", "1200")
+    assert code == 0
+    assert json.loads(out)["f_vector"] == [1]
+    assert err == ""
+
+
+def test_facet_listing_respects_the_cap(capsys):
+    code, _, err = run(capsys, "facets", "-r", "6,6,6", "--count", "--max-simplices", "10")
+    assert code == 3
+    assert json.loads(err)["limit"] == 10
+
+
+def test_bad_cap_variable_is_a_usage_error(capsys, monkeypatch):
+    monkeypatch.setenv("SNAPCOMPLEX_MAX_SIMPLICES", "abc")
+    code, _, err = run(capsys, "build", "-r", "1,1")
+    assert code == 2
+    assert "SNAPCOMPLEX_MAX_SIMPLICES" in err
+    assert "Traceback" not in err
+
+
 def test_module_entry_point_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "snapcomplex", "facets", "-r", "1,1", "--count"],

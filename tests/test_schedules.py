@@ -3,6 +3,7 @@ from __future__ import annotations
 import pytest
 
 from snapcomplex import (
+    ComplexTooLargeError,
     RoundCounter,
     WitnessStructure,
     build,
@@ -31,6 +32,20 @@ def test_enumeration_of_two_process_single_round():
         (frozenset({0, 1}),),
         (frozenset({1}), frozenset({0})),
     }
+
+
+def test_enumeration_order_is_smaller_layers_first():
+    assert list(enumerate_schedules(R11)) == [
+        (frozenset({0}), frozenset({1})),
+        (frozenset({1}), frozenset({0})),
+        (frozenset({0, 1}),),
+    ]
+
+
+def test_enumeration_respects_the_schedule_cap():
+    assert len(list(enumerate_schedules(R11, max_schedules=3))) == 3
+    with pytest.raises(ComplexTooLargeError):
+        list(enumerate_schedules(R11, max_schedules=2))
 
 
 @pytest.mark.parametrize(

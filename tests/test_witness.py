@@ -1,17 +1,19 @@
 from __future__ import annotations
 
+from itertools import combinations
+
 import pytest
 
-from snapcomplex import (
-    Classification,
+from snapcomplex import Classification, WitnessStructure, ghost, validate
+
+from . import ghost_reference
+from .conftest import TEST_COUNTERS
+from .ghost_reference import (
     TraceForm,
-    WitnessStructure,
     canonical_form,
     from_trace_form,
-    ghost,
     stabilize,
     to_trace_form,
-    validate,
 )
 
 
@@ -114,6 +116,25 @@ def test_canonical_form_requires_stability():
 def test_stabilize_rejects_non_active_processes():
     with pytest.raises(ValueError, match="not active"):
         stabilize(A0, {1})
+
+
+def test_ghost_rejects_non_active_processes():
+    with pytest.raises(ValueError, match="not active"):
+        ghost(A0, {1})
+
+
+def test_ghost_merges_an_emptied_row_forward():
+    # Hiding 1 empties row 1; its new ghost moves on to row 2.
+    assert ghost(ws(({0, 1}, ()), ({1}, ()), ({0}, ())), {1}) == C0
+
+
+@pytest.mark.parametrize("text", TEST_COUNTERS + ("2,1,1,1", "3,2,1", "0,0,1"))
+def test_ghost_matches_the_trace_form_reference(text, get_complex):
+    for sigma in get_complex(text).simplices:
+        active = sorted(sigma.active_set)
+        for k in range(len(active) + 1):
+            for hide in combinations(active, k):
+                assert ghost(sigma, hide) == ghost_reference.ghost(sigma, hide)
 
 
 def test_ghosting_the_late_process_truncates():
