@@ -23,7 +23,6 @@ from .collapse import (
     ValidationReport,
     collapse_all,
     collapse_to_relative_boundary,
-    greedy_collapse,
     relative_boundary_remainder,
     validate_collapse,
 )
@@ -130,7 +129,6 @@ __all__ = [
     "facets",
     "gamma",
     "ghost",
-    "greedy_collapse",
     "homology_z2",
     "in_stratum",
     "incidence",

@@ -117,23 +117,17 @@ def phi_iso(n: int, *, bound: int = DEFAULT_COLOR_BOUND) -> PhiReport:
     dimension_preserving = all(cs.dim == ws.dim for cs, ws in image.items())
 
     # Subdivision-side face relation is vertex containment (checked to be
-    # faithful); target-side face relation is the ghosting one.
-    oracle_vertices = {cs: cs.vertices() for cs in oracle}
-    if len(set(oracle_vertices.values())) != len(oracle):
+    # faithful): the codimension-1 faces drop one vertex each.  The map
+    # preserves faces iff it carries these onto the target's lower covers;
+    # a face missing from the subdivision is a failure.
+    by_vertices = {cs.vertices(): cs for cs in oracle}
+    if len(by_vertices) != len(oracle):
         raise VerificationError("subdivision simplices are not determined by their vertices")
-    target_faces = {ws: target.faces(ws) for ws in target.simplices}
-
-    face_preserving = True
-    listed = sorted(oracle, key=lambda s: (s.dim, sorted(map(sorted, s.blocks))))
-    for a in listed:
-        for b in listed:
-            lhs = oracle_vertices[a] <= oracle_vertices[b]
-            rhs = image[a] in target_faces[image[b]]
-            if lhs != rhs:
-                face_preserving = False
-                break
-        if not face_preserving:
-            break
+    face_preserving = bijective and all(
+        {image.get(by_vertices.get(verts - {v})) for v in verts}
+        == set(target.lower_covers(image[cs]))
+        for verts, cs in by_vertices.items()
+    )
 
     return PhiReport(
         n=n,

@@ -31,9 +31,9 @@ from .collapse import (
 )
 from .complexes import (
     Complex,
+    ConeSplit,
     build,
     check_purity,
-    cone_split,
     simplex_cap,
     verify_ghost_composition,
 )
@@ -183,7 +183,8 @@ def _check_cone(k: Complex) -> dict:
         return {"status": "skipped", "reason": "no passive process"}
     certificates = []
     for p in passive:
-        certificates.append(cone_split(k.counter, p).certify())
+        base = build(k.counter.delete({p}))
+        certificates.append(ConeSplit(k, base, p).certify())
     return {"status": "ok", "certificates": certificates}
 
 
@@ -364,10 +365,7 @@ def _hasse_dot(k: Complex) -> str:
         lines.append(f'  "{name}" [label="dim {sigma.dim}: {name}"];')
     for sigma in ordered:
         child = sigma.encode().replace("\\", "\\\\").replace('"', '\\"')
-        covers = sorted(
-            tau.encode() for tau in k.faces(sigma) if tau.dim == sigma.dim - 1
-        )
-        for tau in covers:
+        for tau in sorted(face.encode() for face in k.lower_covers(sigma)):
             parent = tau.replace("\\", "\\\\").replace('"', '\\"')
             lines.append(f'  "{parent}" -> "{child}";')
     lines.append("}")

@@ -156,16 +156,17 @@ def _compute_ctrb(
     if active == {pivot}:
         pending.add(WitnessStructure(((support - {pivot}, frozenset({pivot})),)))
 
+    # Upper covers stand in for proper cofaces, as in validate_collapse.
     while pending:
         chosen: CollapseStep | None = None
         for sigma in sorted(pending, key=_scan_order):
-            cofaces = [t for t in complex_.proper_cofaces(sigma) if t not in removed]
+            cofaces = [t for t in complex_.upper_covers(sigma) if t not in removed]
             if len(cofaces) == 1 and cofaces[0] in pending:
                 chosen = CollapseStep(sigma, cofaces[0], _scan_label(sigma, pivot))
                 break
         if chosen is None:
             for sigma in sorted(pending, key=_scan_order):
-                cofaces = [t for t in complex_.proper_cofaces(sigma) if t not in removed]
+                cofaces = [t for t in complex_.upper_covers(sigma) if t not in removed]
                 if len(cofaces) == 1:
                     chosen = CollapseStep(sigma, cofaces[0], "greedy-fallback")
                     break
@@ -257,31 +258,6 @@ def collapse_all(complex_: Complex) -> CollapseSequence:
     return CollapseSequence(counter=counter, kind="full", steps=tuple(steps), pivot=pivot)
 
 
-def greedy_collapse(complex_: Complex) -> CollapseSequence:
-    """Collapse by always taking the lowest free pair available.
-
-    Blind but deterministic; useful as an independent cross-check on
-    small complexes.  Stops when no free pair remains.
-    """
-    remaining = set(complex_.simplices)
-    steps: list[CollapseStep] = []
-    while True:
-        chosen: CollapseStep | None = None
-        for sigma in sorted(remaining, key=WitnessStructure.encode):
-            cofaces = [t for t in complex_.proper_cofaces(sigma) if t in remaining]
-            if len(cofaces) == 1:
-                chosen = CollapseStep(sigma, cofaces[0], "greedy-fallback")
-                break
-        if chosen is None:
-            break
-        steps.append(chosen)
-        remaining.discard(chosen.free)
-        remaining.discard(chosen.cofacet)
-    return CollapseSequence(
-        counter=complex_.counter, kind="greedy", steps=tuple(steps), pivot=None
-    )
-
-
 @dataclass(frozen=True)
 class ValidationReport:
     """Outcome of replaying a collapse sequence move by move."""
@@ -313,6 +289,12 @@ def validate_collapse(
     cofacet as its one remaining proper coface, one dimension up and
     maximal.  If ``expected_remainder`` is given the survivors must
     match it exactly.
+
+    The remaining set starts as the whole complex and each legal move
+    removes a free pair, so it stays closed under faces.  Then "one
+    remaining proper coface" is "one remaining upper cover" (which is
+    one dimension up by definition), and "maximal" is "no remaining
+    upper cover".
     """
     remaining = set(complex_.simplices)
     counts: Multiset[str] = Multiset()
@@ -332,16 +314,14 @@ def validate_collapse(
             return failure(index, f"free face {free.encode()} is not present")
         if cofacet not in remaining:
             return failure(index, f"cofacet {cofacet.encode()} is not present")
-        live = [t for t in complex_.proper_cofaces(free) if t in remaining]
+        live = [t for t in complex_.upper_covers(free) if t in remaining]
         if live != [cofacet]:
             return failure(
                 index,
                 f"{free.encode()} has {len(live)} remaining cofaces, "
                 f"expected exactly {cofacet.encode()}",
             )
-        if cofacet.dim != free.dim + 1:
-            return failure(index, f"{cofacet.encode()} is not one dimension up")
-        if any(t in remaining for t in complex_.proper_cofaces(cofacet)):
+        if any(t in remaining for t in complex_.upper_covers(cofacet)):
             return failure(index, f"cofacet {cofacet.encode()} is not maximal")
         remaining.discard(free)
         remaining.discard(cofacet)

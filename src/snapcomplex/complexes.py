@@ -3,14 +3,15 @@
 Simplices are witness structures; facets correspond to layered schedules
 and every face arises by ghosting a subset of the active processes.  The
 complex is built as the ghosting closure of its facets, plus the explicit
-empty simplex, and is immutable once built.
+empty simplex, and is immutable once built.  The build keeps what it
+computes on the way: each simplex's codimension-1 faces ``ghost(σ,{p})``.
+That cover relation is the whole face poset, and every face query walks it.
 """
 
 from __future__ import annotations
 
 import os
-from collections.abc import Iterable, Iterator
-from itertools import combinations
+from collections.abc import Callable, Iterable, Iterator, Mapping
 
 from .counters import RoundCounter
 from .errors import ComplexTooLargeError, VerificationError
@@ -66,25 +67,47 @@ def membership(r: RoundCounter, sigma: WitnessStructure) -> bool:
     return True
 
 
+Covers = tuple[WitnessStructure, ...]
+
+
+def _reach(
+    starts: Iterable[WitnessStructure],
+    step: Callable[[WitnessStructure], Covers],
+) -> set[WitnessStructure]:
+    """Everything reachable from ``starts`` by repeated ``step``, starts included."""
+    seen = set(starts)
+    stack = list(seen)
+    while stack:
+        for nxt in step(stack.pop()):
+            if nxt not in seen:
+                seen.add(nxt)
+                stack.append(nxt)
+    return seen
+
+
 class Complex:
     """The immediate snapshot complex of a round counter.
 
-    Stores the full simplex set (including the empty simplex) keyed by
-    canonical encoding, plus the facet set.  All queries are pure.
+    Stores the cover relation of its face poset: each simplex (the empty
+    simplex included) maps to the tuple of its codimension-1 faces, and
+    the keys are the simplex set.  The upper covers are that mapping
+    inverted, once, on first use.  Faces and cofaces are walks down and
+    up the covers; all queries are pure.
     """
 
-    __slots__ = ("_counter", "_simplices", "_facets", "_cofaces")
+    __slots__ = ("_counter", "_lower", "_simplices", "_facets", "_upper")
 
     def __init__(
         self,
         counter: RoundCounter,
-        simplices: Iterable[WitnessStructure],
+        lower_covers: Mapping[WitnessStructure, Covers],
         facet_set: Iterable[WitnessStructure],
     ):
         self._counter = counter
-        self._simplices = frozenset(simplices)
+        self._lower = dict(lower_covers)
+        self._simplices = frozenset(self._lower)
         self._facets = frozenset(facet_set)
-        self._cofaces: dict[WitnessStructure, frozenset[WitnessStructure]] | None = None
+        self._upper: dict[WitnessStructure, Covers] | None = None
 
     @property
     def counter(self) -> RoundCounter:
@@ -126,16 +149,31 @@ class Complex:
                 counts[sigma.dim] += 1
         return tuple(counts)
 
+    def lower_covers(self, sigma: WitnessStructure) -> Covers:
+        """The codimension-1 faces ``ghost(σ,{p})``, ``p`` in sorted active order."""
+        try:
+            return self._lower[sigma]
+        except KeyError:
+            raise ValueError("simplex is not part of this complex") from None
+
+    def upper_covers(self, sigma: WitnessStructure) -> Covers:
+        """The simplices having ``sigma`` as a codimension-1 face."""
+        if self._upper is None:
+            upper: dict[WitnessStructure, list[WitnessStructure]] = {
+                s: [] for s in self._lower
+            }
+            for tau, covers in self._lower.items():
+                for face in covers:
+                    upper[face].append(tau)
+            self._upper = {s: tuple(c) for s, c in upper.items()}
+        try:
+            return self._upper[sigma]
+        except KeyError:
+            raise ValueError("simplex is not part of this complex") from None
+
     def faces(self, sigma: WitnessStructure) -> frozenset[WitnessStructure]:
         """Every face of ``sigma`` (including itself and the empty simplex)."""
-        if sigma not in self._simplices:
-            raise ValueError("simplex is not part of this complex")
-        active = sorted(sigma.active_set)
-        out = set()
-        for k in range(len(active) + 1):
-            for hide in combinations(active, k):
-                out.add(ghost(sigma, hide))
-        return frozenset(out)
+        return frozenset(_reach((sigma,), self.lower_covers))
 
     def vertices(self, sigma: WitnessStructure) -> frozenset[WitnessStructure]:
         """The ``dim+1`` vertices: one per active color."""
@@ -146,16 +184,7 @@ class Complex:
 
     def proper_cofaces(self, sigma: WitnessStructure) -> frozenset[WitnessStructure]:
         """All simplices strictly containing ``sigma``."""
-        if self._cofaces is None:
-            table: dict[WitnessStructure, set[WitnessStructure]] = {
-                s: set() for s in self._simplices
-            }
-            for tau in self._simplices:
-                for face in self.faces(tau):
-                    if face != tau:
-                        table[face].add(tau)
-            self._cofaces = {s: frozenset(c) for s, c in table.items()}
-        return self._cofaces[sigma]
+        return frozenset(_reach((sigma,), self.upper_covers) - {sigma})
 
     def to_json_obj(self, *, include_simplices: bool = False) -> dict:
         obj: dict = {
@@ -170,11 +199,7 @@ class Complex:
                     {
                         "id": sigma.encode(),
                         "dim": sigma.dim,
-                        "faces": sorted(
-                            tau.encode()
-                            for tau in self.faces(sigma)
-                            if tau.dim == sigma.dim - 1
-                        ),
+                        "faces": sorted(tau.encode() for tau in self._lower[sigma]),
                     }
                 )
             obj["simplices"] = listing
@@ -183,35 +208,31 @@ class Complex:
 
 def build(r: RoundCounter, *, max_simplices: int | None = None) -> Complex:
     """Construct the complex of ``r``: ghosting closure of the facets plus
-    the empty simplex.  Raises :class:`ComplexTooLargeError` beyond the cap.
+    the empty simplex, with each simplex's lower covers recorded on the way.
+    Raises :class:`ComplexTooLargeError` beyond the cap.
     """
     if not r.support:
         raise ValueError("cannot build a complex over an empty support")
     cap = simplex_cap(max_simplices)
-    seen: set[WitnessStructure] = set()
-    facet_list: list[WitnessStructure] = []
+    # Equal faces reached from different cofaces share the first instance.
+    known: dict[WitnessStructure, WitnessStructure] = {}
     stack: list[WitnessStructure] = []
 
-    def admit(sigma: WitnessStructure) -> bool:
-        if sigma in seen:
-            return False
-        seen.add(sigma)
-        if len(seen) > cap:
-            raise ComplexTooLargeError(cap)
-        return True
+    def admit(sigma: WitnessStructure) -> WitnessStructure:
+        stored = known.setdefault(sigma, sigma)
+        if stored is sigma:
+            if len(known) > cap:
+                raise ComplexTooLargeError(cap)
+            stack.append(sigma)
+        return stored
 
-    for facet in facet_structures(r):
-        if admit(facet):
-            facet_list.append(facet)
-            stack.append(facet)
+    facet_list = [f for f in facet_structures(r) if admit(f) is f]
+    admit(WitnessStructure([((), r.support)]))
+    lower: dict[WitnessStructure, Covers] = {}
     while stack:
         sigma = stack.pop()
-        for p in sigma.active_set:
-            face = ghost(sigma, {p})
-            if admit(face):
-                stack.append(face)
-    admit(WitnessStructure([((), r.support)]))
-    return Complex(r, seen, facet_list)
+        lower[sigma] = tuple(admit(ghost(sigma, {p})) for p in sorted(sigma.active_set))
+    return Complex(r, lower, facet_list)
 
 
 def check_purity(k: Complex) -> None:
@@ -223,9 +244,7 @@ def check_purity(k: Complex) -> None:
             raise VerificationError(
                 f"facet {facet.encode()} has dimension {facet.dim}, expected {top}"
             )
-    covered: set[WitnessStructure] = set()
-    for facet in k.facets:
-        covered |= k.faces(facet)
+    covered = _reach(k.facets, k.lower_covers)
     if covered != k.simplices:
         missing = k.simplices - covered
         raise VerificationError(
@@ -274,13 +293,15 @@ class ConeSplit:
             raise VerificationError("cone pairing is not onto the join")
         if self.pairing[self.apex_vertex] != (self.base.empty_simplex, True):
             raise VerificationError("apex vertex does not map to the apex of the join")
+        # A bijection carrying lower covers onto lower covers is a
+        # simplicial isomorphism.  In the join, (τ, apex) covers (τ, no
+        # apex) and the (face, same flag) pairs for τ's lower covers.
         for sigma in self.complex.simplices:
             tau, flag = self.pairing[sigma]
-            got = {self.pairing[f] for f in self.complex.faces(sigma)}
-            base_faces = self.base.faces(tau)
-            want = {(f, False) for f in base_faces}
+            got = {self.pairing[f] for f in self.complex.lower_covers(sigma)}
+            want = {(f, flag) for f in self.base.lower_covers(tau)}
             if flag:
-                want |= {(f, True) for f in base_faces}
+                want.add((tau, False))
             if got != want:
                 raise VerificationError(
                     f"faces of {sigma.encode()} do not match the join faces"

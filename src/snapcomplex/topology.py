@@ -51,8 +51,7 @@ def boundary(complex_: Complex) -> BoundaryReport:
     """
     degrees: Multiset[WitnessStructure] = Multiset()
     for facet in complex_.facets:
-        for q in facet.active_set:
-            degrees[ghost(facet, {q})] += 1
+        degrees.update(complex_.lower_covers(facet))
     bad = {ridge: d for ridge, d in degrees.items() if d not in (1, 2)}
     if bad:
         worst = min(bad, key=lambda s: s.encode())
@@ -81,8 +80,8 @@ def strong_connectivity(complex_: Complex) -> bool:
         return True
     owners: dict[WitnessStructure, list[int]] = {}
     for i, facet in enumerate(facets):
-        for q in facet.active_set:
-            owners.setdefault(ghost(facet, {q}), []).append(i)
+        for ridge in complex_.lower_covers(facet):
+            owners.setdefault(ridge, []).append(i)
     neighbours: dict[int, set[int]] = {i: set() for i in range(len(facets))}
     for shared in owners.values():
         for i in shared:

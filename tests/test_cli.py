@@ -167,6 +167,17 @@ def test_facet_listing_respects_the_cap(capsys):
     assert json.loads(err)["limit"] == 10
 
 
+def test_cone_check_reuses_the_built_complex(capsys, monkeypatch):
+    # 2,1,0 has 24 simplices; the cone base 2,1 has 12.  Only a rebuild of
+    # the whole complex under the environment cap would exceed 23.
+    monkeypatch.setenv("SNAPCOMPLEX_MAX_SIMPLICES", "23")
+    code, out, _ = run(
+        capsys, "verify", "-r", "2,1,0", "--checks", "cone", "--max-simplices", "24"
+    )
+    assert code == 0
+    assert json.loads(out)["checks"]["cone"]["status"] == "ok"
+
+
 def test_bad_cap_variable_is_a_usage_error(capsys, monkeypatch):
     monkeypatch.setenv("SNAPCOMPLEX_MAX_SIMPLICES", "abc")
     code, _, err = run(capsys, "build", "-r", "1,1")

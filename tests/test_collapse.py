@@ -10,7 +10,6 @@ from snapcomplex import (
     build,
     collapse_all,
     collapse_to_relative_boundary,
-    greedy_collapse,
     relative_boundary_remainder,
     validate_collapse,
 )
@@ -90,13 +89,6 @@ def test_steps_strictly_shrink_the_complex(get_complex):
         assert step.cofacet.dim == step.free.dim + 1
         removed.update({step.free, step.cofacet})
     assert removed == set(k.simplices)
-
-
-def test_greedy_collapse_is_labeled_as_fallback(get_complex):
-    k = get_complex("1,1")
-    seq = greedy_collapse(k)
-    assert seq.stage_counts == {"greedy-fallback": 4}
-    assert validate_collapse(k, seq, expected_remainder=frozenset()).ok
 
 
 def test_validator_rejects_reordered_steps(get_complex):
