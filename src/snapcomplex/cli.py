@@ -317,7 +317,7 @@ def _cmd_strata(args: argparse.Namespace) -> int:
         _emit(_dump(nerve(k).to_json_obj()), args.out)
         return EXIT_OK
     groups: dict[str, dict] = {}
-    for sigma in sorted(k.simplices):
+    for sigma in sorted(k.simplices, key=WitnessStructure.encode):
         ref = classify_interior(sigma)
         if ref is None:
             entry = groups.setdefault("passive simplex", {"name": "passive simplex"})
@@ -377,7 +377,7 @@ _PALETTE = ("#d62728", "#1f77b4", "#2ca02c", "#9467bd", "#8c564b")
 
 def _vertex_positions(k: Complex) -> dict[WitnessStructure, tuple[float, float]]:
     """Plane coordinates: boundary pinned on a circle, interior relaxed."""
-    vertex_list = sorted(s for s in k.simplices if s.dim == 0)
+    vertex_list = sorted((s for s in k.simplices if s.dim == 0), key=WitnessStructure.encode)
     if len(vertex_list) == 1:
         return {vertex_list[0]: (300.0, 300.0)}
     edges = [s for s in k.simplices if s.dim == 1]
@@ -385,31 +385,33 @@ def _vertex_positions(k: Complex) -> dict[WitnessStructure, tuple[float, float]]
         v: set() for v in vertex_list
     }
     for edge in edges:
-        u, v = sorted(k.vertices(edge))
+        u, v = sorted(k.vertices(edge), key=WitnessStructure.encode)
         neighbors[u].add(v)
         neighbors[v].add(u)
 
     if k.dim == 1:
         # A path: walk it end to end and spread it on a horizontal line.
-        ends = sorted(v for v in vertex_list if len(neighbors[v]) == 1)
+        ends = sorted(
+            (v for v in vertex_list if len(neighbors[v]) == 1), key=WitnessStructure.encode
+        )
         walk = [ends[0]]
         while len(walk) < len(vertex_list):
             options = neighbors[walk[-1]] - set(walk)
-            walk.append(min(options))
+            walk.append(min(options, key=WitnessStructure.encode))
         step = 520.0 / max(len(walk) - 1, 1)
         return {v: (40.0 + i * step, 300.0) for i, v in enumerate(walk)}
 
     rim_edges = boundary(k).boundary_ridges
     rim_neighbors: dict[WitnessStructure, set[WitnessStructure]] = {}
     for edge in rim_edges:
-        u, v = sorted(k.vertices(edge))
+        u, v = sorted(k.vertices(edge), key=WitnessStructure.encode)
         rim_neighbors.setdefault(u, set()).add(v)
         rim_neighbors.setdefault(v, set()).add(u)
-    start = min(rim_neighbors)
-    cycle = [start, min(rim_neighbors[start])]
+    start = min(rim_neighbors, key=WitnessStructure.encode)
+    cycle = [start, min(rim_neighbors[start], key=WitnessStructure.encode)]
     while True:
         options = rim_neighbors[cycle[-1]] - {cycle[-2]}
-        nxt = min(options)
+        nxt = min(options, key=WitnessStructure.encode)
         if nxt == start:
             break
         cycle.append(nxt)
@@ -443,20 +445,20 @@ def _svg(k: Complex) -> str:
     def fmt(value: float) -> str:
         return f"{value:.2f}"
 
-    for facet in sorted(s for s in k.simplices if s.dim == 2):
+    for facet in sorted((s for s in k.simplices if s.dim == 2), key=WitnessStructure.encode):
         points = " ".join(
             f"{fmt(positions[v][0])},{fmt(positions[v][1])}"
-            for v in sorted(k.vertices(facet))
+            for v in sorted(k.vertices(facet), key=WitnessStructure.encode)
         )
         parts.append(f'  <polygon points="{points}" fill="#eef0f7" stroke="none"/>')
-    for edge in sorted(s for s in k.simplices if s.dim == 1):
-        u, v = sorted(k.vertices(edge))
+    for edge in sorted((s for s in k.simplices if s.dim == 1), key=WitnessStructure.encode):
+        u, v = sorted(k.vertices(edge), key=WitnessStructure.encode)
         parts.append(
             f'  <line x1="{fmt(positions[u][0])}" y1="{fmt(positions[u][1])}" '
             f'x2="{fmt(positions[v][0])}" y2="{fmt(positions[v][1])}" '
             'stroke="#444444" stroke-width="1.5"/>'
         )
-    for vertex in sorted(positions):
+    for vertex in sorted(positions, key=WitnessStructure.encode):
         x, y = positions[vertex]
         color = _PALETTE[next(iter(vertex.active_set)) % len(_PALETTE)]
         title = vertex.encode().replace("&", "&amp;").replace("<", "&lt;")

@@ -8,12 +8,25 @@ classes with fewer absorbed processes can always go first.  A full
 collapse of the whole complex replays that routine once per row-0 ghost
 set, from the top facets all the way down to the final vertex.
 
+The residue left after the translated classes is matched greedily by a
+free-face worklist (Benedetti–Lutz, "Random discrete Morse theory",
+2014): each pending simplex counts its upper covers not yet removed,
+and a simplex whose count reaches one is pushed onto two heaps keyed by
+``(dim, encode())``.  The strict heap yields the least simplex whose one
+remaining cover is itself pending; the fallback heap, used only when the
+strict one runs dry, yields the least simplex with one remaining cover
+at all.  Counts only fall and the pending set only shrinks, so an entry
+that has gone stale stays stale and is dropped when it surfaces.  The
+first live entry is then the pair a full scan of the residue in that
+order would pick, and each step costs O(log n) amortised.
+
 Every sequence produced here can be replayed and checked move by move
 with :func:`validate_collapse`.
 """
 
 from __future__ import annotations
 
+import heapq
 import itertools
 from collections import Counter as Multiset
 from dataclasses import dataclass, field
@@ -73,10 +86,6 @@ class CollapseSequence:
             "stage_counts": self.stage_counts,
             "steps": [step.to_json_obj() for step in self.steps],
         }
-
-
-def _scan_order(sigma: WitnessStructure) -> tuple[int, str]:
-    return (sigma.dim, sigma.encode())
 
 
 def _scan_label(sigma: WitnessStructure, pivot: int) -> str:
@@ -157,29 +166,53 @@ def _compute_ctrb(
         pending.add(WitnessStructure(((support - {pivot}, frozenset({pivot})),)))
 
     # Upper covers stand in for proper cofaces, as in validate_collapse.
+    # live[σ] counts the upper covers of σ not yet removed; a simplex with
+    # exactly one is offered to both heaps, keyed by (dim, encode()).
+    live: dict[WitnessStructure, int] = {}
+    strict: list[tuple[int, str, WitnessStructure]] = []
+    fallback: list[tuple[int, str, WitnessStructure]] = []
+
+    def offer(sigma: WitnessStructure) -> None:
+        entry = (sigma.dim, sigma.encode(), sigma)
+        heapq.heappush(strict, entry)
+        heapq.heappush(fallback, entry)
+
+    for sigma in pending:
+        live[sigma] = sum(1 for t in complex_.upper_covers(sigma) if t not in removed)
+        if live[sigma] == 1:
+            offer(sigma)
+
+    def free_coface(sigma: WitnessStructure) -> WitnessStructure:
+        return next(t for t in complex_.upper_covers(sigma) if t not in removed)
+
     while pending:
         chosen: CollapseStep | None = None
-        for sigma in sorted(pending, key=_scan_order):
-            cofaces = [t for t in complex_.upper_covers(sigma) if t not in removed]
-            if len(cofaces) == 1 and cofaces[0] in pending:
-                chosen = CollapseStep(sigma, cofaces[0], _scan_label(sigma, pivot))
-                break
-        if chosen is None:
-            for sigma in sorted(pending, key=_scan_order):
-                cofaces = [t for t in complex_.upper_covers(sigma) if t not in removed]
-                if len(cofaces) == 1:
-                    chosen = CollapseStep(sigma, cofaces[0], "greedy-fallback")
-                    break
+        # A stale entry stays stale (see the module docstring), so every
+        # entry popped is either used or dropped for good.
+        while strict and chosen is None:
+            sigma = heapq.heappop(strict)[2]
+            if sigma in pending and live[sigma] == 1:
+                coface = free_coface(sigma)
+                if coface in pending:
+                    chosen = CollapseStep(sigma, coface, _scan_label(sigma, pivot))
+        while fallback and chosen is None:
+            sigma = heapq.heappop(fallback)[2]
+            if sigma in pending and live[sigma] == 1:
+                chosen = CollapseStep(sigma, free_coface(sigma), "greedy-fallback")
         if chosen is None:
             raise CollapseStalledError(
                 f"collapse stalled over {counter.to_text()!r} with "
                 f"{len(pending)} simplices unmatched"
             )
         steps.append(chosen)
-        removed.add(chosen.free)
-        removed.add(chosen.cofacet)
-        pending.discard(chosen.free)
-        pending.discard(chosen.cofacet)
+        for gone in (chosen.free, chosen.cofacet):
+            pending.discard(gone)
+            removed.add(gone)
+            for face in complex_.lower_covers(gone):
+                if face in pending:
+                    live[face] -= 1
+                    if live[face] == 1:
+                        offer(face)
     return steps
 
 
@@ -199,8 +232,8 @@ def collapse_to_relative_boundary(complex_: Complex, pivot: int) -> CollapseSequ
 
     The survivors form the boundary minus the open star of the
     pivot-facing side: exactly the simplices with some other row-0
-    ghost.  Raises :class:`CollapseStalledError` if the residue scan
-    cannot finish.
+    ghost.  Raises :class:`CollapseStalledError` if the residue worklist
+    runs dry.
     """
     if pivot not in complex_.counter.support:
         raise ValueError(f"pivot {pivot} is outside the support")

@@ -343,7 +343,7 @@ def verify_ghost_composition(k: Complex) -> int:
     :class:`VerificationError` at the first disagreement.
     """
     checked = 0
-    for sigma in sorted(k.simplices):
+    for sigma in sorted(k.simplices, key=WitnessStructure.encode):
         colors = sorted(sigma.active_set)
         for split in range(3 ** len(colors)):
             s_part, t_part, rest = set(), set(), split

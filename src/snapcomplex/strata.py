@@ -623,7 +623,9 @@ def verify_translation_maps(complex_: Complex) -> dict[str, int]:
                 for absorbed in itertools.combinations(sel, a_size):
                     a = frozenset(absorbed)
                     label = f"γ_{_fmt_procs(s)},{_fmt_procs(a)}"
-                    domain = sorted(members(complex_, StratumRef.x(s, a)))
+                    domain = sorted(
+                        members(complex_, StratumRef.x(s, a)), key=WitnessStructure.encode
+                    )
                     restricted = counter.restrict(s, a)
                     if not restricted.support:
                         # Absorbing every process leaves the complex over
@@ -648,7 +650,7 @@ def verify_translation_maps(complex_: Complex) -> dict[str, int]:
                                 f"ρ_{_fmt_procs(s)} does not undo {label} "
                                 f"on {sigma.encode()}"
                             )
-                    for tau in sorted(target.simplices):
+                    for tau in sorted(target.simplices, key=WitnessStructure.encode):
                         back = rho(tau, s)
                         if back not in members_set or gamma(back, s) != tau:
                             raise VerificationError(
@@ -661,7 +663,7 @@ def verify_translation_maps(complex_: Complex) -> dict[str, int]:
         for dropped in itertools.combinations(support, v_size):
             v = frozenset(dropped)
             label = f"δ_{_fmt_procs(v)}"
-            domain = sorted(members(complex_, StratumRef.b(v)))
+            domain = sorted(members(complex_, StratumRef.b(v)), key=WitnessStructure.encode)
             target = target_for(counter.delete(v))
             image = {sigma: delta(sigma, v) for sigma in domain}
             _certify_iso(complex_, domain, target, image, label)
@@ -714,7 +716,9 @@ def _check_restriction_composition(complex_: Complex) -> Iterator[DiagramReport]
         for select in _nonempty_subsets(rest):
             s = frozenset(select)
             checked = 0
-            for sigma in sorted(members(complex_, StratumRef.x(s | a, a))):
+            for sigma in sorted(
+                members(complex_, StratumRef.x(s | a, a)), key=WitnessStructure.encode
+            ):
                 mid = gamma(sigma, a, a)
                 if not membership(deleted, mid):
                     raise _fail(
@@ -754,7 +758,7 @@ def _check_restriction_absorbs_drop(complex_: Complex) -> Iterator[DiagramReport
         target = counter.execute(s)
         for absorbed in itertools.chain(((),), _nonempty_subsets(sorted(s))):
             a = frozenset(absorbed)
-            stratum = sorted(members(complex_, StratumRef.x(s, a)))
+            stratum = sorted(members(complex_, StratumRef.x(s, a)), key=WitnessStructure.encode)
             for small in itertools.chain(((),), _nonempty_subsets(sorted(a))):
                 b = frozenset(small)
                 checked = 0
@@ -795,7 +799,9 @@ def _check_drop_restriction_commute(complex_: Complex) -> Iterator[DiagramReport
         for absorbed in itertools.chain(((),), _nonempty_subsets(sorted(s))):
             a = frozenset(absorbed)
             checked = 0
-            for sigma in sorted(members(complex_, StratumRef.x(s, a))):
+            for sigma in sorted(
+                members(complex_, StratumRef.x(s, a)), key=WitnessStructure.encode
+            ):
                 loose = sorted(sigma.ghost_row(0) - s)
                 for dropped in itertools.chain(((),), _nonempty_subsets(loose)):
                     v = frozenset(dropped)

@@ -75,7 +75,7 @@ def boundary(complex_: Complex) -> BoundaryReport:
 
 def strong_connectivity(complex_: Complex) -> bool:
     """Can any facet reach any other through shared ridges?"""
-    facets = sorted(complex_.facets)
+    facets = sorted(complex_.facets, key=WitnessStructure.encode)
     if len(facets) <= 1:
         return True
     owners: dict[WitnessStructure, list[int]] = {}
@@ -143,7 +143,7 @@ def homology_z2(source: Complex | Iterable[WitnessStructure]) -> dict[int, int]:
     if not simplices:
         raise ValueError("need at least the empty simplex")
     by_dim: dict[int, list[WitnessStructure]] = {}
-    for s in sorted(simplices):
+    for s in sorted(simplices, key=WitnessStructure.encode):
         by_dim.setdefault(s.dim, []).append(s)
     top = max(by_dim)
     index = {d: {s: i for i, s in enumerate(members)} for d, members in by_dim.items()}

@@ -4,7 +4,9 @@ import pytest
 
 from snapcomplex import (
     CollapseSequence,
+    CollapseStalledError,
     CollapseStep,
+    Complex,
     RoundCounter,
     WitnessStructure,
     build,
@@ -13,6 +15,10 @@ from snapcomplex import (
     relative_boundary_remainder,
     validate_collapse,
 )
+from snapcomplex.collapse import _compute_ctrb
+
+from . import collapse_reference as reference
+from .conftest import TEST_COUNTERS
 
 STAGE_LABELS = {"stage1", "stage2", "stage3", "recursive", "greedy-fallback"}
 
@@ -133,3 +139,81 @@ def test_sequences_are_deterministic(get_complex):
     k = get_complex("2,1")
     again = build(RoundCounter.parse("2,1"))
     assert collapse_all(k).steps == collapse_all(again).steps
+
+
+def _triples(steps):
+    return [(step.free, step.cofacet, step.stage) for step in steps]
+
+
+@pytest.mark.parametrize("text", TEST_COUNTERS + ("2,1,1,1",))
+def test_worklist_matches_the_rescan_reference(text, get_complex):
+    k = get_complex(text)
+    assert _triples(collapse_all(k).steps) == _triples(reference.collapse_all(k).steps)
+    for pivot in sorted(k.counter.support):
+        assert _triples(collapse_to_relative_boundary(k, pivot).steps) == _triples(
+            reference.collapse_to_relative_boundary(k, pivot).steps
+        )
+
+
+def _doctored(k: Complex, extra: dict[WitnessStructure, tuple]) -> Complex:
+    """``k`` with ``extra`` appended to the lower covers (new keys allowed)."""
+    lower = {s: k.lower_covers(s) for s in k.simplices}
+    for sigma, covers in extra.items():
+        lower[sigma] = lower.get(sigma, ()) + covers
+    return Complex(k.counter, lower, k.facets)
+
+
+def _run(engine, doctored: Complex, pivot: int):
+    def builder(counter: RoundCounter) -> Complex:
+        return doctored if counter == doctored.counter else build(counter)
+
+    return engine(doctored.counter, pivot, builder, {})
+
+
+# Over 1,1 with pivot 0 the residue is two vertices and two edges, each
+# vertex paired with one edge.  SURVIVOR is outside the residue and is
+# never removed: it is part of the relative boundary.
+RESIDUE_VERTEX = ws(({0, 1}, ()), ({0}, {1}))
+RESIDUE_EDGE = ws(({0, 1}, ()), ({0}, ()), ({1}, ()))
+SURVIVOR = ws(({0}, {1}), ({0}, ()))
+
+
+def test_a_residue_simplex_covered_only_by_a_survivor_falls_back(get_complex):
+    # A fallback step pairs one residue simplex with one outside it, so a
+    # residue of even size needs an odd one added: a stray residue vertex
+    # whose only cover is the survivor.
+    k = get_complex("1,1")
+    stray = ws(({0, 1}, ()), ({0}, ()))
+    assert stray not in k
+    doctored = _doctored(k, {stray: (k.empty_simplex,), SURVIVOR: (stray,)})
+    steps = _run(_compute_ctrb, doctored, 0)
+    assert _triples(steps) == _triples(_run(reference._compute_ctrb, doctored, 0))
+    assert [step.stage for step in steps] == ["stage1", "stage2", "stage2", "greedy-fallback"]
+    assert (steps[-1].free, steps[-1].cofacet) == (stray, SURVIVOR)
+
+
+def test_an_extra_upper_cover_in_the_residue_stalls(get_complex):
+    # With one more cover, both residue vertices keep two live cofaces.
+    doctored = _doctored(get_complex("1,1"), {RESIDUE_EDGE: (RESIDUE_VERTEX,)})
+    for engine in (_compute_ctrb, reference._compute_ctrb):
+        with pytest.raises(CollapseStalledError, match="4 simplices unmatched"):
+            _run(engine, doctored, 0)
+
+
+def test_full_collapse_reads_each_cover_list_a_bounded_number_of_times(
+    get_complex, monkeypatch
+):
+    # The rescan read every pending simplex's covers once per step
+    # (15 339 calls on 2,1,1,1); the worklist reads each a few times.
+    k = get_complex("2,1,1,1")
+    calls = 0
+    upper_covers = Complex.upper_covers
+
+    def counting(self, sigma):
+        nonlocal calls
+        calls += 1
+        return upper_covers(self, sigma)
+
+    monkeypatch.setattr(Complex, "upper_covers", counting)
+    collapse_all(k)
+    assert calls <= 2 * len(k)
