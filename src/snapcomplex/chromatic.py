@@ -11,11 +11,11 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 from dataclasses import dataclass
-from itertools import combinations
 
 from .counters import RoundCounter
 from .complexes import Complex, build
 from .errors import VerificationError
+from .schedules import _nonempty_subsets
 from .witness import WitnessStructure
 
 DEFAULT_COLOR_BOUND = 3
@@ -43,12 +43,6 @@ class ChromaticSimplex:
         return frozenset(out)
 
 
-def _nonempty_subsets(items: tuple[int, ...]) -> Iterator[frozenset[int]]:
-    for k in range(1, len(items) + 1):
-        for combo in combinations(items, k):
-            yield frozenset(combo)
-
-
 def chromatic_oracle(n: int, *, bound: int = DEFAULT_COLOR_BOUND) -> frozenset[ChromaticSimplex]:
     """Enumerate every simplex of the chromatic subdivision of the
     ``n``-simplex on colors ``0..n`` (empty simplex included)."""
@@ -61,9 +55,9 @@ def chromatic_oracle(n: int, *, bound: int = DEFAULT_COLOR_BOUND) -> frozenset[C
         yield ((), ())
         for block in _nonempty_subsets(rest):
             leftover = tuple(c for c in rest if c not in block)
-            for survivors in _nonempty_subsets(tuple(sorted(block))):
+            for survivors in _nonempty_subsets(block):
                 for blocks, chosen in walk(leftover):
-                    yield (block,) + blocks, (survivors,) + chosen
+                    yield (frozenset(block),) + blocks, (frozenset(survivors),) + chosen
 
     colors = tuple(range(n + 1))
     return frozenset(ChromaticSimplex(b, c) for b, c in walk(colors))
@@ -103,12 +97,17 @@ class PhiReport:
         return self.bijective and self.dimension_preserving and self.face_preserving
 
 
-def phi_iso(n: int, *, bound: int = DEFAULT_COLOR_BOUND) -> PhiReport:
+def phi_iso(
+    n: int, *, bound: int = DEFAULT_COLOR_BOUND, max_simplices: int | None = None
+) -> PhiReport:
     """Certify the table map as a dimension- and face-relation-preserving
     bijection from the independently enumerated subdivision onto the
-    complex of the all-ones counter."""
+    complex of the all-ones counter, built under ``max_simplices`` as
+    :func:`build` does."""
     oracle = chromatic_oracle(n, bound=bound)
-    target: Complex = build(RoundCounter({p: 1 for p in range(n + 1)}))
+    target: Complex = build(
+        RoundCounter({p: 1 for p in range(n + 1)}), max_simplices=max_simplices
+    )
 
     image = {cs: table_map(cs, n) for cs in oracle}
     bijective = (

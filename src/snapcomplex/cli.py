@@ -110,17 +110,17 @@ def _parse_procs(token: str) -> frozenset[int]:
 # ---------------------------------------------------------------------------
 
 
-def _check_purity(k: Complex) -> dict:
+def _check_purity(k: Complex, cap: int) -> dict:
     check_purity(k)
     return {"status": "ok", "dimension": k.dim}
 
 
-def _check_pseudomanifold(k: Complex) -> dict:
+def _check_pseudomanifold(k: Complex, cap: int) -> dict:
     report = boundary(k)
     return {"status": "ok", "ridges": report.ridge_count}
 
 
-def _check_boundary(k: Complex) -> dict:
+def _check_boundary(k: Complex, cap: int) -> dict:
     report = boundary(k)
     status = "ok" if report.ghost_rule_holds else "failed"
     return {
@@ -130,17 +130,17 @@ def _check_boundary(k: Complex) -> dict:
     }
 
 
-def _check_strong_connectivity(k: Complex) -> dict:
+def _check_strong_connectivity(k: Complex, cap: int) -> dict:
     connected = strong_connectivity(k)
     return {"status": "ok" if connected else "failed", "facets": len(k.facets)}
 
 
-def _check_euler(k: Complex) -> dict:
+def _check_euler(k: Complex, cap: int) -> dict:
     value = euler(k)
     return {"status": "ok" if value == 1 else "failed", "euler": value}
 
 
-def _check_homology(k: Complex) -> dict:
+def _check_homology(k: Complex, cap: int) -> dict:
     betti = homology_z2(k)
     contractible = all(b == 0 for b in betti.values())
     detail: dict = {
@@ -159,12 +159,12 @@ def _check_homology(k: Complex) -> dict:
     return detail
 
 
-def _check_strata_intersections(k: Complex) -> dict:
+def _check_strata_intersections(k: Complex, cap: int) -> dict:
     counts = verify_strata_calculus(k)
     return {"status": "ok", **counts}
 
 
-def _check_diagrams(k: Complex) -> dict:
+def _check_diagrams(k: Complex, cap: int) -> dict:
     reports = verify_diagrams(k)
     return {
         "status": "ok",
@@ -173,29 +173,29 @@ def _check_diagrams(k: Complex) -> dict:
     }
 
 
-def _check_gg(k: Complex) -> dict:
+def _check_gg(k: Complex, cap: int) -> dict:
     return {"status": "ok", "instances": verify_ghost_composition(k)}
 
 
-def _check_cone(k: Complex) -> dict:
+def _check_cone(k: Complex, cap: int) -> dict:
     passive = sorted(k.counter.passive)
     if not passive:
         return {"status": "skipped", "reason": "no passive process"}
     certificates = []
     for p in passive:
-        base = build(k.counter.delete({p}))
+        base = build(k.counter.delete({p}), max_simplices=cap)
         certificates.append(ConeSplit(k, base, p).certify())
     return {"status": "ok", "certificates": certificates}
 
 
-def _check_phi(k: Complex) -> dict:
+def _check_phi(k: Complex, cap: int) -> dict:
     counter = k.counter
     support = sorted(counter.support)
     if support != list(range(len(support))) or any(
         counter[p] != 1 for p in support
     ):
         return {"status": "skipped", "reason": "counter is not all-ones on 0..n"}
-    report = phi_iso(len(support) - 1)
+    report = phi_iso(len(support) - 1, max_simplices=cap)
     return {
         "status": "ok" if report.ok else "failed",
         "subdivision_simplices": report.simplices,
@@ -203,7 +203,7 @@ def _check_phi(k: Complex) -> dict:
     }
 
 
-def _check_schedule_bijection(k: Complex) -> dict:
+def _check_schedule_bijection(k: Complex, cap: int) -> dict:
     counter = k.counter
     mapped: dict[WitnessStructure, int] = {}
     seen_views: set[WitnessStructure] = set()
@@ -227,7 +227,9 @@ def _check_schedule_bijection(k: Complex) -> dict:
     }
 
 
-_CHECKS: dict[str, Callable[[Complex], dict]] = {
+# Each check gets the built complex and the run's resolved simplex cap,
+# which governs any further complex the check builds.
+_CHECKS: dict[str, Callable[[Complex, int], dict]] = {
     "purity": _check_purity,
     "pseudomanifold": _check_pseudomanifold,
     "boundary": _check_boundary,
@@ -251,13 +253,14 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         raise UsageError(
             f"unknown checks {unknown}; available: {', '.join(CHECK_ORDER)}"
         )
-    k = build(counter, max_simplices=args.max_simplices)
+    cap = simplex_cap(args.max_simplices)
+    k = build(counter, max_simplices=cap)
     results: dict[str, dict] = {}
     for name in CHECK_ORDER:
         if name not in wanted:
             continue
         try:
-            results[name] = _CHECKS[name](k)
+            results[name] = _CHECKS[name](k, cap)
         except VerificationError as exc:
             results[name] = {"status": "failed", "error": str(exc)}
     ok = all(r["status"] in ("ok", "skipped") for r in results.values())
@@ -336,15 +339,16 @@ def _cmd_collapse(args: argparse.Namespace) -> int:
     counter = _parse_counter(args.counter)
     if args.full and args.pivot is not None:
         raise UsageError("--pivot applies to the relative-boundary collapse only")
-    k = build(counter, max_simplices=args.max_simplices)
+    cap = simplex_cap(args.max_simplices)
+    k = build(counter, max_simplices=cap)
     if args.full:
-        sequence = collapse_all(k)
+        sequence = collapse_all(k, max_simplices=cap)
         expected = frozenset()
     else:
         pivot = args.pivot if args.pivot is not None else min(counter.support)
         if pivot not in counter.support:
             raise UsageError(f"pivot {pivot} is outside the support")
-        sequence = collapse_to_relative_boundary(k, pivot)
+        sequence = collapse_to_relative_boundary(k, pivot, max_simplices=cap)
         expected = relative_boundary_remainder(k, pivot)
     payload = sequence.to_json_obj()
     if args.validate:
@@ -359,13 +363,14 @@ def _cmd_collapse(args: argparse.Namespace) -> int:
 
 def _hasse_dot(k: Complex) -> str:
     lines = ["digraph face_poset {", "  rankdir=BT;", '  node [shape=box, fontname="monospace"];']
-    ordered = sorted(k.simplices, key=lambda s: (s.dim, s.encode()))
+    code = {sigma: sigma.encode() for sigma in k.simplices}
+    ordered = sorted(k.simplices, key=lambda s: (s.dim, code[s]))
     for sigma in ordered:
-        name = sigma.encode().replace("\\", "\\\\").replace('"', '\\"')
+        name = code[sigma].replace("\\", "\\\\").replace('"', '\\"')
         lines.append(f'  "{name}" [label="dim {sigma.dim}: {name}"];')
     for sigma in ordered:
-        child = sigma.encode().replace("\\", "\\\\").replace('"', '\\"')
-        for tau in sorted(face.encode() for face in k.lower_covers(sigma)):
+        child = code[sigma].replace("\\", "\\\\").replace('"', '\\"')
+        for tau in sorted(code[face] for face in k.lower_covers(sigma)):
             parent = tau.replace("\\", "\\\\").replace('"', '\\"')
             lines.append(f'  "{parent}" -> "{child}";')
     lines.append("}")

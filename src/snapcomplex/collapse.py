@@ -36,7 +36,7 @@ from .complexes import Complex, build
 from .counters import RoundCounter
 from .errors import CollapseStalledError
 from .strata import delta_inverse, rho
-from .witness import WitnessStructure
+from .witness import WitnessStructure, _from_masks, _mask_of
 
 Builder = Callable[[RoundCounter], Complex]
 
@@ -90,10 +90,10 @@ class CollapseSequence:
 
 def _scan_label(sigma: WitnessStructure, pivot: int) -> str:
     """Stage tag for a residue pair, read off the free face's round-1 row."""
-    if sigma.t == 0:
+    m = sigma._m
+    if len(m) == 2:
         return "stage3"
-    row = sigma.witness_row(1) | sigma.ghost_row(1)
-    return "stage2" if row - {pivot} else "stage3"
+    return "stage2" if (m[2] | m[3]) & ~(1 << pivot) else "stage3"
 
 
 def _ctrb_steps(
@@ -118,11 +118,12 @@ def _compute_ctrb(
     if pivot not in support:
         raise ValueError(f"pivot {pivot} is outside the support of {counter.to_text()!r}")
     active = counter.active
+    everyone, bit = _mask_of(support), 1 << pivot
 
     if not active:
         # The complex is the full simplex on the (all-passive) support.
-        free = WitnessStructure(((support - {pivot}, frozenset({pivot})),))
-        top = WitnessStructure(((support, frozenset()),))
+        free = _from_masks((everyone ^ bit, bit))
+        top = _from_masks((everyone, 0))
         return [CollapseStep(free, top, "stage3")]
 
     steps: list[CollapseStep] = []
@@ -154,16 +155,13 @@ def _compute_ctrb(
 
     # Stage two: the residue, where the pivot itself shows up in round 1.
     complex_ = builder(counter)
-    pending: set[WitnessStructure] = set()
-    for sigma in complex_.simplices:
-        if (
-            sigma.t >= 1
-            and not sigma.ghost_row(0)
-            and pivot in (sigma.witness_row(1) | sigma.ghost_row(1))
-        ):
-            pending.add(sigma)
+    pending = {
+        sigma
+        for sigma in complex_.simplices
+        if len(sigma._m) > 2 and not sigma._m[1] and (sigma._m[2] | sigma._m[3]) & bit
+    }
     if active == {pivot}:
-        pending.add(WitnessStructure(((support - {pivot}, frozenset({pivot})),)))
+        pending.add(_from_masks((everyone ^ bit, bit)))
 
     # Upper covers stand in for proper cofaces, as in validate_collapse.
     # live[σ] counts the upper covers of σ not yet removed; a simplex with
@@ -216,29 +214,33 @@ def _compute_ctrb(
     return steps
 
 
-def _cached_builder(complex_: Complex) -> Builder:
+def _cached_builder(complex_: Complex, max_simplices: int | None = None) -> Builder:
     cache: dict[RoundCounter, Complex] = {complex_.counter: complex_}
 
     def builder(counter: RoundCounter) -> Complex:
         if counter not in cache:
-            cache[counter] = build(counter)
+            cache[counter] = build(counter, max_simplices=max_simplices)
         return cache[counter]
 
     return builder
 
 
-def collapse_to_relative_boundary(complex_: Complex, pivot: int) -> CollapseSequence:
+def collapse_to_relative_boundary(
+    complex_: Complex, pivot: int, *, max_simplices: int | None = None
+) -> CollapseSequence:
     """Collapse away every simplex whose row-0 ghosts are ``∅`` or ``{pivot}``.
 
     The survivors form the boundary minus the open star of the
     pivot-facing side: exactly the simplices with some other row-0
     ghost.  Raises :class:`CollapseStalledError` if the residue worklist
-    runs dry.
+    runs dry.  The smaller complexes it builds on the way obey
+    ``max_simplices`` as :func:`build` does.
     """
     if pivot not in complex_.counter.support:
         raise ValueError(f"pivot {pivot} is outside the support")
     memo: dict[tuple[RoundCounter, int], tuple[CollapseStep, ...]] = {}
-    steps = _ctrb_steps(complex_.counter, pivot, _cached_builder(complex_), memo)
+    builder = _cached_builder(complex_, max_simplices)
+    steps = _ctrb_steps(complex_.counter, pivot, builder, memo)
     return CollapseSequence(
         counter=complex_.counter, kind="relative-boundary", steps=steps, pivot=pivot
     )
@@ -248,27 +250,28 @@ def relative_boundary_remainder(
     complex_: Complex, pivot: int
 ) -> frozenset[WitnessStructure]:
     """The simplices :func:`collapse_to_relative_boundary` must leave behind."""
-    return frozenset(
-        s
-        for s in complex_.simplices
-        if s.ghost_row(0) not in (frozenset(), frozenset({pivot}))
-    )
+    others = ~(1 << pivot)
+    return frozenset(s for s in complex_.simplices if s._m[1] & others)
 
 
-def collapse_all(complex_: Complex) -> CollapseSequence:
+def collapse_all(
+    complex_: Complex, *, max_simplices: int | None = None
+) -> CollapseSequence:
     """Collapse the whole complex, empty simplex included, to nothing.
 
     Simplices are matched in phases by their row-0 ghost set minus the
     pivot; each phase replays the relative-boundary collapse of the
     complex with those ghosts deleted.  Phases run smallest ghost set
-    first, which keeps cofaces ahead of their faces.
+    first, which keeps cofaces ahead of their faces.  The smaller
+    complexes it builds on the way obey ``max_simplices`` as
+    :func:`build` does.
     """
     counter = complex_.counter
     support = counter.support
     if not support:
         raise ValueError("cannot collapse a complex over an empty counter")
     pivot = min(support)
-    builder = _cached_builder(complex_)
+    builder = _cached_builder(complex_, max_simplices)
     memo: dict[tuple[RoundCounter, int], tuple[CollapseStep, ...]] = {}
     steps: list[CollapseStep] = []
     rest = sorted(support - {pivot})

@@ -13,9 +13,15 @@ from itertools import combinations
 
 from .counters import RoundCounter
 from .errors import ComplexTooLargeError
-from .witness import WitnessStructure, ghost
+from .witness import WitnessStructure, _from_masks, _mask_of, ghost
 
 Schedule = tuple[frozenset[int], ...]
+
+
+def _nonempty_subsets(items: Sequence) -> Iterator[tuple]:
+    """Every nonempty subset of ``items``, by size, then lexicographically."""
+    for size in range(1, len(items) + 1):
+        yield from combinations(items, size)
 
 
 def is_valid_schedule(s: Sequence[frozenset[int]], r: RoundCounter) -> bool:
@@ -30,11 +36,7 @@ def _layer_choices(remaining: dict[int, int]) -> Iterator[frozenset[int]]:
     """The possible next layers: nonempty sets of processes with rounds left,
     by size, then lexicographically."""
     live = sorted(p for p, c in remaining.items() if c > 0)
-    return (
-        frozenset(chosen)
-        for k in range(1, len(live) + 1)
-        for chosen in combinations(live, k)
-    )
+    return (frozenset(chosen) for chosen in _nonempty_subsets(live))
 
 
 def _walk(remaining: dict[int, int]) -> Iterator[Schedule]:
@@ -82,9 +84,10 @@ def to_facet(s: Sequence[frozenset[int]], r: RoundCounter) -> WitnessStructure:
     row per layer."""
     if not is_valid_schedule(tuple(s), r):
         raise ValueError("not a valid schedule for the counter")
-    rows = [(r.support, frozenset())]
-    rows.extend((frozenset(layer), frozenset()) for layer in s)
-    return WitnessStructure(rows)
+    m = [_mask_of(r), 0]
+    for layer in s:
+        m += (_mask_of(layer), 0)
+    return _from_masks(tuple(m))
 
 
 def views(s: Sequence[frozenset[int]], r: RoundCounter) -> dict[int, WitnessStructure]:

@@ -19,12 +19,13 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from .complexes import Complex, build, membership
-from .counters import RoundCounter
+from .counters import RoundCounter, _check_pid
 from .errors import VerificationError
-from .witness import WitnessStructure
+from .schedules import _nonempty_subsets
+from .witness import Masks, WitnessStructure, _bits, _from_masks, _mask_of
 
 Procs = frozenset[int]
 
@@ -32,14 +33,10 @@ _KINDS = ("X", "Y", "Z", "B", "XBV")
 
 
 def _procs(values: Iterable[int]) -> Procs:
-    out = frozenset(values)
-    for p in out:
-        if not isinstance(p, int) or isinstance(p, bool) or p < 0:
-            raise ValueError(f"process ids must be nonnegative ints, got {p!r}")
-    return out
+    return frozenset(map(_check_pid, values))
 
 
-def _fmt_procs(values: Procs) -> str:
+def _fmt_procs(values: Iterable[int]) -> str:
     return "{" + ",".join(str(p) for p in sorted(values)) + "}"
 
 
@@ -134,9 +131,31 @@ def in_stratum(ref: StratumRef, sigma: WitnessStructure) -> bool:
     return x_part and ref.dropped <= g0  # XBV
 
 
+def _literal_test(ref: StratumRef) -> Callable[[Masks], bool]:
+    """:func:`in_stratum` on the mask rows, with the stratum's masks made once."""
+    select = _mask_of(ref.select)
+    need_g0 = _mask_of(ref.dropped)
+    need_g1 = select if ref.kind == "Z" else _mask_of(ref.absorbed)
+    row1_fixed = ref.kind in ("X", "Y", "XBV")  # row 1 covers exactly ``select``,
+    row1_ghosted = ref.kind in ("X", "XBV")  # ... or ghosts all of it
+
+    def test(m: Masks) -> bool:
+        if m[1] & need_g0 != need_g0:
+            return False
+        w1, g1 = (m[2], m[3]) if len(m) > 2 else (0, 0)
+        if g1 & need_g1 != need_g1:
+            return False
+        if not row1_fixed or w1 | g1 == select:
+            return True
+        return row1_ghosted and g1 & select == select
+
+    return test
+
+
 def literal_members(complex_: Complex, ref: StratumRef) -> frozenset[WitnessStructure]:
     """All simplices of ``complex_`` literally inside the stratum."""
-    return frozenset(s for s in complex_.simplices if in_stratum(ref, s))
+    test = _literal_test(ref)
+    return frozenset(s for s in complex_.simplices if test(s._m))
 
 
 def members(complex_: Complex, ref: StratumRef) -> frozenset[WitnessStructure]:
@@ -148,15 +167,15 @@ def members(complex_: Complex, ref: StratumRef) -> frozenset[WitnessStructure]:
     and ``B`` strata are returned literally -- ``B`` is closed as it
     stands, ``Y`` need not be.
     """
-    literal = literal_members(complex_, ref)
     if ref.kind in ("Y", "B"):
-        return literal
-    extra = {
-        sigma
-        for sigma in complex_.simplices
-        if sigma.t == 0 and ref.dropped <= sigma.ghost_row(0)
-    }
-    return literal | extra
+        return literal_members(complex_, ref)
+    test = _literal_test(ref)
+    dropped = _mask_of(ref.dropped)
+    return frozenset(
+        s
+        for s in complex_.simplices
+        if test(s._m) or (len(s._m) == 2 and s._m[1] & dropped == dropped)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -178,30 +197,33 @@ def gamma(
     the complex over the counter with ``select`` stepped once and
     ``absorbed`` deleted.
     """
-    s = _procs(select)
-    a = _procs(absorbed)
-    if not a <= s:
+    s = _mask_of(select)
+    a = _mask_of(absorbed)
+    if a & ~s:
         raise ValueError("absorbed set must lie inside the selected set")
-    rows = sigma.rows
-    w0, g0 = rows[0]
-    if sigma.t == 0:
+    m = sigma._m
+    w0, g0 = m[0], m[1]
+    if len(m) == 2:
         if w0 & s:
-            raise ValueError(f"{sigma.encode()} is not in the stratum X_{_fmt_procs(s)}")
-        support = sigma.support
-        return WitnessStructure(((w0, (support - a) - w0),))
-    w1, g1 = rows[1]
-    if s <= g1:
-        out = ((w0 - s, g0 | s), (w1, g1 - s)) + rows[2:]
-    elif (w1 | g1) == s:
-        out = ((w0 - g1, g0 | g1),) + rows[2:]
+            raise ValueError(
+                f"{sigma.encode()} is not in the stratum X_{_fmt_procs(_bits(s))}"
+            )
+        return _from_masks((w0, g0 & ~a))
+    w1, g1 = m[2], m[3]
+    if s & ~g1 == 0:
+        head_w, head_g, rest = w0 & ~s, g0 | s, (w1, g1 & ~s) + m[4:]
+    elif w1 | g1 == s:
+        head_w, head_g, rest = w0 & ~g1, g0 | g1, m[4:]
     else:
-        raise ValueError(f"{sigma.encode()} is not in the stratum X_{_fmt_procs(s)}")
-    head_w, head_g = out[0]
-    if not a <= head_g:
         raise ValueError(
-            f"{sigma.encode()} is not in the stratum X_{{{_fmt_procs(s)},{_fmt_procs(a)}}}"
+            f"{sigma.encode()} is not in the stratum X_{_fmt_procs(_bits(s))}"
         )
-    return WitnessStructure(((head_w, head_g - a),) + out[1:])
+    if a & ~head_g:
+        raise ValueError(
+            f"{sigma.encode()} is not in the stratum "
+            f"X_{{{_fmt_procs(_bits(s))},{_fmt_procs(_bits(a))}}}"
+        )
+    return _from_masks((head_w, head_g & ~a) + rest)
 
 
 def rho(
@@ -216,23 +238,22 @@ def rho(
     row 0 return as row-1 ghosts; ``absorbed`` is restored to row 0's
     ghosts first.
     """
-    s = _procs(select)
-    a = _procs(absorbed)
-    if not a <= s:
+    s = _mask_of(select)
+    a = _mask_of(absorbed)
+    if a & ~s:
         raise ValueError("absorbed set must lie inside the selected set")
-    if a & tau.support:
+    m = tau._m
+    v0, h0 = m[0], m[1]
+    if a & (v0 | h0):
         raise ValueError("absorbed processes are still present in the simplex")
-    rows = tau.rows
-    v0, h0 = rows[0]
-    h0 = h0 | a
+    h0 |= a
     if v0 & s:
-        out = ((v0 | (h0 & s), h0 - s), (v0 & s, h0 & s)) + rows[1:]
-    elif tau.t >= 1 and s <= h0:
-        w1, g1 = rows[1]
-        out = ((v0 | s, h0 - s), (w1, g1 | s)) + rows[2:]
+        out = (v0 | (h0 & s), h0 & ~s, v0 & s, h0 & s) + m[2:]
+    elif len(m) > 2 and s & ~h0 == 0:
+        out = (v0 | s, h0 & ~s, m[2], m[3] | s) + m[4:]
     else:
-        out = ((v0, h0),)
-    return WitnessStructure(out)
+        out = (v0, h0)
+    return _from_masks(out)
 
 
 def delta(sigma: WitnessStructure, dropped: Iterable[int]) -> WitnessStructure:
@@ -241,22 +262,20 @@ def delta(sigma: WitnessStructure, dropped: Iterable[int]) -> WitnessStructure:
     Requires ``dropped`` to consist of row-0 ghosts; the image lives in
     the complex over the counter with ``dropped`` deleted.
     """
-    v = _procs(dropped)
-    rows = sigma.rows
-    w0, g0 = rows[0]
-    if not v <= g0:
-        raise ValueError(f"{sorted(v)} are not all row-0 ghosts of {sigma.encode()}")
-    return WitnessStructure(((w0, g0 - v),) + rows[1:])
+    v = _mask_of(dropped)
+    m = sigma._m
+    if v & ~m[1]:
+        raise ValueError(f"{_bits(v)} are not all row-0 ghosts of {sigma.encode()}")
+    return _from_masks((m[0], m[1] & ~v) + m[2:])
 
 
 def delta_inverse(tau: WitnessStructure, dropped: Iterable[int]) -> WitnessStructure:
     """Reintroduce ``dropped`` as row-0 ghosts."""
-    v = _procs(dropped)
-    if v & tau.support:
+    v = _mask_of(dropped)
+    m = tau._m
+    if v & (m[0] | m[1]):
         raise ValueError("dropped processes are still present in the simplex")
-    rows = tau.rows
-    w0, g0 = rows[0]
-    return WitnessStructure(((w0, g0 | v),) + rows[1:])
+    return _from_masks((m[0], m[1] | v) + m[2:])
 
 
 # ---------------------------------------------------------------------------
@@ -378,11 +397,6 @@ class NerveReport:
             "apex": sorted(self.apex),
             "is_cone": self.is_cone,
         }
-
-
-def _nonempty_subsets(items: list) -> Iterator[tuple]:
-    for size in range(1, len(items) + 1):
-        yield from itertools.combinations(items, size)
 
 
 def nerve(complex_: Complex) -> NerveReport:
@@ -595,14 +609,17 @@ def _certify_iso(
             )
 
 
-def verify_translation_maps(complex_: Complex) -> dict[str, int]:
+def verify_translation_maps(
+    complex_: Complex, *, max_simplices: int | None = None
+) -> dict[str, int]:
     """Certify γ, ρ and δ as simplicial isomorphisms stratum by stratum.
 
     γ_{S,A} must carry the members of ``X_{S,A}`` bijectively onto the
     complex of the executed-and-absorbed counter, preserving dimension
     and faces; for ``A = ∅`` the peel ρ_S must invert it on both sides.
     δ_V must do the same from the members of ``B_V`` onto the complex of
-    the shrunken counter, for every proper ``V ⊆ supp``.
+    the shrunken counter, for every proper ``V ⊆ supp``.  The target
+    complexes obey ``max_simplices`` as :func:`build` does.
     """
     counter = complex_.counter
     active = sorted(counter.active)
@@ -610,7 +627,7 @@ def verify_translation_maps(complex_: Complex) -> dict[str, int]:
 
     def target_for(c: RoundCounter) -> Complex:
         if c not in built:
-            built[c] = build(c)
+            built[c] = build(c, max_simplices=max_simplices)
         return built[c]
 
     gamma_strata = 0
@@ -828,15 +845,21 @@ def _check_drop_restriction_commute(complex_: Complex) -> Iterator[DiagramReport
             )
 
 
-def verify_diagrams(source: Complex | RoundCounter) -> list[DiagramReport]:
+def verify_diagrams(
+    source: Complex | RoundCounter, *, max_simplices: int | None = None
+) -> list[DiagramReport]:
     """Certify the three translation diagrams pointwise.
 
-    Accepts a built complex or a bare counter.  Raises
+    Accepts a built complex or a bare counter, which is built under
+    ``max_simplices`` as :func:`build` does.  Raises
     :class:`VerificationError` at the first offending simplex; otherwise
     returns one report per diagram and parameter choice with the number
     of verified instances.
     """
-    complex_ = source if isinstance(source, Complex) else build(source)
+    if isinstance(source, Complex):
+        complex_ = source
+    else:
+        complex_ = build(source, max_simplices=max_simplices)
     reports: list[DiagramReport] = []
     reports.extend(_check_restriction_composition(complex_))
     reports.extend(_check_restriction_absorbs_drop(complex_))

@@ -9,7 +9,7 @@ from typing import Iterable
 from .complexes import Complex
 from .errors import VerificationError
 from .strata import StratumRef
-from .witness import WitnessStructure, ghost
+from .witness import WitnessStructure, _lower_faces
 
 
 def _simplex_set(source: Complex | Iterable[WitnessStructure]) -> frozenset[WitnessStructure]:
@@ -152,8 +152,7 @@ def homology_z2(source: Complex | Iterable[WitnessStructure]) -> dict[int, int]:
         columns = []
         for s in by_dim.get(d, []):
             mask = 0
-            for q in s.active_set:
-                face = ghost(s, {q})
+            for face in _lower_faces(s):
                 row = index.get(d - 1, {}).get(face)
                 if row is None:
                     raise ValueError(

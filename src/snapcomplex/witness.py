@@ -6,6 +6,13 @@ whose last (passive) appearance is round ``i``.  This pair form is the one
 representation: it is stored, compared, encoded and ghosted directly.
 :func:`ghost` computes every face of a simplex in one pass over the rows.
 
+Each set is stored as an int bitmask (bit ``p`` set iff process ``p`` is
+in it), and the rows are flattened into one tuple ``(W_0, G_0, W_1, G_1,
+...)``.  Hashing, equality, validation, ghosting and encoding read the
+masks alone; the frozenset accessors serve their sets from one shared
+mask-to-frozenset table.  Inside the package, :func:`_from_masks` is the
+one constructor from masks and ``sigma._m`` is read directly.
+
 Rows are addressed leniently: reading past the last row yields the empty
 set, which is the convention used throughout the stratification code.
 """
@@ -14,12 +21,16 @@ from __future__ import annotations
 
 import enum
 import json
-from collections.abc import Iterable, Mapping
+from collections.abc import Callable, Iterable, Iterator, Mapping
+
+from .counters import _check_pid
 
 Row = tuple[frozenset[int], frozenset[int]]
 
 # Raw input for one row: any pair of iterables of process ids.
 RawRow = tuple[Iterable[int], Iterable[int]]
+
+Masks = tuple[int, ...]
 
 
 class Classification(enum.Enum):
@@ -31,16 +42,90 @@ class Classification(enum.Enum):
     WITNESS = "witness"
 
 
-def _normalize(rows: Iterable[RawRow]) -> tuple[Row, ...]:
+# -- masks -------------------------------------------------------------------
+
+
+def _bits(mask: int) -> list[int]:
+    """The process ids of ``mask``, ascending."""
     out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+class _MaskTable(dict):
+    """``mask -> value``, each value made on its first lookup."""
+
+    def __init__(self, make: Callable[[int], object]):
+        super().__init__()
+        self._make = make
+
+    def __missing__(self, mask: int) -> object:
+        value = self[mask] = self._make(mask)
+        return value
+
+
+# Filled lazily: a run only ever meets subsets of its counter's support.
+_SETS: dict[int, frozenset[int]] = _MaskTable(lambda m: frozenset(_bits(m)))
+_TEXT: dict[int, str] = _MaskTable(lambda m: "[" + ",".join(map(str, _bits(m))) + "]")
+
+
+def _mask_of(procs: Iterable[int]) -> int:
+    """The bitmask of a set of process ids; rejects ids a mask cannot hold."""
+    mask = 0
+    for p in procs:
+        mask |= 1 << _check_pid(p)
+    return mask
+
+
+def _pairs(m: Masks) -> Iterator[tuple[int, int]]:
+    return zip(m[0::2], m[1::2])
+
+
+def _is_prestructure(m: Masks) -> bool:
+    """The prestructure conditions, in one backward pass: each ghost row
+    misses its own witnesses and every later row, and rows past the first
+    lie inside ``W_0``."""
+    if not m:
+        return False
+    later = 0
+    for i in range(len(m) - 2, 0, -2):
+        w, g = m[i], m[i + 1]
+        if g & (w | later):
+            return False
+        later |= w | g
+    return not (later & ~m[0] or m[1] & m[0])
+
+
+def _active_mask(m: Masks) -> int:
+    # Ghosts of rows past the first lie inside W_0, and G_0 misses W_0.
+    out = m[0]
+    for g in m[3::2]:
+        out &= ~g
+    return out
+
+
+def _frozen_rows(m: Masks) -> tuple[Row, ...]:
+    return tuple((_SETS[w], _SETS[g]) for w, g in _pairs(m))
+
+
+def _masks_of_rows(rows: Iterable[RawRow]) -> Masks:
+    out: list[int] = []
     for pair in rows:
         w, g = pair
-        out.append((frozenset(w), frozenset(g)))
+        out.append(_mask_of(w))
+        out.append(_mask_of(g))
     return tuple(out)
 
 
 def _structure_violation(rows: tuple[Row, ...]) -> str | None:
-    """Return a description of the first violated prestructure condition."""
+    """Return a description of the first violated prestructure condition.
+
+    The frozenset statement of the conditions that :func:`_is_prestructure`
+    checks on masks; it only words the error.
+    """
     if not rows:
         return "a witness structure needs at least one row"
     w0 = rows[0][0]
@@ -57,18 +142,10 @@ def _structure_violation(rows: tuple[Row, ...]) -> str | None:
     return None
 
 
-def validate(rows: Iterable[RawRow]) -> Classification:
-    """Classify a raw sequence of set pairs.
-
-    Returns the strongest satisfied class: ``WITNESS`` if every row past the
-    first has a nonempty witness set, ``STABLE`` if at least the last one
-    has, ``PRESTRUCTURE`` if only the containment/disjointness conditions
-    hold, and ``INVALID`` otherwise.
-    """
-    normalized = _normalize(rows)
-    if _structure_violation(normalized) is not None:
+def _classify(m: Masks) -> Classification:
+    if not _is_prestructure(m):
         return Classification.INVALID
-    tail = [w for w, _ in normalized[1:]]
+    tail = m[2::2]
     if all(tail):
         return Classification.WITNESS
     if tail[-1]:
@@ -76,72 +153,85 @@ def validate(rows: Iterable[RawRow]) -> Classification:
     return Classification.PRESTRUCTURE
 
 
+def validate(rows: Iterable[RawRow]) -> Classification:
+    """Classify a raw sequence of set pairs.
+
+    Returns the strongest satisfied class: ``WITNESS`` if every row past the
+    first has a nonempty witness set, ``STABLE`` if at least the last one
+    has, ``PRESTRUCTURE`` if only the containment/disjointness conditions
+    hold, and ``INVALID`` otherwise.  Raises :class:`ValueError` for an id
+    that is not a nonnegative integer.
+    """
+    return _classify(_masks_of_rows(rows))
+
+
 class WitnessStructure:
     """An immutable, validated prestructure in pair form."""
 
-    __slots__ = ("_rows", "_hash")
+    __slots__ = ("_m", "_hash")
 
     def __init__(self, rows: Iterable[RawRow]):
-        normalized = _normalize(rows)
-        problem = _structure_violation(normalized)
-        if problem is not None:
-            raise ValueError(f"not a prestructure: {problem}")
-        self._rows = normalized
-        self._hash = hash(normalized)
+        self._set(_masks_of_rows(rows))
+
+    def _set(self, m: Masks) -> None:
+        if not _is_prestructure(m):
+            raise ValueError(
+                f"not a prestructure: {_structure_violation(_frozen_rows(m))}"
+            )
+        self._m = m
+        self._hash = hash(m)
 
     # -- basic accessors ----------------------------------------------------
 
     @property
     def rows(self) -> tuple[Row, ...]:
-        return self._rows
+        return _frozen_rows(self._m)
 
     @property
     def t(self) -> int:
         """Index of the last row."""
-        return len(self._rows) - 1
+        return len(self._m) // 2 - 1
 
     def witness_row(self, i: int) -> frozenset[int]:
         """``W_i``, with out-of-range rows read as empty."""
         if 0 <= i <= self.t:
-            return self._rows[i][0]
+            return _SETS[self._m[2 * i]]
         return frozenset()
 
     def ghost_row(self, i: int) -> frozenset[int]:
         """``G_i``, with out-of-range rows read as empty."""
         if 0 <= i <= self.t:
-            return self._rows[i][1]
+            return _SETS[self._m[2 * i + 1]]
         return frozenset()
 
     @property
     def support(self) -> frozenset[int]:
         """All participating processes: row 0 witnesses plus row 0 ghosts."""
-        return self._rows[0][0] | self._rows[0][1]
+        return _SETS[self._m[0] | self._m[1]]
 
     @property
     def ghost_union(self) -> frozenset[int]:
         """Processes ghosted in some row."""
-        out: frozenset[int] = frozenset()
-        for _, g in self._rows:
-            out |= g
-        return out
+        m = self._m
+        return _SETS[(m[0] | m[1]) & ~_active_mask(m)]
 
     @property
     def active_set(self) -> frozenset[int]:
         """Processes never ghosted; these are the colors of the simplex."""
-        return self.support - self.ghost_union
+        return _SETS[_active_mask(self._m)]
 
     @property
     def dim(self) -> int:
-        return len(self.active_set) - 1
+        return _active_mask(self._m).bit_count() - 1
 
     @property
     def is_empty(self) -> bool:
         """True for the dimension -1 simplex (no active processes)."""
-        return not self.active_set
+        return not _active_mask(self._m)
 
     @property
     def classification(self) -> Classification:
-        return validate(self._rows)
+        return _classify(self._m)
 
     @property
     def is_stable(self) -> bool:
@@ -149,15 +239,13 @@ class WitnessStructure:
 
     @property
     def is_witness(self) -> bool:
-        return self.classification is Classification.WITNESS
+        return all(self._m[2::2])
 
     def traces(self) -> dict[int, frozenset[int]]:
         """Round sets: ``traces()[p]`` is the set of rows mentioning ``p``."""
         acc: dict[int, set[int]] = {p: set() for p in self.support}
-        for i, (w, g) in enumerate(self._rows):
-            for p in w:
-                acc[p].add(i)
-            for p in g:
+        for i, (w, g) in enumerate(_pairs(self._m)):
+            for p in _SETS[w | g]:
                 acc[p].add(i)
         return {p: frozenset(s) for p, s in acc.items()}
 
@@ -165,7 +253,7 @@ class WitnessStructure:
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, WitnessStructure):
-            return self._rows == other._rows
+            return self._m == other._m
         return NotImplemented
 
     def __hash__(self) -> int:
@@ -176,30 +264,33 @@ class WitnessStructure:
         return self.encode() < other.encode()
 
     def __repr__(self) -> str:
-        body = ",".join(
-            f"({sorted(w)},{sorted(g)})" for w, g in self._rows
-        )
+        body = ",".join(f"({_bits(w)},{_bits(g)})" for w, g in _pairs(self._m))
         return f"WitnessStructure([{body}])"
 
     # -- canonical encoding / JSON --------------------------------------------
 
     def encode(self) -> str:
         """Canonical string key: pair form with sorted sets, compact JSON."""
-        return json.dumps(
-            [[sorted(w), sorted(g)] for w, g in self._rows],
-            separators=(",", ":"),
-        )
+        rows = [f"[{_TEXT[w]},{_TEXT[g]}]" for w, g in _pairs(self._m)]
+        return "[" + ",".join(rows) + "]"
 
     @classmethod
     def decode(cls, text: str) -> "WitnessStructure":
         return cls(json.loads(text))
 
     def to_json_obj(self) -> dict[str, list[list[list[int]]]]:
-        return {"pairs": [[sorted(w), sorted(g)] for w, g in self._rows]}
+        return {"pairs": [[_bits(w), _bits(g)] for w, g in _pairs(self._m)]}
 
     @classmethod
     def from_json_obj(cls, obj: Mapping[str, object]) -> "WitnessStructure":
         return cls(obj["pairs"])  # type: ignore[arg-type]
+
+
+def _from_masks(m: Masks) -> WitnessStructure:
+    """The validated structure with flattened mask rows ``m``."""
+    sigma = WitnessStructure.__new__(WitnessStructure)
+    sigma._set(m)
+    return sigma
 
 
 def ghost(sigma: WitnessStructure, hide: Iterable[int]) -> WitnessStructure:
@@ -215,31 +306,41 @@ def ghost(sigma: WitnessStructure, hide: Iterable[int]) -> WitnessStructure:
     3. drop the rows past row 0 whose witness set is now empty, carrying
        their ghosts forward to the next remaining row.
     """
-    hide = frozenset(hide)
-    if not hide <= sigma.active_set:
+    return _ghost(sigma, _mask_of(hide))
+
+
+def _lower_faces(sigma: WitnessStructure) -> list[WitnessStructure]:
+    """The codimension-1 faces ``ghost(σ,{p})``, ``p`` ascending."""
+    return [_ghost(sigma, 1 << p) for p in _bits(_active_mask(sigma._m))]
+
+
+def _ghost(sigma: WitnessStructure, hide: int) -> WitnessStructure:
+    """:func:`ghost` with ``hide`` given as a mask."""
+    m = sigma._m
+    active = _active_mask(m)
+    if hide & ~active:
         raise ValueError(
-            f"cannot ghost {sorted(hide - sigma.active_set)}: not active in the structure"
+            f"cannot ghost {_bits(hide & ~active)}: not active in the structure"
         )
-    rows = sigma.rows
-    absorbed = hide | sigma.ghost_union
-    cut = max((i for i, (w, _) in enumerate(rows) if not w <= absorbed), default=0)
-    pending = set(hide)
-    for _, g in rows[cut + 1 :]:
+    absorbed = hide | ((m[0] | m[1]) & ~active)
+    cut = len(m) - 2
+    while cut and not m[cut] & ~absorbed:
+        cut -= 2
+    pending = hide
+    for g in m[cut + 3 :: 2]:
         pending |= g
-    # Walk back from the cut, so a process is met first at its last row.
-    # The row at the cut keeps a witness outside ``absorbed``, so ``out`` is
-    # nonempty whenever a later row has to take over an emptied row's ghosts.
-    out: list[Row] = []
-    for w, g in reversed(rows[1 : cut + 1]):
-        moved = w & pending
-        pending -= moved
-        w, g = w - moved, g | moved
-        if w:
-            out.append((w, g))
+    # Walk back from the cut, so a process is met first at its last row,
+    # collecting (G, W) pairs in reverse.  The row at the cut keeps a
+    # witness outside ``absorbed``, so ``out`` is nonempty whenever a later
+    # row has to take over an emptied row's ghosts.
+    out: list[int] = []
+    for i in range(cut, 0, -2):
+        moved = m[i] & pending
+        pending ^= moved
+        if m[i] ^ moved:
+            out += (m[i + 1] | moved, m[i] ^ moved)
         else:
-            later_w, later_g = out[-1]
-            out[-1] = (later_w, later_g | g)
-    w0, g0 = rows[0]
-    out.append((w0 - pending, g0 | pending))
+            out[-2] |= m[i + 1] | moved
+    out += (m[1] | pending, m[0] & ~pending)
     out.reverse()
-    return WitnessStructure(out)
+    return _from_masks(tuple(out))

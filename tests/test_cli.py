@@ -178,6 +178,27 @@ def test_cone_check_reuses_the_built_complex(capsys, monkeypatch):
     assert json.loads(out)["checks"]["cone"]["status"] == "ok"
 
 
+@pytest.mark.parametrize("flags", [("--full",), ("--pivot", "0")])
+def test_collapse_sub_builds_obey_the_flag_over_the_environment(capsys, monkeypatch, flags):
+    monkeypatch.setenv("SNAPCOMPLEX_MAX_SIMPLICES", "12")
+    code, out, err = run(
+        capsys, "collapse", "-r", "2,1,1", *flags, "--validate", "--max-simplices", "100000"
+    )
+    assert code == 0, err
+    assert json.loads(out)["validation"]["ok"]
+
+
+@pytest.mark.parametrize("text,check", [("2,1,0", "cone"), ("1,1,1", "phi")])
+def test_checks_build_under_the_flag_over_the_environment(capsys, monkeypatch, text, check):
+    # The cone base 2,1 has 12 simplices and the phi target 1,1,1 has more.
+    monkeypatch.setenv("SNAPCOMPLEX_MAX_SIMPLICES", "11")
+    code, out, err = run(
+        capsys, "verify", "-r", text, "--checks", check, "--max-simplices", "100000"
+    )
+    assert code == 0, err
+    assert json.loads(out)["checks"][check]["status"] == "ok"
+
+
 def test_bad_cap_variable_is_a_usage_error(capsys, monkeypatch):
     monkeypatch.setenv("SNAPCOMPLEX_MAX_SIMPLICES", "abc")
     code, _, err = run(capsys, "build", "-r", "1,1")

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import tracemalloc
+
 import pytest
 
 from snapcomplex import (
@@ -9,10 +11,15 @@ from snapcomplex import (
     WitnessStructure,
     build,
     check_purity,
+    collapse_all,
+    collapse_to_relative_boundary,
     cone_split,
     facets,
     membership,
+    phi_iso,
+    verify_diagrams,
     verify_ghost_composition,
+    verify_translation_maps,
 )
 
 from .oracles import layered_sequence_count
@@ -114,6 +121,34 @@ def test_simplex_cap_env_override(monkeypatch):
     monkeypatch.setenv("SNAPCOMPLEX_MAX_SIMPLICES", "6")
     with pytest.raises(ComplexTooLargeError):
         build(RoundCounter.parse("1,1,1"))
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda k: collapse_all(k, max_simplices=3),
+        lambda k: collapse_to_relative_boundary(k, 0, max_simplices=3),
+        lambda k: verify_translation_maps(k, max_simplices=3),
+        lambda k: verify_diagrams(k.counter, max_simplices=3),
+        lambda k: phi_iso(2, max_simplices=3),
+    ],
+    ids=["collapse_all", "relative", "translation_maps", "diagrams", "phi_iso"],
+)
+def test_builds_inside_library_calls_obey_the_cap(run, get_complex):
+    with pytest.raises(ComplexTooLargeError) as info:
+        run(get_complex("2,1,1"))
+    assert info.value.limit == 3
+
+
+def test_build_retains_at_most_600_bytes_per_simplex():
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        k = build(RoundCounter.parse("2,1,1,1"))
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert retained / len(k) <= 600
 
 
 def test_complex_accessors(get_complex):

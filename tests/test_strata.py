@@ -70,6 +70,33 @@ def test_members_adds_the_passive_side_to_literal_x(get_complex):
     assert members(k, StratumRef.x({0, 1}, {1})) == {C0, EMPTY}
 
 
+def _every_ref(counter):
+    """Every X/Y/Z/B/XBV stratum over the counter's processes."""
+    active, support = sorted(counter.active), sorted(counter.support)
+    subsets = lambda items: [
+        frozenset(p for i, p in enumerate(items) if bits >> i & 1)
+        for bits in range(1 << len(items))
+    ]
+    pairs = [(s, a) for s in subsets(active) for a in subsets(sorted(s))]
+    yield from (StratumRef.x(s, a) for s, a in pairs)
+    yield from (StratumRef.y(s, a) for s, a in pairs)
+    yield from (StratumRef.z(s) for s in subsets(active))
+    yield from (StratumRef.b(v) for v in subsets(support))
+    yield from (StratumRef.xbv(s, a, v) for s, a in pairs for v in subsets(support))
+
+
+def test_mask_scans_match_the_frozenset_predicate(get_complex):
+    k = get_complex("2,1,1,1")
+    one_row = {s: s.ghost_row(0) for s in k.simplices if s.t == 0}
+    for ref in _every_ref(k.counter):
+        literal = frozenset(s for s in k.simplices if in_stratum(ref, s))
+        assert literal_members(k, ref) == literal, ref
+        closed = literal
+        if ref.kind in ("X", "Z", "XBV"):
+            closed |= {s for s, g0 in one_row.items() if ref.dropped <= g0}
+        assert members(k, ref) == closed, ref
+
+
 def test_members_of_the_empty_selection_is_everything(get_complex):
     k = get_complex("1,1")
     assert members(k, StratumRef.x(())) == k.simplices

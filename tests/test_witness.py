@@ -1,10 +1,14 @@
 from __future__ import annotations
 
+import re
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from snapcomplex import Classification, WitnessStructure, ghost, validate
+from snapcomplex.witness import _structure_violation
 
 from . import ghost_reference
 from .conftest import TEST_COUNTERS
@@ -54,6 +58,13 @@ def test_validate_grades_by_tail_witnesses():
 def test_constructor_rejects_invalid_rows():
     with pytest.raises(ValueError, match="not a prestructure"):
         ws(({0}, ()), ({1}, ()))
+
+
+@pytest.mark.parametrize("bad", [-1, True, "a"])
+def test_constructor_rejects_ids_a_mask_cannot_hold(bad):
+    message = f"process id must be a nonnegative integer, got {bad!r}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        ws(({bad}, ()))
 
 
 def test_basic_accessors():
@@ -177,3 +188,92 @@ def test_json_round_trip():
 def test_ordering_matches_encoding():
     structures = [CENTRAL, ZERO_FIRST, A0, C0]
     assert sorted(structures) == sorted(structures, key=WitnessStructure.encode)
+
+
+# -- differential properties against the frozenset statement ---------------
+
+PROCS = range(5)
+
+
+def reference_classification(rows) -> Classification:
+    """``validate`` written from the frozenset conditions."""
+    frozen = tuple((frozenset(w), frozenset(g)) for w, g in rows)
+    if _structure_violation(frozen) is not None:
+        return Classification.INVALID
+    tail = [w for w, _ in frozen[1:]]
+    if all(tail):
+        return Classification.WITNESS
+    if tail[-1]:
+        return Classification.STABLE
+    return Classification.PRESTRUCTURE
+
+
+@st.composite
+def prestructure_rows(draw):
+    """Rows meeting every prestructure condition by construction: each
+    process is absent, active, or ghosted at one row, and is witnessed
+    in row 0 and in any rows before its ghost row."""
+    t = draw(st.integers(0, 3))
+    rows = [(set(), set()) for _ in range(t + 1)]
+    for p in PROCS:
+        kind = draw(st.sampled_from(("absent", "active", "ghost")))
+        if kind == "absent":
+            continue
+        ghost_at = draw(st.integers(0, t)) if kind == "ghost" else t + 1
+        if ghost_at == 0:
+            rows[0][1].add(p)
+            continue
+        rows[0][0].add(p)
+        for i in range(1, min(ghost_at, t + 1)):
+            if draw(st.booleans()):
+                rows[i][0].add(p)
+        if ghost_at <= t:
+            rows[ghost_at][1].add(p)
+    return rows
+
+
+@st.composite
+def near_misses(draw):
+    """A prestructure with one process added to one of its sets."""
+    rows = draw(prestructure_rows())
+    i = draw(st.integers(0, len(rows) - 1))
+    rows[i][draw(st.integers(0, 1))].add(draw(st.sampled_from(PROCS)))
+    return rows
+
+
+_sets = st.frozensets(st.sampled_from(PROCS))
+raw_rows = st.one_of(
+    st.lists(st.tuples(_sets, _sets), max_size=4),
+    prestructure_rows(),
+    near_misses(),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(raw_rows)
+def test_mask_validation_matches_the_frozenset_conditions(rows):
+    expected = reference_classification(rows)
+    assert validate(rows) is expected
+    if expected is Classification.INVALID:
+        with pytest.raises(ValueError, match="not a prestructure"):
+            WitnessStructure(rows)
+    else:
+        sigma = WitnessStructure(rows)
+        assert sigma.classification is expected
+        assert sigma.rows == tuple((frozenset(w), frozenset(g)) for w, g in rows)
+
+
+@st.composite
+def witness_and_hide(draw):
+    rows = draw(prestructure_rows().filter(lambda r: all(w for w, _ in r[1:])))
+    sigma = WitnessStructure(rows)
+    active = sorted(sigma.active_set)
+    hide = draw(st.frozensets(st.sampled_from(active))) if active else frozenset()
+    return sigma, hide
+
+
+@settings(max_examples=300, deadline=None)
+@given(witness_and_hide())
+def test_ghost_matches_the_trace_form_reference_on_random_structures(case):
+    sigma, hide = case
+    assert ghost(sigma, hide) == ghost_reference.ghost(sigma, hide)
