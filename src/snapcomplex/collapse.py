@@ -36,7 +36,7 @@ from .complexes import Complex, build
 from .counters import RoundCounter
 from .errors import CollapseStalledError
 from .strata import delta_inverse, rho
-from .witness import WitnessStructure, _from_masks, _mask_of
+from .witness import WitnessStructure, _filter_heads, _from_rows, _head, _mask_of
 
 Builder = Callable[[RoundCounter], Complex]
 
@@ -90,10 +90,8 @@ class CollapseSequence:
 
 def _scan_label(sigma: WitnessStructure, pivot: int) -> str:
     """Stage tag for a residue pair, read off the free face's round-1 row."""
-    m = sigma._m
-    if len(m) == 2:
-        return "stage3"
-    return "stage2" if (m[2] | m[3]) & ~(1 << pivot) else "stage3"
+    _, _, w1, g1 = _head(sigma)
+    return "stage2" if (w1 | g1) & ~(1 << pivot) else "stage3"
 
 
 def _ctrb_steps(
@@ -122,8 +120,8 @@ def _compute_ctrb(
 
     if not active:
         # The complex is the full simplex on the (all-passive) support.
-        free = _from_masks((everyone ^ bit, bit))
-        top = _from_masks((everyone, 0))
+        free = _from_rows([(everyone ^ bit, bit)])
+        top = _from_rows([(everyone, 0)])
         return [CollapseStep(free, top, "stage3")]
 
     steps: list[CollapseStep] = []
@@ -155,13 +153,13 @@ def _compute_ctrb(
 
     # Stage two: the residue, where the pivot itself shows up in round 1.
     complex_ = builder(counter)
-    pending = {
-        sigma
-        for sigma in complex_.simplices
-        if len(sigma._m) > 2 and not sigma._m[1] and (sigma._m[2] | sigma._m[3]) & bit
-    }
+    pending = set(
+        _filter_heads(
+            complex_.simplices, lambda w0, g0, w1, g1: not g0 and (w1 | g1) & bit
+        )
+    )
     if active == {pivot}:
-        pending.add(_from_masks((everyone ^ bit, bit)))
+        pending.add(_from_rows([(everyone ^ bit, bit)]))
 
     # Upper covers stand in for proper cofaces, as in validate_collapse.
     # live[σ] counts the upper covers of σ not yet removed; a simplex with
@@ -251,7 +249,7 @@ def relative_boundary_remainder(
 ) -> frozenset[WitnessStructure]:
     """The simplices :func:`collapse_to_relative_boundary` must leave behind."""
     others = ~(1 << pivot)
-    return frozenset(s for s in complex_.simplices if s._m[1] & others)
+    return _filter_heads(complex_.simplices, lambda w0, g0, w1, g1: g0 & others)
 
 
 def collapse_all(

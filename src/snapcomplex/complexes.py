@@ -20,11 +20,12 @@ from .witness import (
     WitnessStructure,
     _active_mask,
     _bits,
-    _from_masks,
     _ghost,
+    _head,
     _lower_faces,
     _mask_of,
     _pairs,
+    _splice,
     ghost,
 )
 
@@ -69,7 +70,8 @@ def membership(r: RoundCounter, sigma: WitnessStructure) -> bool:
     m = sigma._m
     if not sigma.is_witness:
         return False
-    if m[0] | m[1] != _mask_of(r):
+    w0, g0, _, _ = _head(sigma)
+    if w0 | g0 != _mask_of(r):
         return False
     active = _active_mask(m)
     rows = [w | g for w, g in _pairs(m)]
@@ -330,12 +332,12 @@ class ConeSplit:
 
 def _drop_unseen(sigma: WitnessStructure, p: int) -> WitnessStructure:
     """Remove ``p`` from the round-0 ghost set (it must sit there)."""
-    m = sigma._m
-    if not (m[1] >> p) & 1:
+    w0, g0, _, _ = _head(sigma)
+    if not (g0 >> p) & 1:
         raise VerificationError(
             f"process {p} is not a round-0 ghost of {sigma.encode()}"
         )
-    return _from_masks((m[0], m[1] ^ (1 << p)) + m[2:])
+    return _splice(sigma, 1, (w0, g0 ^ (1 << p)))
 
 
 def cone_split(r: RoundCounter, p: int, *, max_simplices: int | None = None) -> ConeSplit:

@@ -21,7 +21,9 @@ class RoundCounter(Mapping[int, int]):
     """Immutable finite map: process id -> remaining round count (>= 0).
 
     Absent processes carry the bottom value and are represented only by
-    absence; equality and hashing are map equality on the support.
+    absence; equality and hashing are map equality on the support.  Any
+    nonnegative id is accepted here, but building a complex needs ids no
+    larger than ``witness.MAX_PROCESS_ID``.
     """
 
     __slots__ = ("_entries", "_hash")

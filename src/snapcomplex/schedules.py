@@ -13,7 +13,7 @@ from itertools import combinations
 
 from .counters import RoundCounter
 from .errors import ComplexTooLargeError
-from .witness import WitnessStructure, _from_masks, _mask_of, ghost
+from .witness import WitnessStructure, _from_rows, _mask_of, ghost
 
 Schedule = tuple[frozenset[int], ...]
 
@@ -84,10 +84,7 @@ def to_facet(s: Sequence[frozenset[int]], r: RoundCounter) -> WitnessStructure:
     row per layer."""
     if not is_valid_schedule(tuple(s), r):
         raise ValueError("not a valid schedule for the counter")
-    m = [_mask_of(r), 0]
-    for layer in s:
-        m += (_mask_of(layer), 0)
-    return _from_masks(tuple(m))
+    return _from_rows([(_mask_of(r), 0)] + [(_mask_of(layer), 0) for layer in s])
 
 
 def views(s: Sequence[frozenset[int]], r: RoundCounter) -> dict[int, WitnessStructure]:

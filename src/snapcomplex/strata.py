@@ -25,7 +25,15 @@ from .complexes import Complex, build, membership
 from .counters import RoundCounter, _check_pid
 from .errors import VerificationError
 from .schedules import _nonempty_subsets
-from .witness import Masks, WitnessStructure, _bits, _from_masks, _mask_of
+from .witness import (
+    WitnessStructure,
+    _bits,
+    _filter_heads,
+    _from_rows,
+    _head,
+    _mask_of,
+    _splice,
+)
 
 Procs = frozenset[int]
 
@@ -131,18 +139,22 @@ def in_stratum(ref: StratumRef, sigma: WitnessStructure) -> bool:
     return x_part and ref.dropped <= g0  # XBV
 
 
-def _literal_test(ref: StratumRef) -> Callable[[Masks], bool]:
-    """:func:`in_stratum` on the mask rows, with the stratum's masks made once."""
+def _head_test(ref: StratumRef, closed: bool) -> Callable[[int, int, int, int], bool]:
+    """:func:`in_stratum` on the mask rows 0 and 1, with the stratum's masks
+    made once.  ``closed`` also admits the one-row simplices that ghost
+    the dropped set, as :func:`members` does; a simplex of a complex is a
+    witness structure, so ``W_1`` reads empty only when it has one row."""
     select = _mask_of(ref.select)
     need_g0 = _mask_of(ref.dropped)
     need_g1 = select if ref.kind == "Z" else _mask_of(ref.absorbed)
     row1_fixed = ref.kind in ("X", "Y", "XBV")  # row 1 covers exactly ``select``,
     row1_ghosted = ref.kind in ("X", "XBV")  # ... or ghosts all of it
 
-    def test(m: Masks) -> bool:
-        if m[1] & need_g0 != need_g0:
+    def test(w0: int, g0: int, w1: int, g1: int) -> bool:
+        if g0 & need_g0 != need_g0:
             return False
-        w1, g1 = (m[2], m[3]) if len(m) > 2 else (0, 0)
+        if closed and not w1:
+            return True
         if g1 & need_g1 != need_g1:
             return False
         if not row1_fixed or w1 | g1 == select:
@@ -154,8 +166,7 @@ def _literal_test(ref: StratumRef) -> Callable[[Masks], bool]:
 
 def literal_members(complex_: Complex, ref: StratumRef) -> frozenset[WitnessStructure]:
     """All simplices of ``complex_`` literally inside the stratum."""
-    test = _literal_test(ref)
-    return frozenset(s for s in complex_.simplices if test(s._m))
+    return _filter_heads(complex_.simplices, _head_test(ref, closed=False))
 
 
 def members(complex_: Complex, ref: StratumRef) -> frozenset[WitnessStructure]:
@@ -169,13 +180,7 @@ def members(complex_: Complex, ref: StratumRef) -> frozenset[WitnessStructure]:
     """
     if ref.kind in ("Y", "B"):
         return literal_members(complex_, ref)
-    test = _literal_test(ref)
-    dropped = _mask_of(ref.dropped)
-    return frozenset(
-        s
-        for s in complex_.simplices
-        if test(s._m) or (len(s._m) == 2 and s._m[1] & dropped == dropped)
-    )
+    return _filter_heads(complex_.simplices, _head_test(ref, closed=True))
 
 
 # ---------------------------------------------------------------------------
@@ -201,19 +206,17 @@ def gamma(
     a = _mask_of(absorbed)
     if a & ~s:
         raise ValueError("absorbed set must lie inside the selected set")
-    m = sigma._m
-    w0, g0 = m[0], m[1]
-    if len(m) == 2:
+    w0, g0, w1, g1 = _head(sigma)
+    if sigma.t == 0:
         if w0 & s:
             raise ValueError(
                 f"{sigma.encode()} is not in the stratum X_{_fmt_procs(_bits(s))}"
             )
-        return _from_masks((w0, g0 & ~a))
-    w1, g1 = m[2], m[3]
+        return _from_rows([(w0, g0 & ~a)])
     if s & ~g1 == 0:
-        head_w, head_g, rest = w0 & ~s, g0 | s, (w1, g1 & ~s) + m[4:]
+        head_w, head_g, kept = w0 & ~s, g0 | s, [(w1, g1 & ~s)]
     elif w1 | g1 == s:
-        head_w, head_g, rest = w0 & ~g1, g0 | g1, m[4:]
+        head_w, head_g, kept = w0 & ~g1, g0 | g1, []
     else:
         raise ValueError(
             f"{sigma.encode()} is not in the stratum X_{_fmt_procs(_bits(s))}"
@@ -223,7 +226,7 @@ def gamma(
             f"{sigma.encode()} is not in the stratum "
             f"X_{{{_fmt_procs(_bits(s))},{_fmt_procs(_bits(a))}}}"
         )
-    return _from_masks((head_w, head_g & ~a) + rest)
+    return _splice(sigma, 2, (head_w, head_g & ~a), *kept)
 
 
 def rho(
@@ -242,18 +245,15 @@ def rho(
     a = _mask_of(absorbed)
     if a & ~s:
         raise ValueError("absorbed set must lie inside the selected set")
-    m = tau._m
-    v0, h0 = m[0], m[1]
+    v0, h0, w1, g1 = _head(tau)
     if a & (v0 | h0):
         raise ValueError("absorbed processes are still present in the simplex")
     h0 |= a
     if v0 & s:
-        out = (v0 | (h0 & s), h0 & ~s, v0 & s, h0 & s) + m[2:]
-    elif len(m) > 2 and s & ~h0 == 0:
-        out = (v0 | s, h0 & ~s, m[2], m[3] | s) + m[4:]
-    else:
-        out = (v0, h0)
-    return _from_masks(out)
+        return _splice(tau, 1, (v0 | (h0 & s), h0 & ~s), (v0 & s, h0 & s))
+    if tau.t >= 1 and s & ~h0 == 0:
+        return _splice(tau, 2, (v0 | s, h0 & ~s), (w1, g1 | s))
+    return _from_rows([(v0, h0)])
 
 
 def delta(sigma: WitnessStructure, dropped: Iterable[int]) -> WitnessStructure:
@@ -263,19 +263,19 @@ def delta(sigma: WitnessStructure, dropped: Iterable[int]) -> WitnessStructure:
     the complex over the counter with ``dropped`` deleted.
     """
     v = _mask_of(dropped)
-    m = sigma._m
-    if v & ~m[1]:
+    w0, g0, _, _ = _head(sigma)
+    if v & ~g0:
         raise ValueError(f"{_bits(v)} are not all row-0 ghosts of {sigma.encode()}")
-    return _from_masks((m[0], m[1] & ~v) + m[2:])
+    return _splice(sigma, 1, (w0, g0 & ~v))
 
 
 def delta_inverse(tau: WitnessStructure, dropped: Iterable[int]) -> WitnessStructure:
     """Reintroduce ``dropped`` as row-0 ghosts."""
     v = _mask_of(dropped)
-    m = tau._m
-    if v & (m[0] | m[1]):
+    w0, g0, _, _ = _head(tau)
+    if v & (w0 | g0):
         raise ValueError("dropped processes are still present in the simplex")
-    return _from_masks((m[0], m[1] | v) + m[2:])
+    return _splice(tau, 1, (w0, g0 | v))
 
 
 # ---------------------------------------------------------------------------
@@ -845,21 +845,15 @@ def _check_drop_restriction_commute(complex_: Complex) -> Iterator[DiagramReport
             )
 
 
-def verify_diagrams(
-    source: Complex | RoundCounter, *, max_simplices: int | None = None
-) -> list[DiagramReport]:
+def verify_diagrams(source: Complex | RoundCounter) -> list[DiagramReport]:
     """Certify the three translation diagrams pointwise.
 
-    Accepts a built complex or a bare counter, which is built under
-    ``max_simplices`` as :func:`build` does.  Raises
+    Accepts a built complex or a bare counter.  Raises
     :class:`VerificationError` at the first offending simplex; otherwise
     returns one report per diagram and parameter choice with the number
     of verified instances.
     """
-    if isinstance(source, Complex):
-        complex_ = source
-    else:
-        complex_ = build(source, max_simplices=max_simplices)
+    complex_ = source if isinstance(source, Complex) else build(source)
     reports: list[DiagramReport] = []
     reports.extend(_check_restriction_composition(complex_))
     reports.extend(_check_restriction_absorbs_drop(complex_))

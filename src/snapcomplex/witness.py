@@ -10,8 +10,14 @@ Each set is stored as an int bitmask (bit ``p`` set iff process ``p`` is
 in it), and the rows are flattened into one tuple ``(W_0, G_0, W_1, G_1,
 ...)``.  Hashing, equality, validation, ghosting and encoding read the
 masks alone; the frozenset accessors serve their sets from one shared
-mask-to-frozenset table.  Inside the package, :func:`_from_masks` is the
-one constructor from masks and ``sigma._m`` is read directly.
+mask-to-frozenset table.  Since a mask holding id ``p`` takes about
+``p/8`` bytes, process ids must be small integers: at most
+:data:`MAX_PROCESS_ID`.
+
+Only this module knows the flattened layout.  Inside the package, other
+modules read the first two rows of a structure with :func:`_head`, scan
+many structures by them with :func:`_filter_heads`, and make structures
+from mask rows with :func:`_from_rows` and :func:`_splice`.
 
 Rows are addressed leniently: reading past the last row yields the empty
 set, which is the convention used throughout the stratification code.
@@ -72,11 +78,18 @@ _SETS: dict[int, frozenset[int]] = _MaskTable(lambda m: frozenset(_bits(m)))
 _TEXT: dict[int, str] = _MaskTable(lambda m: "[" + ",".join(map(str, _bits(m))) + "]")
 
 
+# Keeps every mask within 128 B; the complexes this package can build
+# have a handful of processes.
+MAX_PROCESS_ID = 1023
+
+
 def _mask_of(procs: Iterable[int]) -> int:
     """The bitmask of a set of process ids; rejects ids a mask cannot hold."""
     mask = 0
     for p in procs:
-        mask |= 1 << _check_pid(p)
+        if _check_pid(p) > MAX_PROCESS_ID:
+            raise ValueError(f"process id must be at most {MAX_PROCESS_ID}, got {p!r}")
+        mask |= 1 << p
     return mask
 
 
@@ -160,13 +173,17 @@ def validate(rows: Iterable[RawRow]) -> Classification:
     first has a nonempty witness set, ``STABLE`` if at least the last one
     has, ``PRESTRUCTURE`` if only the containment/disjointness conditions
     hold, and ``INVALID`` otherwise.  Raises :class:`ValueError` for an id
-    that is not a nonnegative integer.
+    that is not a nonnegative integer or exceeds :data:`MAX_PROCESS_ID`.
     """
     return _classify(_masks_of_rows(rows))
 
 
 class WitnessStructure:
-    """An immutable, validated prestructure in pair form."""
+    """An immutable, validated prestructure in pair form.
+
+    Process ids must be nonnegative integers no larger than
+    :data:`MAX_PROCESS_ID`; others raise :class:`ValueError`.
+    """
 
     __slots__ = ("_m", "_hash")
 
@@ -291,6 +308,39 @@ def _from_masks(m: Masks) -> WitnessStructure:
     sigma = WitnessStructure.__new__(WitnessStructure)
     sigma._set(m)
     return sigma
+
+
+def _head(sigma: WitnessStructure) -> Masks:
+    """``(W_0, G_0, W_1, G_1)`` of ``sigma``; a missing row 1 reads as empty."""
+    m = sigma._m
+    return m[:4] if len(m) > 2 else m + (0, 0)
+
+
+def _filter_heads(
+    structures: Iterable[WitnessStructure], test: Callable[[int, int, int, int], object]
+) -> frozenset[WitnessStructure]:
+    """The structures whose first two rows ``W_0, G_0, W_1, G_1`` pass
+    ``test``; a missing row 1 reads as empty."""
+    out = []
+    for sigma in structures:
+        m = sigma._m
+        if test(m[0], m[1], m[2], m[3]) if len(m) > 2 else test(m[0], m[1], 0, 0):
+            out.append(sigma)
+    return frozenset(out)
+
+
+def _from_rows(rows: Iterable[tuple[int, int]]) -> WitnessStructure:
+    """The validated structure with the mask rows ``(W_i, G_i)`` of ``rows``."""
+    return _from_masks(tuple(x for row in rows for x in row))
+
+
+def _splice(sigma: WitnessStructure, k: int, *head: tuple[int, int]) -> WitnessStructure:
+    """The validated structure with mask rows ``head`` followed by the rows
+    of ``sigma`` from row ``k`` on."""
+    out: Masks = ()
+    for row in head:
+        out += row
+    return _from_masks(out + sigma._m[2 * k :])
 
 
 def ghost(sigma: WitnessStructure, hide: Iterable[int]) -> WitnessStructure:

@@ -7,8 +7,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from snapcomplex import Classification, WitnessStructure, ghost, validate
-from snapcomplex.witness import _structure_violation
+from snapcomplex import (
+    Classification,
+    RoundCounter,
+    WitnessStructure,
+    build,
+    ghost,
+    validate,
+)
+from snapcomplex.witness import (
+    MAX_PROCESS_ID,
+    _filter_heads,
+    _head,
+    _structure_violation,
+)
 
 from . import ghost_reference
 from .conftest import TEST_COUNTERS
@@ -65,6 +77,25 @@ def test_constructor_rejects_ids_a_mask_cannot_hold(bad):
     message = f"process id must be a nonnegative integer, got {bad!r}"
     with pytest.raises(ValueError, match=re.escape(message)):
         ws(({bad}, ()))
+
+
+def test_ids_past_the_mask_bound_are_rejected():
+    assert ws(({MAX_PROCESS_ID}, ())).support == {MAX_PROCESS_ID}
+    big = MAX_PROCESS_ID + 1
+    message = f"process id must be at most {MAX_PROCESS_ID}, got {big}"
+    with pytest.raises(ValueError, match=message):
+        ws(({big}, ()))
+    with pytest.raises(ValueError, match="got 1000000000"):
+        build(RoundCounter({10**9: 1}))
+
+
+def test_head_reads_a_missing_row_one_as_empty():
+    one_row = ws(({0}, {1}))
+    assert _head(one_row) == (0b01, 0b10, 0, 0)
+    assert _head(ZERO_FIRST) == (0b11, 0, 0b01, 0)
+    heads = []
+    _filter_heads([one_row, C0], lambda *head: heads.append(head))
+    assert heads == [(0b01, 0b10, 0, 0), (0b11, 0, 0b01, 0b10)]
 
 
 def test_basic_accessors():
