@@ -37,10 +37,10 @@ _VARIANTS = {
     "export-svg": ("export", "--format", "svg"),
 }
 
-# A larger counter, kept out of TEST_COUNTERS because only these four
+# A larger counter, kept out of TEST_COUNTERS because only these five
 # variants finish quickly on it.
 _LARGE_CASES = {
-    "2,1,1,1": ("build", "export-dot", "collapse-full", "collapse-relative"),
+    "2,1,1,1": ("build", "export-dot", "verify-all", "collapse-full", "collapse-relative"),
 }
 
 
