@@ -98,16 +98,29 @@ class PhiReport:
 
 
 def phi_iso(
-    n: int, *, bound: int = DEFAULT_COLOR_BOUND, max_simplices: int | None = None
+    source: int | Complex,
+    *,
+    bound: int = DEFAULT_COLOR_BOUND,
+    max_simplices: int | None = None,
 ) -> PhiReport:
     """Certify the table map as a dimension- and face-relation-preserving
     bijection from the independently enumerated subdivision onto the
-    complex of the all-ones counter, built under ``max_simplices`` as
-    :func:`build` does."""
+    complex of the all-ones counter on ``0..n``.
+
+    Accepts ``n`` or that complex already built; from ``n`` the complex
+    is built under ``max_simplices`` as :func:`build` does.
+    """
+    n = len(source.counter) - 1 if isinstance(source, Complex) else source
     oracle = chromatic_oracle(n, bound=bound)
-    target: Complex = build(
-        RoundCounter({p: 1 for p in range(n + 1)}), max_simplices=max_simplices
-    )
+    all_ones = RoundCounter({p: 1 for p in range(n + 1)})
+    if not isinstance(source, Complex):
+        target = build(all_ones, max_simplices=max_simplices)
+    elif source.counter == all_ones:
+        target = source
+    else:
+        raise ValueError(
+            f"phi needs the all-ones counter on 0..n, got {source.counter.to_text()!r}"
+        )
 
     image = {cs: table_map(cs, n) for cs in oracle}
     bijective = (

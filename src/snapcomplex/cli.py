@@ -195,7 +195,7 @@ def _check_phi(k: Complex, cap: int) -> dict:
         counter[p] != 1 for p in support
     ):
         return {"status": "skipped", "reason": "counter is not all-ones on 0..n"}
-    report = phi_iso(len(support) - 1, max_simplices=cap)
+    report = phi_iso(k)
     return {
         "status": "ok" if report.ok else "failed",
         "subdivision_simplices": report.simplices,

@@ -6,10 +6,14 @@ complex is built as the ghosting closure of its facets, plus the explicit
 empty simplex, and is immutable once built.  The build keeps what it
 computes on the way: each simplex's codimension-1 faces ``ghost(σ,{p})``.
 That cover relation is the whole face poset, and every face query walks it.
+Stratum queries read only the first two rows of a simplex, its *head*;
+:class:`HeadIndex` groups the simplices by head so that such a query tests
+each head once.
 """
 
 from __future__ import annotations
 
+import itertools
 import os
 from collections.abc import Callable, Iterable, Iterator, Mapping
 
@@ -21,6 +25,7 @@ from .witness import (
     _active_mask,
     _bits,
     _ghost,
+    _group_by_head,
     _head,
     _lower_faces,
     _mask_of,
@@ -67,20 +72,38 @@ def membership(r: RoundCounter, sigma: WitnessStructure) -> bool:
     it is a witness structure on the full support whose active traces have
     exactly ``r(p)+1`` entries and whose ghost traces have at most that many.
     """
-    m = sigma._m
-    if not sigma.is_witness:
-        return False
-    w0, g0, _, _ = _head(sigma)
-    if w0 | g0 != _mask_of(r):
-        return False
-    active = _active_mask(m)
-    rows = [w | g for w, g in _pairs(m)]
+    return _membership_test(r)(sigma)
+
+
+def _membership_test(r: RoundCounter) -> Callable[[WitnessStructure], bool]:
+    """:func:`membership` in ``r`` as a predicate, with the support mask
+    and the processes of each row bound ``r(p)+1`` made once."""
+    support = _mask_of(r)
+    by_bound: dict[int, int] = {}
     for p, count in r.items():
-        bit = 1 << p
-        seen = sum(1 for row in rows if row & bit)
-        if seen > count + 1 or (bit & active and seen != count + 1):
+        by_bound[count + 1] = by_bound.get(count + 1, 0) | 1 << p
+    top = max(by_bound, default=0) + 1
+
+    def test(sigma: WitnessStructure) -> bool:
+        m = sigma._m
+        if not sigma.is_witness:
             return False
-    return True
+        w0, g0, _, _ = _head(sigma)
+        if w0 | g0 != support:
+            return False
+        # seen[k]: the processes that occur in at least k rows, k <= top.
+        seen = [support] + [0] * top
+        for w, g in _pairs(m):
+            row = w | g
+            for k in range(top, 0, -1):
+                seen[k] |= seen[k - 1] & row
+        active = _active_mask(m)
+        for bound, procs in by_bound.items():
+            if seen[bound + 1] & procs or active & procs & ~seen[bound]:
+                return False
+        return True
+
+    return test
 
 
 Covers = tuple[WitnessStructure, ...]
@@ -108,10 +131,12 @@ class Complex:
     simplex included) maps to the tuple of its codimension-1 faces, and
     the keys are the simplex set.  The upper covers are that mapping
     inverted, once, on first use.  Faces and cofaces are walks down and
-    up the covers; all queries are pure.
+    up the covers; all queries are pure.  The head index
+    (:meth:`head_index`) is likewise built once, on first use, and keeps
+    the head bitsets of the strata queried so far.
     """
 
-    __slots__ = ("_counter", "_lower", "_simplices", "_facets", "_upper")
+    __slots__ = ("_counter", "_lower", "_simplices", "_facets", "_upper", "_heads")
 
     def __init__(
         self,
@@ -124,6 +149,7 @@ class Complex:
         self._simplices = frozenset(self._lower)
         self._facets = frozenset(facet_set)
         self._upper: dict[WitnessStructure, Covers] | None = None
+        self._heads: HeadIndex | None = None
 
     @property
     def counter(self) -> RoundCounter:
@@ -187,6 +213,12 @@ class Complex:
         except KeyError:
             raise ValueError("simplex is not part of this complex") from None
 
+    def head_index(self) -> HeadIndex:
+        """The simplices grouped by head ``(W_0, G_0, W_1, G_1)``."""
+        if self._heads is None:
+            self._heads = HeadIndex(self._simplices)
+        return self._heads
+
     def faces(self, sigma: WitnessStructure) -> frozenset[WitnessStructure]:
         """Every face of ``sigma`` (including itself and the empty simplex)."""
         return frozenset(_reach((sigma,), self.lower_covers))
@@ -220,6 +252,47 @@ class Complex:
                 for sigma in sorted(self._simplices, key=code.__getitem__)
             ]
         return obj
+
+
+class HeadIndex:
+    """The simplices of a complex grouped by head ``(W_0, G_0, W_1, G_1)``.
+
+    Head ``i`` is ``heads[i]`` and its simplices are ``buckets[i]``.  The
+    buckets are nonempty and disjoint, so a union of buckets is named
+    exactly by the int bitset of its head ids: equality, containment,
+    intersection and union of such unions are those of their bitsets.
+    Heads are numbered, and buckets listed, in ``encode`` order, which is
+    therefore the order of the buckets chained by ascending head id.
+    """
+
+    __slots__ = ("heads", "buckets", "_selected")
+
+    def __init__(self, simplices: Iterable[WitnessStructure]):
+        groups = _group_by_head(simplices)
+        self.heads = tuple(groups)
+        self.buckets = tuple(map(tuple, groups.values()))
+        self._selected: dict[object, int] = {}
+
+    def select(
+        self, key: object, make_test: Callable[[], Callable[[int, int, int, int], object]]
+    ) -> int:
+        """The bitset of the heads that pass ``make_test()``.  Each head is
+        tested once; the bitset is kept under ``key``, and a later call with
+        an equal key returns it without testing again."""
+        bits = self._selected.get(key)
+        if bits is None:
+            test = make_test()
+            bits = 0
+            for i, head in enumerate(self.heads):
+                if test(*head):
+                    bits |= 1 << i
+            self._selected[key] = bits
+        return bits
+
+    def ordered(self, bits: int) -> list[WitnessStructure]:
+        """The union of the buckets of the heads in ``bits``, in ``encode`` order."""
+        buckets = self.buckets
+        return list(itertools.chain.from_iterable(buckets[i] for i in _bits(bits)))
 
 
 def build(r: RoundCounter, *, max_simplices: int | None = None) -> Complex:
@@ -350,32 +423,53 @@ def cone_split(r: RoundCounter, p: int, *, max_simplices: int | None = None) -> 
     return ConeSplit(whole, base, p)
 
 
+def _disjoint_pairs(n: int) -> list[tuple[int, int]]:
+    """Every pair ``(S, T)`` of disjoint subsets of ``n`` positions, as
+    position masks, in the order of the base-3 numerals below ``3**n``
+    whose digit ``i`` puts position ``i`` in neither (0), ``S`` (1) or ``T`` (2)."""
+    pairs = []
+    for split in range(3**n):
+        s_part = t_part = 0
+        for i in range(n):
+            split, slot = divmod(split, 3)
+            if slot == 1:
+                s_part |= 1 << i
+            elif slot == 2:
+                t_part |= 1 << i
+        pairs.append((s_part, t_part))
+    return pairs
+
+
 def verify_ghost_composition(k: Complex) -> int:
     """Check that ghosting twice equals ghosting once by the union.
 
     For every simplex and every pair of disjoint subsets ``S``, ``T`` of
     its active set, ``ghost(ghost(σ,S),T)`` must equal ``ghost(σ,S∪T)``.
-    Returns the number of instances checked; raises
-    :class:`VerificationError` at the first disagreement.
+    The faces ``ghost(σ,U)`` are computed once per subset ``U``, so a
+    simplex of dimension ``d`` takes ``3^(d+1)`` checks and
+    ``3^(d+1) + 2^(d+1)`` ghosts.  Returns the number of instances
+    checked; raises :class:`VerificationError` at the first disagreement.
     """
+    pairs_by_size: dict[int, list[tuple[int, int]]] = {}
     checked = 0
     for sigma in sorted(k.simplices, key=WitnessStructure.encode):
         colors = [1 << p for p in _bits(_active_mask(sigma._m))]
-        for split in range(3 ** len(colors)):
-            s_part = t_part = 0
-            rest = split
-            for bit in colors:
-                rest, slot = divmod(rest, 3)
-                if slot == 1:
-                    s_part |= bit
-                elif slot == 2:
-                    t_part |= bit
-            one = _ghost(_ghost(sigma, s_part), t_part)
-            two = _ghost(sigma, s_part | t_part)
-            if one != two:
+        n = len(colors)
+        pairs = pairs_by_size.get(n)
+        if pairs is None:
+            pairs = pairs_by_size[n] = _disjoint_pairs(n)
+        hide = [0] * (1 << n)
+        for u in range(1, 1 << n):
+            low = u & -u
+            hide[u] = hide[u ^ low] | colors[low.bit_length() - 1]
+        face = [_ghost(sigma, h) for h in hide]
+        for s_part, t_part in pairs:
+            one = _ghost(face[s_part], hide[t_part])
+            if one != face[s_part | t_part]:
                 raise VerificationError(
-                    f"ghosting {_bits(s_part)} then {_bits(t_part)} on "
-                    f"{sigma.encode()} gives {one.encode()}, not {two.encode()}"
+                    f"ghosting {_bits(hide[s_part])} then {_bits(hide[t_part])} on "
+                    f"{sigma.encode()} gives {one.encode()}, "
+                    f"not {face[s_part | t_part].encode()}"
                 )
-            checked += 1
+        checked += len(pairs)
     return checked

@@ -13,6 +13,17 @@ The maps ``gamma`` (peel off round one), ``rho`` (its inverse) and
 ``delta`` (forget row-0 ghosts) translate simplices between complexes
 over related counters; they act on witness structures alone and never
 need the ambient counter.
+
+Membership in a stratum depends on a simplex's head ``(W_0, G_0, W_1,
+G_1)`` alone, and a complex has far fewer heads than simplices (176 heads
+for 1 194 simplices over ``2,1,1,1``).  So a member set is computed on the
+complex's head index: the stratum's test runs once per head, and the
+result is an int bitset of head ids, kept on the index per stratum
+reference for the life of the complex.  The certifications below compare
+member sets as these bitsets, which is exact because the buckets of
+simplices behind distinct heads are disjoint and nonempty.  They also
+validate each process set once per parameter choice and hand masks to
+the private forms ``_gamma``, ``_rho`` and ``_delta`` of the maps.
 """
 
 from __future__ import annotations
@@ -21,14 +32,13 @@ import itertools
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator
 
-from .complexes import Complex, build, membership
+from .complexes import Complex, _membership_test, build
 from .counters import RoundCounter, _check_pid
 from .errors import VerificationError
 from .schedules import _nonempty_subsets
 from .witness import (
     WitnessStructure,
     _bits,
-    _filter_heads,
     _from_rows,
     _head,
     _mask_of,
@@ -97,6 +107,24 @@ class StratumRef:
     ) -> StratumRef:
         return cls("XBV", frozenset(select), frozenset(absorbed), frozenset(dropped))
 
+    @classmethod
+    def _of(
+        cls,
+        kind: str,
+        select: Procs = frozenset(),
+        absorbed: Procs = frozenset(),
+        dropped: Procs = frozenset(),
+    ) -> StratumRef:
+        """A reference made, without the checks, from process sets that are
+        already validated and consistent: fields of other references, and
+        unions of them."""
+        ref = object.__new__(cls)
+        object.__setattr__(ref, "kind", kind)
+        object.__setattr__(ref, "select", select)
+        object.__setattr__(ref, "absorbed", absorbed)
+        object.__setattr__(ref, "dropped", dropped)
+        return ref
+
     def __str__(self) -> str:
         if self.kind == "B":
             return f"B_{_fmt_procs(self.dropped)}"
@@ -164,9 +192,16 @@ def _head_test(ref: StratumRef, closed: bool) -> Callable[[int, int, int, int], 
     return test
 
 
+def _member_bits(complex_: Complex, ref: StratumRef, closed: bool) -> int:
+    """The head bitset of the literal member set of ``ref``, or with
+    ``closed`` of its :func:`members` set, from the complex's head index."""
+    closed = closed and ref.kind not in ("Y", "B")
+    return complex_.head_index().select((ref, closed), lambda: _head_test(ref, closed))
+
+
 def literal_members(complex_: Complex, ref: StratumRef) -> frozenset[WitnessStructure]:
     """All simplices of ``complex_`` literally inside the stratum."""
-    return _filter_heads(complex_.simplices, _head_test(ref, closed=False))
+    return frozenset(complex_.head_index().ordered(_member_bits(complex_, ref, closed=False)))
 
 
 def members(complex_: Complex, ref: StratumRef) -> frozenset[WitnessStructure]:
@@ -178,9 +213,12 @@ def members(complex_: Complex, ref: StratumRef) -> frozenset[WitnessStructure]:
     and ``B`` strata are returned literally -- ``B`` is closed as it
     stands, ``Y`` need not be.
     """
-    if ref.kind in ("Y", "B"):
-        return literal_members(complex_, ref)
-    return _filter_heads(complex_.simplices, _head_test(ref, closed=True))
+    return frozenset(_sorted_members(complex_, ref))
+
+
+def _sorted_members(complex_: Complex, ref: StratumRef) -> list[WitnessStructure]:
+    """:func:`members` in ``encode`` order, the order the checks visit."""
+    return complex_.head_index().ordered(_member_bits(complex_, ref, closed=True))
 
 
 # ---------------------------------------------------------------------------
@@ -206,6 +244,11 @@ def gamma(
     a = _mask_of(absorbed)
     if a & ~s:
         raise ValueError("absorbed set must lie inside the selected set")
+    return _gamma(sigma, s, a)
+
+
+def _gamma(sigma: WitnessStructure, s: int, a: int) -> WitnessStructure:
+    """:func:`gamma` with ``select`` and ``absorbed`` given as masks, ``a ⊆ s``."""
     w0, g0, w1, g1 = _head(sigma)
     if sigma.t == 0:
         if w0 & s:
@@ -245,6 +288,11 @@ def rho(
     a = _mask_of(absorbed)
     if a & ~s:
         raise ValueError("absorbed set must lie inside the selected set")
+    return _rho(tau, s, a)
+
+
+def _rho(tau: WitnessStructure, s: int, a: int) -> WitnessStructure:
+    """:func:`rho` with ``select`` and ``absorbed`` given as masks, ``a ⊆ s``."""
     v0, h0, w1, g1 = _head(tau)
     if a & (v0 | h0):
         raise ValueError("absorbed processes are still present in the simplex")
@@ -262,7 +310,11 @@ def delta(sigma: WitnessStructure, dropped: Iterable[int]) -> WitnessStructure:
     Requires ``dropped`` to consist of row-0 ghosts; the image lives in
     the complex over the counter with ``dropped`` deleted.
     """
-    v = _mask_of(dropped)
+    return _delta(sigma, _mask_of(dropped))
+
+
+def _delta(sigma: WitnessStructure, v: int) -> WitnessStructure:
+    """:func:`delta` with ``dropped`` given as a mask."""
     w0, g0, _, _ = _head(sigma)
     if v & ~g0:
         raise ValueError(f"{_bits(v)} are not all row-0 ghosts of {sigma.encode()}")
@@ -271,7 +323,11 @@ def delta(sigma: WitnessStructure, dropped: Iterable[int]) -> WitnessStructure:
 
 def delta_inverse(tau: WitnessStructure, dropped: Iterable[int]) -> WitnessStructure:
     """Reintroduce ``dropped`` as row-0 ghosts."""
-    v = _mask_of(dropped)
+    return _delta_inverse(tau, _mask_of(dropped))
+
+
+def _delta_inverse(tau: WitnessStructure, v: int) -> WitnessStructure:
+    """:func:`delta_inverse` with ``dropped`` given as a mask."""
     w0, g0, _, _ = _head(tau)
     if v & (w0 | g0):
         raise ValueError("dropped processes are still present in the simplex")
@@ -299,6 +355,11 @@ def incidence(
     t, b = _procs(select_outer), _procs(absorbed_outer)
     if not a <= s or not b <= t:
         raise ValueError("absorbed sets must lie inside their selected sets")
+    return _incidence(s, a, t, b)
+
+
+def _incidence(s: Procs, a: Procs, t: Procs, b: Procs) -> bool:
+    """:func:`incidence` on validated sets with ``a ⊆ s`` and ``b ⊆ t``."""
     return (s == t and b <= a) or t <= a
 
 
@@ -311,30 +372,33 @@ def intersect_refs(first: StratumRef, second: StratumRef) -> StratumRef | None:
     kinds = (first.kind, second.kind)
     if "B" in kinds or "XBV" in kinds:
         raise ValueError("intersection calculus covers X/Y/Z strata only")
+    # The results are made from the validated fields of the arguments,
+    # each with its absorbed set inside its selected set.
+    make = StratumRef._of
     if kinds == ("Z", "Z"):
-        return StratumRef.z(first.select | second.select)
+        return make("Z", first.select | second.select)
     if "Z" in kinds and "Y" in kinds:
         y, z = (first, second) if first.kind == "Y" else (second, first)
         if z.select <= y.select:
-            return StratumRef.y(y.select, y.absorbed | z.select)
+            return make("Y", y.select, y.absorbed | z.select)
         return None
     if kinds == ("Y", "Y"):
         if first.select == second.select:
-            return StratumRef.y(first.select, first.absorbed | second.absorbed)
+            return make("Y", first.select, first.absorbed | second.absorbed)
         return None
     if "Z" in kinds and "X" in kinds:
         x, z = (first, second) if first.kind == "X" else (second, first)
         if z.select <= x.select:
-            return StratumRef.x(x.select, x.absorbed | z.select)
-        return StratumRef.z(x.select | z.select)
+            return make("X", x.select, x.absorbed | z.select)
+        return make("Z", x.select | z.select)
     # X/X, the symmetric core of the calculus.
     if first.select == second.select:
-        return StratumRef.x(first.select, first.absorbed | second.absorbed)
+        return make("X", first.select, first.absorbed | second.absorbed)
     if first.select < second.select:
-        return StratumRef.x(second.select, first.select | second.absorbed)
+        return make("X", second.select, first.select | second.absorbed)
     if second.select < first.select:
-        return StratumRef.x(first.select, second.select | first.absorbed)
-    return StratumRef.z(first.select | second.select)
+        return make("X", first.select, second.select | first.absorbed)
+    return make("Z", first.select | second.select)
 
 
 def intersect_pair(
@@ -365,8 +429,8 @@ def intersect_family(selects: Iterable[Iterable[int]]) -> StratumRef:
     tops = [s for s in distinct if all(t <= s for t in distinct)]
     if tops:
         top = tops[0]
-        return StratumRef.x(top, frozenset().union(*(distinct - {top})) if len(distinct) > 1 else frozenset())
-    return StratumRef.z(frozenset().union(*distinct))
+        return StratumRef._of("X", top, frozenset().union(*(distinct - {top})))
+    return StratumRef._of("Z", frozenset().union(*distinct))
 
 
 # ---------------------------------------------------------------------------
@@ -403,11 +467,18 @@ def nerve(complex_: Complex) -> NerveReport:
     """Compute the nerve of the cover ``{closure X_S : ∅ ≠ S ⊆ active}``."""
     active = sorted(complex_.counter.active)
     cover = [frozenset(s) for s in _nonempty_subsets(active)]
-    pieces = {s: members(complex_, StratumRef.x(s)) for s in cover}
+    pieces = {s: _member_bits(complex_, StratumRef.x(s), closed=True) for s in cover}
+    # The heads whose bucket holds a simplex of dimension at least zero.
+    live = 0
+    for i, bucket in enumerate(complex_.head_index().buckets):
+        if any(sigma.dim >= 0 for sigma in bucket):
+            live |= 1 << i
     spanning: set[frozenset[Procs]] = set()
     for joint in _nonempty_subsets(cover):
-        shared = frozenset.intersection(*(pieces[s] for s in joint))
-        if any(sigma.dim >= 0 for sigma in shared):
+        shared = live
+        for s in joint:
+            shared &= pieces[s]
+        if shared:
             spanning.add(frozenset(joint))
     apex = frozenset(active)
     is_cone = all(
@@ -437,6 +508,9 @@ def verify_strata_calculus(complex_: Complex) -> dict[str, int]:
     ``({w}, A)``, so ``Z_A ⊆ X_{A∪{w},B}`` holds setwise for every
     ``B ⊆ A`` even though the criterion says otherwise.  The mismatches
     found must be exactly those; anything else raises.
+
+    Member sets are compared as head bitsets (see the module docstring),
+    and each stratum reference is made once per parameter choice.
     """
     active = frozenset(complex_.counter.active)
     ordered = sorted(active)
@@ -452,18 +526,21 @@ def verify_strata_calculus(complex_: Complex) -> dict[str, int]:
         for absorbed in itertools.combinations(sorted(sel), a_size)
     ]
 
-    mem_x = {(s, a): members(complex_, StratumRef.x(s, a)) for s, a in sa_pairs}
-    mem_z = {s: members(complex_, StratumRef.z(s)) for s in subsets}
-    y_cache: dict[tuple[Procs, Procs], frozenset[WitnessStructure]] = {}
+    x_refs = [StratumRef.x(s, a) for s, a in sa_pairs]
+    mem_x = {
+        (ref.select, ref.absorbed): _member_bits(complex_, ref, closed=True) for ref in x_refs
+    }
+    mem_z = {s: _member_bits(complex_, StratumRef.z(s), closed=True) for s in subsets}
+    y_cache: dict[tuple[Procs, Procs], int] = {}
 
-    def mem_y(s: Procs, a: Procs) -> frozenset[WitnessStructure]:
+    def mem_y(s: Procs, a: Procs) -> int:
         if not a <= s:
-            return frozenset()
+            return 0
         if (s, a) not in y_cache:
-            y_cache[s, a] = members(complex_, StratumRef.y(s, a))
+            y_cache[s, a] = _member_bits(complex_, StratumRef.y(s, a), closed=False)
         return y_cache[s, a]
 
-    def mem_ref(ref: StratumRef) -> frozenset[WitnessStructure]:
+    def mem_ref(ref: StratumRef) -> int:
         if ref.kind == "Z":
             return mem_x[ref.select, ref.select]
         return mem_x[ref.select, ref.absorbed]
@@ -472,9 +549,10 @@ def verify_strata_calculus(complex_: Complex) -> dict[str, int]:
     containments = 0
     mismatches: set[tuple[Procs, Procs, Procs, Procs]] = set()
     for s, a in sa_pairs:
+        inner = mem_x[s, a]
         for t, b in sa_pairs:
-            claim = incidence(s, a, t, b)
-            actual = mem_x[s, a] <= mem_x[t, b]
+            claim = _incidence(s, a, t, b)
+            actual = not inner & ~mem_x[t, b]
             if claim and not actual:
                 raise VerificationError(
                     f"criterion asserts X_{_fmt_procs(s)},{_fmt_procs(a)} ⊆ "
@@ -521,7 +599,7 @@ def verify_strata_calculus(complex_: Complex) -> dict[str, int]:
             yz_identities += 1
     for s, a in sa_pairs:
         for t, b in sa_pairs:
-            expected = mem_y(s, a | b) if s == t else frozenset()
+            expected = mem_y(s, a | b) if s == t else 0
             if mem_y(s, a) & mem_y(t, b) != expected:
                 raise VerificationError(
                     f"Y_{_fmt_procs(s)},{_fmt_procs(a)} ∩ "
@@ -531,9 +609,12 @@ def verify_strata_calculus(complex_: Complex) -> dict[str, int]:
 
     # Pairwise closed-form intersections.
     pair_intersections = 0
-    for s, a in sa_pairs:
-        for t, b in sa_pairs:
-            ref = intersect_pair(s, a, t, b)
+    for first in x_refs:
+        s, a = first.select, first.absorbed
+        for second in x_refs:
+            t, b = second.select, second.absorbed
+            ref = intersect_refs(first, second)
+            assert ref is not None  # every X/X pairing has a closed form
             if mem_ref(ref) != mem_x[s, a] & mem_x[t, b]:
                 raise VerificationError(
                     f"X_{_fmt_procs(s)},{_fmt_procs(a)} ∩ "
@@ -562,11 +643,11 @@ def verify_strata_calculus(complex_: Complex) -> dict[str, int]:
     for a in subsets:
         if a == active:
             continue
-        union: set[WitnessStructure] = set()
+        union = 0
         for t in subsets:
             if a < t:
                 union |= mem_x[t, a]
-        if mem_x[a, a] != frozenset(union):
+        if mem_x[a, a] != union:
             raise VerificationError(
                 f"Z_{_fmt_procs(a)} is not the union of its enlargements"
             )
@@ -636,40 +717,40 @@ def verify_translation_maps(
     for size in range(len(active) + 1):
         for sel in itertools.combinations(active, size):
             s = frozenset(sel)
+            s_mask = _mask_of(s)
             for a_size in range(size + 1):
                 for absorbed in itertools.combinations(sel, a_size):
                     a = frozenset(absorbed)
+                    a_mask = _mask_of(a)
                     label = f"γ_{_fmt_procs(s)},{_fmt_procs(a)}"
-                    domain = sorted(
-                        members(complex_, StratumRef.x(s, a)), key=WitnessStructure.encode
-                    )
+                    domain = _sorted_members(complex_, StratumRef.x(s, a))
                     restricted = counter.restrict(s, a)
                     if not restricted.support:
                         # Absorbing every process leaves the complex over
                         # nothing, whose lone simplex is the empty structure.
                         blank = WitnessStructure(((frozenset(), frozenset()),))
-                        if len(domain) != 1 or gamma(domain[0], s, a) != blank:
+                        if len(domain) != 1 or _gamma(domain[0], s_mask, a_mask) != blank:
                             raise VerificationError(
                                 f"{label} misses the empty-counter complex"
                             )
                         gamma_strata += 1
                         continue
                     target = target_for(restricted)
-                    image = {sigma: gamma(sigma, s, a) for sigma in domain}
+                    image = {sigma: _gamma(sigma, s_mask, a_mask) for sigma in domain}
                     _certify_iso(complex_, domain, target, image, label)
                     gamma_strata += 1
                     if a:
                         continue
                     members_set = frozenset(domain)
                     for sigma in domain:
-                        if rho(image[sigma], s) != sigma:
+                        if _rho(image[sigma], s_mask, 0) != sigma:
                             raise VerificationError(
                                 f"ρ_{_fmt_procs(s)} does not undo {label} "
                                 f"on {sigma.encode()}"
                             )
                     for tau in sorted(target.simplices, key=WitnessStructure.encode):
-                        back = rho(tau, s)
-                        if back not in members_set or gamma(back, s) != tau:
+                        back = _rho(tau, s_mask, 0)
+                        if back not in members_set or _gamma(back, s_mask, 0) != tau:
                             raise VerificationError(
                                 f"ρ_{_fmt_procs(s)} is not a right inverse "
                                 f"on {tau.encode()}"
@@ -679,13 +760,14 @@ def verify_translation_maps(
     for v_size in range(len(support)):
         for dropped in itertools.combinations(support, v_size):
             v = frozenset(dropped)
+            v_mask = _mask_of(v)
             label = f"δ_{_fmt_procs(v)}"
-            domain = sorted(members(complex_, StratumRef.b(v)), key=WitnessStructure.encode)
+            domain = _sorted_members(complex_, StratumRef.b(v))
             target = target_for(counter.delete(v))
-            image = {sigma: delta(sigma, v) for sigma in domain}
+            image = {sigma: _delta(sigma, v_mask) for sigma in domain}
             _certify_iso(complex_, domain, target, image, label)
             for sigma in domain:
-                if delta_inverse(image[sigma], v) != sigma:
+                if _delta_inverse(image[sigma], v_mask) != sigma:
                     raise VerificationError(f"{label} round trip fails on {sigma.encode()}")
             delta_strata += 1
     return {
@@ -728,30 +810,32 @@ def _check_restriction_composition(complex_: Complex) -> Iterator[DiagramReport]
     active = sorted(counter.active)
     for absorbed in _nonempty_subsets(active):
         a = frozenset(absorbed)
+        a_mask = _mask_of(a)
         rest = [p for p in active if p not in a]
         deleted = counter.delete(a)
+        in_deleted = _membership_test(deleted)
         for select in _nonempty_subsets(rest):
             s = frozenset(select)
+            s_mask = _mask_of(s)
+            in_x_s = _head_test(StratumRef.x(s), closed=False)
             checked = 0
-            for sigma in sorted(
-                members(complex_, StratumRef.x(s | a, a)), key=WitnessStructure.encode
-            ):
-                mid = gamma(sigma, a, a)
-                if not membership(deleted, mid):
+            for sigma in _sorted_members(complex_, StratumRef.x(s | a, a)):
+                mid = _gamma(sigma, a_mask, a_mask)
+                if not in_deleted(mid):
                     raise _fail(
                         "restriction-composition",
                         sigma,
                         f"peeling {sorted(a)} leaves {mid.encode()}, "
                         f"not a simplex over {deleted.to_text()!r}",
                     )
-                if mid.t != 0 and not in_stratum(StratumRef.x(s), mid):
+                if mid.t != 0 and not in_x_s(*_head(mid)):
                     raise _fail(
                         "restriction-composition",
                         sigma,
                         f"{mid.encode()} misses the stratum X_{_fmt_procs(s)}",
                     )
-                two_step = gamma(mid, s)
-                one_step = gamma(sigma, s | a, a)
+                two_step = _gamma(mid, s_mask, 0)
+                one_step = _gamma(sigma, s_mask | a_mask, a_mask)
                 if two_step != one_step:
                     raise _fail(
                         "restriction-composition",
@@ -772,28 +856,36 @@ def _check_restriction_absorbs_drop(complex_: Complex) -> Iterator[DiagramReport
     active = sorted(counter.active)
     for select in _nonempty_subsets(active):
         s = frozenset(select)
+        s_mask = _mask_of(s)
         target = counter.execute(s)
         for absorbed in itertools.chain(((),), _nonempty_subsets(sorted(s))):
             a = frozenset(absorbed)
-            stratum = sorted(members(complex_, StratumRef.x(s, a)), key=WitnessStructure.encode)
+            a_mask = _mask_of(a)
+            shrunk = target.delete(a)
+            in_shrunk = _membership_test(shrunk)
+            stratum = _sorted_members(complex_, StratumRef.x(s, a))
+            peeled: dict[WitnessStructure, WitnessStructure] = {}
             for small in itertools.chain(((),), _nonempty_subsets(sorted(a))):
                 b = frozenset(small)
+                b_mask = _mask_of(b)
                 checked = 0
                 for sigma in stratum:
-                    left = delta(gamma(sigma, s, b), a - b)
-                    right = gamma(sigma, s, a)
+                    left = _delta(_gamma(sigma, s_mask, b_mask), a_mask & ~b_mask)
+                    right = peeled.get(sigma)
+                    if right is None:
+                        right = peeled[sigma] = _gamma(sigma, s_mask, a_mask)
                     if left != right:
                         raise _fail(
                             "restriction-absorbs-drop",
                             sigma,
                             f"{left.encode()} != {right.encode()}",
                         )
-                    if not membership(target.delete(a), left):
+                    if not in_shrunk(left):
                         raise _fail(
                             "restriction-absorbs-drop",
                             sigma,
                             f"{left.encode()} is not a simplex over "
-                            f"{target.delete(a).to_text()!r}",
+                            f"{shrunk.to_text()!r}",
                         )
                     checked += 1
                 yield DiagramReport(
@@ -811,26 +903,38 @@ def _check_drop_restriction_commute(complex_: Complex) -> Iterator[DiagramReport
     """Forgetting row-0 ghosts commutes with peeling round one."""
     counter = complex_.counter
     active = sorted(counter.active)
+    # Row-0 ghost masks -> their subsets as masks, the empty one first.
+    drops: dict[int, list[int]] = {}
     for select in _nonempty_subsets(active):
         s = frozenset(select)
+        s_mask = _mask_of(s)
         for absorbed in itertools.chain(((),), _nonempty_subsets(sorted(s))):
             a = frozenset(absorbed)
+            a_mask = _mask_of(a)
+            # Dropped mask -> membership in the dropped-and-stepped counter.
+            in_target: dict[int, Callable[[WitnessStructure], bool]] = {}
             checked = 0
-            for sigma in sorted(
-                members(complex_, StratumRef.x(s, a)), key=WitnessStructure.encode
-            ):
-                loose = sorted(sigma.ghost_row(0) - s)
-                for dropped in itertools.chain(((),), _nonempty_subsets(loose)):
-                    v = frozenset(dropped)
-                    left = delta(gamma(sigma, s, a), v)
-                    right = gamma(delta(sigma, v), s, a)
+            for sigma in _sorted_members(complex_, StratumRef.x(s, a)):
+                loose = _head(sigma)[1] & ~s_mask
+                if loose not in drops:
+                    drops[loose] = [0] + [
+                        sum(1 << p for p in v) for v in _nonempty_subsets(_bits(loose))
+                    ]
+                peeled = _gamma(sigma, s_mask, a_mask)
+                for v_mask in drops[loose]:
+                    left = _delta(peeled, v_mask)
+                    right = _gamma(_delta(sigma, v_mask), s_mask, a_mask)
                     if left != right:
                         raise _fail(
                             "drop-restriction-commute",
                             sigma,
                             f"{left.encode()} != {right.encode()}",
                         )
-                    if not membership(counter.delete(v).execute(s).delete(a), left):
+                    if v_mask not in in_target:
+                        in_target[v_mask] = _membership_test(
+                            counter.delete(_bits(v_mask)).execute(s).delete(a)
+                        )
+                    if not in_target[v_mask](left):
                         raise _fail(
                             "drop-restriction-commute",
                             sigma,

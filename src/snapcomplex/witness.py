@@ -16,8 +16,9 @@ mask-to-frozenset table.  Since a mask holding id ``p`` takes about
 
 Only this module knows the flattened layout.  Inside the package, other
 modules read the first two rows of a structure with :func:`_head`, scan
-many structures by them with :func:`_filter_heads`, and make structures
-from mask rows with :func:`_from_rows` and :func:`_splice`.
+or group many structures by them with :func:`_filter_heads` and
+:func:`_group_by_head`, and make structures from mask rows with
+:func:`_from_rows` and :func:`_splice`.
 
 Rows are addressed leniently: reading past the last row yields the empty
 set, which is the convention used throughout the stratification code.
@@ -327,6 +328,25 @@ def _filter_heads(
         if test(m[0], m[1], m[2], m[3]) if len(m) > 2 else test(m[0], m[1], 0, 0):
             out.append(sigma)
     return frozenset(out)
+
+
+def _group_by_head(
+    structures: Iterable[WitnessStructure],
+) -> dict[Masks, list[WitnessStructure]]:
+    """The structures grouped by their first two rows ``(W_0, G_0, W_1,
+    G_1)``, a missing row 1 read as empty, in ``encode`` order.
+
+    The encoding begins with the text of rows 0 and 1, and no set's text
+    is a prefix of another's.  So when every row past the first has
+    witnesses, as in a witness structure, the structures of one head form
+    one run of the encode order, and the groups, taken in order, list
+    every structure in encode order.
+    """
+    groups: dict[Masks, list[WitnessStructure]] = {}
+    for sigma in sorted(structures, key=WitnessStructure.encode):
+        m = sigma._m
+        groups.setdefault(m[:4] if len(m) > 2 else m + (0, 0), []).append(sigma)
+    return groups
 
 
 def _from_rows(rows: Iterable[tuple[int, int]]) -> WitnessStructure:

@@ -4,7 +4,9 @@ import pytest
 
 from snapcomplex import (
     ChromaticSimplex,
+    RoundCounter,
     WitnessStructure,
+    build,
     chromatic_f_vector,
     chromatic_oracle,
     phi_iso,
@@ -63,3 +65,9 @@ def test_phi_is_an_isomorphism(n, f_vector):
     assert report.face_preserving
     assert report.f_vector == f_vector
     assert report.simplices == chromatic_total(n + 1)
+
+
+def test_phi_takes_the_built_complex():
+    assert phi_iso(build(RoundCounter.parse("1,1,1"))) == phi_iso(2)
+    with pytest.raises(ValueError, match="all-ones counter"):
+        phi_iso(build(RoundCounter.parse("2,1")))

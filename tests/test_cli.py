@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+from snapcomplex import chromatic, cli
 from snapcomplex.cli import main
 
 
@@ -176,6 +177,22 @@ def test_cone_check_reuses_the_built_complex(capsys, monkeypatch):
     )
     assert code == 0
     assert json.loads(out)["checks"]["cone"]["status"] == "ok"
+
+
+def test_phi_check_reuses_the_built_complex(capsys, monkeypatch):
+    built = []
+    real = cli.build
+
+    def counting(counter, **kwargs):
+        built.append(counter.to_text())
+        return real(counter, **kwargs)
+
+    monkeypatch.setattr(cli, "build", counting)
+    monkeypatch.setattr(chromatic, "build", counting)
+    code, out, err = run(capsys, "verify", "-r", "1,1,1,1", "--checks", "phi")
+    assert code == 0, err
+    assert json.loads(out)["checks"]["phi"]["status"] == "ok"
+    assert built == ["1,1,1,1"]
 
 
 @pytest.mark.parametrize("flags", [("--full",), ("--pivot", "0")])

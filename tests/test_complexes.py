@@ -21,6 +21,10 @@ from snapcomplex import (
     verify_translation_maps,
 )
 
+from snapcomplex import complexes
+from snapcomplex.errors import VerificationError
+
+from .conftest import TEST_COUNTERS
 from .oracles import layered_sequence_count
 
 
@@ -60,6 +64,25 @@ def test_membership_hand_cases():
     assert not membership(
         RoundCounter.parse("2,1"), ws(({0, 1}, ()), ({0}, ()), ({1}, ()))
     )
+
+
+@pytest.mark.parametrize("text", TEST_COUNTERS)
+def test_membership_matches_the_trace_definition(text, get_complex):
+    r = RoundCounter.parse(text)
+
+    def by_traces(sigma):
+        traces = sigma.traces()
+        return (
+            sigma.is_witness
+            and set(traces) == r.support
+            and all(len(traces[p]) <= r[p] + 1 for p in traces)
+            and all(len(traces[p]) == r[p] + 1 for p in sigma.active_set)
+        )
+
+    candidates = {s for t in TEST_COUNTERS for s in get_complex(t).simplices}
+    found = {s for s in candidates if membership(r, s)}
+    assert found == {s for s in candidates if by_traces(s)}
+    assert found == get_complex(text).simplices
 
 
 def test_membership_requires_matching_support():
@@ -183,6 +206,39 @@ def test_ghosting_composes_over_disjoint_sets(get_complex):
     # sum over simplices of 3^(dim+1) checked identities.
     assert verify_ghost_composition(get_complex("1,1")) == 1 + 4 * 3 + 3 * 9
     assert verify_ghost_composition(get_complex("1,1,1")) == 1 + 12 * 3 + 24 * 9 + 13 * 27
+
+
+@pytest.mark.parametrize("text", TEST_COUNTERS)
+def test_ghost_composition_ghosts_each_face_once(text, get_complex, monkeypatch):
+    k = get_complex(text)
+    calls = 0
+    real = complexes._ghost
+
+    def counting(sigma, hide):
+        nonlocal calls
+        calls += 1
+        return real(sigma, hide)
+
+    monkeypatch.setattr(complexes, "_ghost", counting)
+    assert verify_ghost_composition(k) == sum(3 ** (s.dim + 1) for s in k.simplices)
+    # One ghost per subset of the active set, one per disjoint pair.
+    assert calls <= sum(3 ** (s.dim + 1) + 2 ** (s.dim + 1) for s in k.simplices)
+
+
+def test_ghost_composition_catches_one_corrupted_composition(get_complex, monkeypatch):
+    # Ghosting one edge by one of its processes returns the edge itself;
+    # the edge's cofaces then compose to the wrong face.
+    k = get_complex("2,1,1")
+    edge = min((s for s in k.simplices if s.dim == 1), key=WitnessStructure.encode)
+    hide = 1 << min(edge.active_set)
+    real = complexes._ghost
+
+    def corrupted(sigma, mask):
+        return sigma if sigma == edge and mask == hide else real(sigma, mask)
+
+    monkeypatch.setattr(complexes, "_ghost", corrupted)
+    with pytest.raises(VerificationError, match="ghosting"):
+        verify_ghost_composition(k)
 
 
 def test_json_shape(get_complex):

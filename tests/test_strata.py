@@ -5,6 +5,7 @@ from itertools import combinations
 import pytest
 
 from snapcomplex import (
+    Complex,
     RoundCounter,
     StratumRef,
     WitnessStructure,
@@ -26,6 +27,11 @@ from snapcomplex import (
     verify_strata_calculus,
     verify_translation_maps,
 )
+from snapcomplex import counters, strata, witness
+from snapcomplex.complexes import HeadIndex
+from snapcomplex.errors import VerificationError
+from snapcomplex.strata import _head_test, _member_bits
+from snapcomplex.witness import _filter_heads, _head
 
 
 def ws(*rows):
@@ -89,6 +95,7 @@ def _every_ref(counter):
 
 def test_mask_scans_match_the_frozenset_predicate(get_complex):
     k = get_complex("2,1,1,1")
+    index = k.head_index()
     one_row = {s: s.ghost_row(0) for s in k.simplices if s.t == 0}
     for ref in _every_ref(k.counter):
         literal = frozenset(s for s in k.simplices if in_stratum(ref, s))
@@ -97,6 +104,26 @@ def test_mask_scans_match_the_frozenset_predicate(get_complex):
         if ref.kind in ("X", "Z", "XBV"):
             closed |= {s for s, g0 in one_row.items() if ref.dropped <= g0}
         assert members(k, ref) == closed, ref
+        # The per-simplex mask scan, and the head bitsets expanded back.
+        for flag, expected in ((False, literal), (True, closed)):
+            scan = _filter_heads(
+                k.simplices, _head_test(ref, closed=flag and ref.kind not in ("Y", "B"))
+            )
+            assert scan == expected, ref
+            listed = index.ordered(_member_bits(k, ref, closed=flag))
+            assert listed == sorted(expected, key=WitnessStructure.encode), ref
+
+
+@pytest.mark.parametrize("text", ["1,1", "2,1", "1,0,1", "1,1,1,1", "2,1,1,1"])
+def test_head_buckets_partition_the_complex_in_encode_order(text, get_complex):
+    k = get_complex(text)
+    index = k.head_index()
+    assert sorted(index.heads) == sorted({_head(s) for s in k.simplices})
+    assert all(index.buckets)
+    for head, bucket in zip(index.heads, index.buckets):
+        assert {_head(s) for s in bucket} == {head}
+    listed = [s for bucket in index.buckets for s in bucket]
+    assert listed == sorted(k.simplices, key=WitnessStructure.encode)
 
 
 def test_members_of_the_empty_selection_is_everything(get_complex):
@@ -221,6 +248,116 @@ def test_diagram_verifier(get_complex):
     assert len(reports) == 25
     assert all(r.status == "ok" for r in reports)
     assert sum(r.instances_checked for r in reports) == 71
+
+
+def _doctored(k, drop=(), add=()):
+    """``k`` with the simplices ``drop`` left out and ``add`` put in."""
+    lower = {s: k.lower_covers(s) for s in k.simplices if s not in drop}
+    lower.update((s, ()) for s in add)
+    return Complex(k.counter, lower, k.facets)
+
+
+def _per_simplex_heads(self, simplices):
+    """A head index with one bucket per simplex: the per-simplex scan."""
+    listed = list(simplices)
+    self.heads = tuple(map(_head, listed))
+    self.buckets = tuple((s,) for s in listed)
+    self._selected = {}
+
+
+def _verdicts(k):
+    out = []
+    for check in (verify_strata_calculus, verify_diagrams, nerve):
+        try:
+            out.append(check(k))
+        except VerificationError as exc:
+            out.append(str(exc))
+    return out
+
+
+def test_indexed_checks_judge_doctored_complexes_as_the_per_simplex_scan(
+    get_complex, monkeypatch
+):
+    # Drop each simplex of 1,1 in turn, or put in one simplex of 2,1 that
+    # 1,1 lacks; the indexed calculus, diagrams and nerve must reach the
+    # verdicts of a scan that tests every simplex on its own.
+    k = get_complex("1,1")
+    doctorings = [_doctored(k, drop={s}) for s in k.simplices]
+    doctorings += [_doctored(k, add={s}) for s in get_complex("2,1").simplices - k.simplices]
+    indexed = [_verdicts(d) for d in doctorings]
+    monkeypatch.setattr(HeadIndex, "__init__", _per_simplex_heads)
+    scanned = [_verdicts(_doctored(d)) for d in doctorings]
+    assert indexed == scanned
+    assert any(isinstance(v[0], str) for v in indexed)
+    assert any(isinstance(v[1], str) for v in indexed)
+
+
+def test_indexed_checks_catch_a_dropped_simplex(get_complex):
+    k = get_complex("1,1")
+    doctored = _doctored(k, drop={C0})
+    with pytest.raises(VerificationError, match="containment criterion defects"):
+        verify_strata_calculus(doctored)
+    # X_{0} and X_{1} no longer share a simplex.
+    report = nerve(doctored)
+    assert len(report.spanning) == 4 and not report.is_cone
+    assert nerve(k).is_cone and len(nerve(k).spanning) == 5
+
+
+def test_indexed_diagrams_catch_a_foreign_simplex(get_complex):
+    stray = ws(({0, 1}, ()), ({0, 1}, ()), ({0}, ()))
+    doctored = _doctored(get_complex("1,1"), add={stray})
+    with pytest.raises(
+        VerificationError,
+        match=r"restriction-absorbs-drop breaks at \[\[\[0,1\],\[\]\],\[\[0,1\],\[\]\],\[\[0\],\[\]\]\]",
+    ):
+        verify_diagrams(doctored)
+
+
+def test_calculus_tests_each_head_once_per_stratum(monkeypatch):
+    k = build(RoundCounter.parse("2,1,1,1"))
+    refs = set()
+    calls = 0
+
+    def counting(ref, closed):
+        refs.add((ref, closed))
+        test = _head_test(ref, closed)
+
+        def counted(*head):
+            nonlocal calls
+            calls += 1
+            return test(*head)
+
+        return counted
+
+    monkeypatch.setattr(strata, "_head_test", counting)
+    verify_strata_calculus(k)
+    # The per-simplex scan made 388 member scans of 1 194 simplices.
+    assert calls <= len(refs) * len(k.head_index().heads)
+
+
+@pytest.mark.parametrize(
+    "check, parent_calls",
+    [(verify_diagrams, 126_144), (verify_strata_calculus, 146_836)],
+    ids=["diagrams", "strata-calculus"],
+)
+def test_checks_validate_each_process_set_once_per_parameter(
+    monkeypatch, check, parent_calls
+):
+    # Base: wrapping the same three names counted ``parent_calls`` calls on
+    # 2,1,1,1 when every simplex re-validated its process sets.
+    k = build(RoundCounter.parse("2,1,1,1"))
+    calls = 0
+    real = counters._check_pid
+
+    def counting(p):
+        nonlocal calls
+        calls += 1
+        return real(p)
+
+    for module in (counters, strata, witness):
+        monkeypatch.setattr(module, "_check_pid", counting)
+    check(k)
+    assert calls * 10 <= parent_calls
 
 
 def test_stratum_json_shape():
