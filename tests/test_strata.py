@@ -286,6 +286,7 @@ def test_indexed_checks_judge_doctored_complexes_as_the_per_simplex_scan(
     doctorings += [_doctored(k, add={s}) for s in get_complex("2,1").simplices - k.simplices]
     indexed = [_verdicts(d) for d in doctorings]
     monkeypatch.setattr(HeadIndex, "__init__", _per_simplex_heads)
+    # Fresh copies, so that their indexes are built one simplex per bucket.
     scanned = [_verdicts(_doctored(d)) for d in doctorings]
     assert indexed == scanned
     assert any(isinstance(v[0], str) for v in indexed)
@@ -331,7 +332,8 @@ def test_calculus_tests_each_head_once_per_stratum(monkeypatch):
 
     monkeypatch.setattr(strata, "_head_test", counting)
     verify_strata_calculus(k)
-    # The per-simplex scan made 388 member scans of 1 194 simplices.
+    # A scan of every simplex would make 1 194 tests per member set, and
+    # again for every repeated reference.
     assert calls <= len(refs) * len(k.head_index().heads)
 
 
