@@ -97,24 +97,19 @@ class PhiReport:
         return self.bijective and self.dimension_preserving and self.face_preserving
 
 
-def phi_iso(
-    source: int | Complex,
-    *,
-    bound: int = DEFAULT_COLOR_BOUND,
-    max_simplices: int | None = None,
-) -> PhiReport:
+def phi_iso(source: int | Complex, *, bound: int = DEFAULT_COLOR_BOUND) -> PhiReport:
     """Certify the table map as a dimension- and face-relation-preserving
     bijection from the independently enumerated subdivision onto the
     complex of the all-ones counter on ``0..n``.
 
     Accepts ``n`` or that complex already built; from ``n`` the complex
-    is built under ``max_simplices`` as :func:`build` does.
+    is built as :func:`build` does.
     """
     n = len(source.counter) - 1 if isinstance(source, Complex) else source
     oracle = chromatic_oracle(n, bound=bound)
     all_ones = RoundCounter({p: 1 for p in range(n + 1)})
     if not isinstance(source, Complex):
-        target = build(all_ones, max_simplices=max_simplices)
+        target = build(all_ones)
     elif source.counter == all_ones:
         target = source
     else:

@@ -32,6 +32,7 @@ from .collapse import (
 from .complexes import (
     Complex,
     ConeSplit,
+    _sub_builder,
     build,
     check_purity,
     simplex_cap,
@@ -55,21 +56,6 @@ EXIT_OK = 0
 EXIT_FAILURE = 1
 EXIT_USAGE = 2
 EXIT_TOO_LARGE = 3
-
-CHECK_ORDER = (
-    "purity",
-    "pseudomanifold",
-    "boundary",
-    "strong-connectivity",
-    "euler",
-    "homology",
-    "strata-intersections",
-    "diagrams",
-    "gg",
-    "cone",
-    "phi",
-    "schedule-bijection",
-)
 
 
 def _dump(obj: object) -> str:
@@ -110,17 +96,17 @@ def _parse_procs(token: str) -> frozenset[int]:
 # ---------------------------------------------------------------------------
 
 
-def _check_purity(k: Complex, cap: int) -> dict:
+def _check_purity(k: Complex) -> dict:
     check_purity(k)
     return {"status": "ok", "dimension": k.dim}
 
 
-def _check_pseudomanifold(k: Complex, cap: int) -> dict:
+def _check_pseudomanifold(k: Complex) -> dict:
     report = boundary(k)
     return {"status": "ok", "ridges": report.ridge_count}
 
 
-def _check_boundary(k: Complex, cap: int) -> dict:
+def _check_boundary(k: Complex) -> dict:
     report = boundary(k)
     status = "ok" if report.ghost_rule_holds else "failed"
     return {
@@ -130,17 +116,17 @@ def _check_boundary(k: Complex, cap: int) -> dict:
     }
 
 
-def _check_strong_connectivity(k: Complex, cap: int) -> dict:
+def _check_strong_connectivity(k: Complex) -> dict:
     connected = strong_connectivity(k)
     return {"status": "ok" if connected else "failed", "facets": len(k.facets)}
 
 
-def _check_euler(k: Complex, cap: int) -> dict:
+def _check_euler(k: Complex) -> dict:
     value = euler(k)
     return {"status": "ok" if value == 1 else "failed", "euler": value}
 
 
-def _check_homology(k: Complex, cap: int) -> dict:
+def _check_homology(k: Complex) -> dict:
     betti = homology_z2(k)
     contractible = all(b == 0 for b in betti.values())
     detail: dict = {
@@ -159,12 +145,12 @@ def _check_homology(k: Complex, cap: int) -> dict:
     return detail
 
 
-def _check_strata_intersections(k: Complex, cap: int) -> dict:
+def _check_strata_intersections(k: Complex) -> dict:
     counts = verify_strata_calculus(k)
     return {"status": "ok", **counts}
 
 
-def _check_diagrams(k: Complex, cap: int) -> dict:
+def _check_diagrams(k: Complex) -> dict:
     reports = verify_diagrams(k)
     return {
         "status": "ok",
@@ -173,22 +159,22 @@ def _check_diagrams(k: Complex, cap: int) -> dict:
     }
 
 
-def _check_gg(k: Complex, cap: int) -> dict:
+def _check_gg(k: Complex) -> dict:
     return {"status": "ok", "instances": verify_ghost_composition(k)}
 
 
-def _check_cone(k: Complex, cap: int) -> dict:
+def _check_cone(k: Complex) -> dict:
     passive = sorted(k.counter.passive)
     if not passive:
         return {"status": "skipped", "reason": "no passive process"}
-    certificates = []
-    for p in passive:
-        base = build(k.counter.delete({p}), max_simplices=cap)
-        certificates.append(ConeSplit(k, base, p).certify())
+    sub = _sub_builder(k)
+    certificates = [
+        ConeSplit(k, sub(k.counter.delete({p})), p).certify() for p in passive
+    ]
     return {"status": "ok", "certificates": certificates}
 
 
-def _check_phi(k: Complex, cap: int) -> dict:
+def _check_phi(k: Complex) -> dict:
     counter = k.counter
     support = sorted(counter.support)
     if support != list(range(len(support))) or any(
@@ -203,7 +189,7 @@ def _check_phi(k: Complex, cap: int) -> dict:
     }
 
 
-def _check_schedule_bijection(k: Complex, cap: int) -> dict:
+def _check_schedule_bijection(k: Complex) -> dict:
     counter = k.counter
     mapped: dict[WitnessStructure, int] = {}
     seen_views: set[WitnessStructure] = set()
@@ -227,9 +213,10 @@ def _check_schedule_bijection(k: Complex, cap: int) -> dict:
     }
 
 
-# Each check gets the built complex and the run's resolved simplex cap,
-# which governs any further complex the check builds.
-_CHECKS: dict[str, Callable[[Complex, int], dict]] = {
+# Each check gets the built complex; a complex it derives from that one
+# is built by _sub_builder, under the size of the built complex.  The
+# order here is the order of the report.
+_CHECKS: dict[str, Callable[[Complex], dict]] = {
     "purity": _check_purity,
     "pseudomanifold": _check_pseudomanifold,
     "boundary": _check_boundary,
@@ -243,6 +230,7 @@ _CHECKS: dict[str, Callable[[Complex, int], dict]] = {
     "phi": _check_phi,
     "schedule-bijection": _check_schedule_bijection,
 }
+CHECK_ORDER = tuple(_CHECKS)
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
@@ -253,14 +241,13 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         raise UsageError(
             f"unknown checks {unknown}; available: {', '.join(CHECK_ORDER)}"
         )
-    cap = simplex_cap(args.max_simplices)
-    k = build(counter, max_simplices=cap)
+    k = build(counter, max_simplices=args.max_simplices)
     results: dict[str, dict] = {}
     for name in CHECK_ORDER:
         if name not in wanted:
             continue
         try:
-            results[name] = _CHECKS[name](k, cap)
+            results[name] = _CHECKS[name](k)
         except VerificationError as exc:
             results[name] = {"status": "failed", "error": str(exc)}
     ok = all(r["status"] in ("ok", "skipped") for r in results.values())
@@ -319,14 +306,16 @@ def _cmd_strata(args: argparse.Namespace) -> int:
     if args.nerve:
         _emit(_dump(nerve(k).to_json_obj()), args.out)
         return EXIT_OK
+    # classify_interior reads rows 0-1 only, so one simplex per head
+    # classifies its whole bucket.
     groups: dict[str, dict] = {}
-    for sigma in sorted(k.simplices, key=WitnessStructure.encode):
-        ref = classify_interior(sigma)
+    for bucket in k.head_index().buckets:
+        ref = classify_interior(bucket[0])
         if ref is None:
             entry = groups.setdefault("passive simplex", {"name": "passive simplex"})
         else:
             entry = groups.setdefault(str(ref), {"name": str(ref), **ref.to_json_obj()})
-        entry["count"] = entry.get("count", 0) + 1
+        entry["count"] = entry.get("count", 0) + len(bucket)
     payload = {
         "counter": counter.to_json_obj(),
         "strata": [groups[name] for name in sorted(groups)],
@@ -339,16 +328,15 @@ def _cmd_collapse(args: argparse.Namespace) -> int:
     counter = _parse_counter(args.counter)
     if args.full and args.pivot is not None:
         raise UsageError("--pivot applies to the relative-boundary collapse only")
-    cap = simplex_cap(args.max_simplices)
-    k = build(counter, max_simplices=cap)
+    k = build(counter, max_simplices=args.max_simplices)
     if args.full:
-        sequence = collapse_all(k, max_simplices=cap)
+        sequence = collapse_all(k)
         expected = frozenset()
     else:
         pivot = args.pivot if args.pivot is not None else min(counter.support)
         if pivot not in counter.support:
             raise UsageError(f"pivot {pivot} is outside the support")
-        sequence = collapse_to_relative_boundary(k, pivot, max_simplices=cap)
+        sequence = collapse_to_relative_boundary(k, pivot)
         expected = relative_boundary_remainder(k, pivot)
     payload = sequence.to_json_obj()
     if args.validate:

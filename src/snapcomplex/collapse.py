@@ -32,7 +32,7 @@ from collections import Counter as Multiset
 from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
-from .complexes import Complex, build
+from .complexes import Complex, _sub_builder
 from .counters import RoundCounter
 from .errors import CollapseStalledError
 from .strata import delta_inverse, rho
@@ -212,33 +212,19 @@ def _compute_ctrb(
     return steps
 
 
-def _cached_builder(complex_: Complex, max_simplices: int | None = None) -> Builder:
-    cache: dict[RoundCounter, Complex] = {complex_.counter: complex_}
-
-    def builder(counter: RoundCounter) -> Complex:
-        if counter not in cache:
-            cache[counter] = build(counter, max_simplices=max_simplices)
-        return cache[counter]
-
-    return builder
-
-
-def collapse_to_relative_boundary(
-    complex_: Complex, pivot: int, *, max_simplices: int | None = None
-) -> CollapseSequence:
+def collapse_to_relative_boundary(complex_: Complex, pivot: int) -> CollapseSequence:
     """Collapse away every simplex whose row-0 ghosts are ``∅`` or ``{pivot}``.
 
     The survivors form the boundary minus the open star of the
     pivot-facing side: exactly the simplices with some other row-0
     ghost.  Raises :class:`CollapseStalledError` if the residue worklist
-    runs dry.  The smaller complexes it builds on the way obey
-    ``max_simplices`` as :func:`build` does.
+    runs dry.  The smaller complexes it builds on the way are bounded by
+    ``complex_`` (see :func:`~snapcomplex.complexes._sub_builder`).
     """
     if pivot not in complex_.counter.support:
         raise ValueError(f"pivot {pivot} is outside the support")
     memo: dict[tuple[RoundCounter, int], tuple[CollapseStep, ...]] = {}
-    builder = _cached_builder(complex_, max_simplices)
-    steps = _ctrb_steps(complex_.counter, pivot, builder, memo)
+    steps = _ctrb_steps(complex_.counter, pivot, _sub_builder(complex_), memo)
     return CollapseSequence(
         counter=complex_.counter, kind="relative-boundary", steps=steps, pivot=pivot
     )
@@ -252,24 +238,22 @@ def relative_boundary_remainder(
     return _filter_heads(complex_.simplices, lambda w0, g0, w1, g1: g0 & others)
 
 
-def collapse_all(
-    complex_: Complex, *, max_simplices: int | None = None
-) -> CollapseSequence:
+def collapse_all(complex_: Complex) -> CollapseSequence:
     """Collapse the whole complex, empty simplex included, to nothing.
 
     Simplices are matched in phases by their row-0 ghost set minus the
     pivot; each phase replays the relative-boundary collapse of the
     complex with those ghosts deleted.  Phases run smallest ghost set
     first, which keeps cofaces ahead of their faces.  The smaller
-    complexes it builds on the way obey ``max_simplices`` as
-    :func:`build` does.
+    complexes it builds on the way are bounded by ``complex_``, as in
+    :func:`collapse_to_relative_boundary`.
     """
     counter = complex_.counter
     support = counter.support
     if not support:
         raise ValueError("cannot collapse a complex over an empty counter")
     pivot = min(support)
-    builder = _cached_builder(complex_, max_simplices)
+    builder = _sub_builder(complex_)
     memo: dict[tuple[RoundCounter, int], tuple[CollapseStep, ...]] = {}
     steps: list[CollapseStep] = []
     rest = sorted(support - {pivot})

@@ -298,7 +298,8 @@ class HeadIndex:
 def build(r: RoundCounter, *, max_simplices: int | None = None) -> Complex:
     """Construct the complex of ``r``: ghosting closure of the facets plus
     the empty simplex, with each simplex's lower covers recorded on the way.
-    Raises :class:`ComplexTooLargeError` beyond the cap.
+    Raises :class:`ComplexTooLargeError` beyond the cap, which bounds the
+    stored simplices and, up front, the total rounds of ``r``.
     """
     if not r.support:
         raise ValueError("cannot build a complex over an empty support")
@@ -315,13 +316,33 @@ def build(r: RoundCounter, *, max_simplices: int | None = None) -> Complex:
             stack.append(sigma)
         return stored
 
-    facet_list = [f for f in facet_structures(r) if admit(f) is f]
+    schedules = enumerate_schedules(r, max_schedules=cap)
+    facet_list = [f for f in (to_facet(s, r) for s in schedules) if admit(f) is f]
     admit(WitnessStructure([((), r.support)]))
     lower: dict[WitnessStructure, Covers] = {}
     while stack:
         sigma = stack.pop()
         lower[sigma] = tuple(admit(face) for face in _lower_faces(sigma))
     return Complex(r, lower, facet_list)
+
+
+def _sub_builder(k: Complex) -> Callable[[RoundCounter], Complex]:
+    """A memoised builder of the complexes derived from ``k``.
+
+    Every counter the certifications and collapses recurse into is the
+    γ or δ image of a stratum of ``k`` (or of such an image), and those
+    maps are isomorphisms onto their image, so no derived complex has
+    more simplices than ``k``.  Each is built under that bound; the cap
+    that admitted ``k`` thereby governs them all.
+    """
+    cache = {k.counter: k}
+
+    def sub(counter: RoundCounter) -> Complex:
+        if counter not in cache:
+            cache[counter] = build(counter, max_simplices=len(k))
+        return cache[counter]
+
+    return sub
 
 
 def check_purity(k: Complex) -> None:
@@ -413,14 +434,13 @@ def _drop_unseen(sigma: WitnessStructure, p: int) -> WitnessStructure:
     return _splice(sigma, 1, (w0, g0 ^ (1 << p)))
 
 
-def cone_split(r: RoundCounter, p: int, *, max_simplices: int | None = None) -> ConeSplit:
+def cone_split(r: RoundCounter, p: int) -> ConeSplit:
     """Split the complex of ``r`` as a cone over the complex of ``r`` minus
     the passive process ``p``."""
     if p not in r.passive:
         raise ValueError(f"process {p} is not passive in {r.to_text()!r}")
-    whole = build(r, max_simplices=max_simplices)
-    base = build(r.delete({p}), max_simplices=max_simplices)
-    return ConeSplit(whole, base, p)
+    whole = build(r)
+    return ConeSplit(whole, _sub_builder(whole)(r.delete({p})), p)
 
 
 def _disjoint_pairs(n: int) -> list[tuple[int, int]]:

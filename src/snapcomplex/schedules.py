@@ -68,7 +68,11 @@ def enumerate_schedules(
 ) -> Iterator[Schedule]:
     """Yield every layered schedule of ``r`` (left to right, with
     remaining-multiplicity pruning).  Raises :class:`ComplexTooLargeError`
-    once more than ``max_schedules`` have been produced."""
+    once more than ``max_schedules`` have been produced, and up front if
+    the total rounds, the most layers a schedule (and so the search
+    stack) can have, exceed ``max_schedules``."""
+    if max_schedules is not None and r.cardinality > max_schedules:
+        raise ComplexTooLargeError(max_schedules)
     for produced, schedule in enumerate(_walk(dict(r)), start=1):
         if max_schedules is not None and produced > max_schedules:
             raise ComplexTooLargeError(max_schedules, "schedule cap exceeded")

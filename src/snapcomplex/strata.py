@@ -32,8 +32,8 @@ import itertools
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator
 
-from .complexes import Complex, _membership_test, build
-from .counters import RoundCounter, _check_pid
+from .complexes import Complex, _membership_test, _sub_builder
+from .counters import _check_pid
 from .errors import VerificationError
 from .schedules import _nonempty_subsets
 from .witness import (
@@ -690,9 +690,7 @@ def _certify_iso(
             )
 
 
-def verify_translation_maps(
-    complex_: Complex, *, max_simplices: int | None = None
-) -> dict[str, int]:
+def verify_translation_maps(complex_: Complex) -> dict[str, int]:
     """Certify γ, ρ and δ as simplicial isomorphisms stratum by stratum.
 
     γ_{S,A} must carry the members of ``X_{S,A}`` bijectively onto the
@@ -700,16 +698,11 @@ def verify_translation_maps(
     and faces; for ``A = ∅`` the peel ρ_S must invert it on both sides.
     δ_V must do the same from the members of ``B_V`` onto the complex of
     the shrunken counter, for every proper ``V ⊆ supp``.  The target
-    complexes obey ``max_simplices`` as :func:`build` does.
+    complexes are built under the size of ``complex_``, which bounds them.
     """
     counter = complex_.counter
     active = sorted(counter.active)
-    built: dict[RoundCounter, Complex] = {counter: complex_}
-
-    def target_for(c: RoundCounter) -> Complex:
-        if c not in built:
-            built[c] = build(c, max_simplices=max_simplices)
-        return built[c]
+    target_for = _sub_builder(complex_)
 
     gamma_strata = 0
     rho_roundtrips = 0
@@ -949,15 +942,13 @@ def _check_drop_restriction_commute(complex_: Complex) -> Iterator[DiagramReport
             )
 
 
-def verify_diagrams(source: Complex | RoundCounter) -> list[DiagramReport]:
+def verify_diagrams(complex_: Complex) -> list[DiagramReport]:
     """Certify the three translation diagrams pointwise.
 
-    Accepts a built complex or a bare counter.  Raises
-    :class:`VerificationError` at the first offending simplex; otherwise
-    returns one report per diagram and parameter choice with the number
-    of verified instances.
+    Raises :class:`VerificationError` at the first offending simplex;
+    otherwise returns one report per diagram and parameter choice with
+    the number of verified instances.
     """
-    complex_ = source if isinstance(source, Complex) else build(source)
     reports: list[DiagramReport] = []
     reports.extend(_check_restriction_composition(complex_))
     reports.extend(_check_restriction_absorbs_drop(complex_))

@@ -18,10 +18,9 @@ from snapcomplex.collapse import (
     Builder,
     CollapseSequence,
     CollapseStep,
-    _cached_builder,
     _scan_label,
 )
-from snapcomplex.complexes import Complex
+from snapcomplex.complexes import Complex, _sub_builder
 from snapcomplex.counters import RoundCounter
 from snapcomplex.errors import CollapseStalledError
 from snapcomplex.strata import delta_inverse, rho
@@ -126,7 +125,7 @@ def collapse_to_relative_boundary(complex_: Complex, pivot: int) -> CollapseSequ
     if pivot not in complex_.counter.support:
         raise ValueError(f"pivot {pivot} is outside the support")
     memo: dict[tuple[RoundCounter, int], tuple[CollapseStep, ...]] = {}
-    steps = _ctrb_steps(complex_.counter, pivot, _cached_builder(complex_), memo)
+    steps = _ctrb_steps(complex_.counter, pivot, _sub_builder(complex_), memo)
     return CollapseSequence(
         counter=complex_.counter, kind="relative-boundary", steps=steps, pivot=pivot
     )
@@ -138,7 +137,7 @@ def collapse_all(complex_: Complex) -> CollapseSequence:
     if not support:
         raise ValueError("cannot collapse a complex over an empty counter")
     pivot = min(support)
-    builder = _cached_builder(complex_)
+    builder = _sub_builder(complex_)
     memo: dict[tuple[RoundCounter, int], tuple[CollapseStep, ...]] = {}
     steps: list[CollapseStep] = []
     rest = sorted(support - {pivot})

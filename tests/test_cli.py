@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import resource
 import subprocess
 import sys
 
@@ -8,6 +9,7 @@ import pytest
 
 from snapcomplex import chromatic, cli
 from snapcomplex.cli import main
+from snapcomplex.complexes import DEFAULT_SIMPLEX_CAP
 
 
 def run(capsys, *argv: str) -> tuple[int, str, str]:
@@ -232,3 +234,37 @@ def test_module_entry_point_runs():
     )
     assert proc.returncode == 0
     assert proc.stdout == "3\n"
+
+
+def _limit_address_space() -> None:
+    limit = 1_500_000_000
+    resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+
+@pytest.mark.parametrize(
+    "argv,code",
+    [
+        (("build", "-r", "10000000"), 3),
+        (("facets", "-r", "3000000,1", "--count"), 3),
+        (("build", "-r", "99999999999999999999"), 3),
+        (("build", "-r", "1200"), 0),
+    ],
+)
+def test_round_budgets_are_checked_against_the_cap(argv, code, monkeypatch):
+    # A schedule has at most as many layers as there are rounds in all,
+    # so a budget above the default cap is refused before any search.
+    monkeypatch.delenv("SNAPCOMPLEX_MAX_SIMPLICES", raising=False)
+    proc = subprocess.run(
+        [sys.executable, "-m", "snapcomplex", *argv],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        preexec_fn=_limit_address_space,
+    )
+    assert proc.returncode == code, proc.stderr
+    assert "Traceback" not in proc.stderr
+    if code == 3:
+        assert json.loads(proc.stderr) == {
+            "error": "simplex cap exceeded",
+            "limit": DEFAULT_SIMPLEX_CAP,
+        }

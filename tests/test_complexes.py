@@ -16,7 +16,6 @@ from snapcomplex import (
     cone_split,
     facets,
     membership,
-    phi_iso,
     verify_ghost_composition,
     verify_translation_maps,
 )
@@ -145,20 +144,33 @@ def test_simplex_cap_env_override(monkeypatch):
         build(RoundCounter.parse("1,1,1"))
 
 
-@pytest.mark.parametrize(
-    "run",
-    [
-        lambda k: collapse_all(k, max_simplices=3),
-        lambda k: collapse_to_relative_boundary(k, 0, max_simplices=3),
-        lambda k: verify_translation_maps(k, max_simplices=3),
-        lambda k: phi_iso(2, max_simplices=3),
-    ],
-    ids=["collapse_all", "relative", "translation_maps", "phi_iso"],
-)
-def test_builds_inside_library_calls_obey_the_cap(run, get_complex):
-    with pytest.raises(ComplexTooLargeError) as info:
-        run(get_complex("2,1,1"))
-    assert info.value.limit == 3
+@pytest.mark.parametrize("text", TEST_COUNTERS + ("2,1,1,1", "2,1,0,1"))
+def test_sub_builds_are_bounded_by_their_parent(text, get_complex, monkeypatch):
+    # Every build lowers the environment cap to 1 once it returns, so a
+    # complex derived from a built one is made only if its own bound,
+    # the parent's size, governs it.
+    real = complexes.build
+    sizes: list[int] = []
+
+    def recording(counter, **kwargs):
+        built = real(counter, **kwargs)
+        sizes.append(len(built))
+        monkeypatch.setenv(complexes.CAP_ENV_VAR, "1")
+        return built
+
+    monkeypatch.setattr(complexes, "build", recording)
+    k = get_complex(text)
+    monkeypatch.setenv(complexes.CAP_ENV_VAR, "1")
+    collapse_all(k)
+    for pivot in sorted(k.counter.support):
+        collapse_to_relative_boundary(k, pivot)
+    verify_translation_maps(k)
+    assert sizes and max(sizes) <= len(k)
+    for p in sorted(k.counter.passive):
+        monkeypatch.delenv(complexes.CAP_ENV_VAR)
+        sizes.clear()
+        cone_split(k.counter, p).certify()
+        assert sizes[0] == len(k) and max(sizes[1:]) <= len(k)
 
 
 def test_build_retains_at_most_600_bytes_per_simplex():
