@@ -35,6 +35,7 @@ from .complexes import (
     _sub_builder,
     build,
     check_purity,
+    facet_structures,
     simplex_cap,
     verify_ghost_composition,
 )
@@ -274,12 +275,8 @@ def _cmd_build(args: argparse.Namespace) -> int:
 
 def _cmd_facets(args: argparse.Namespace) -> int:
     counter = _parse_counter(args.counter)
-    if not counter.support:
-        raise UsageError("facets need a nonempty support")
-    schedules = enumerate_schedules(
-        counter, max_schedules=simplex_cap(args.max_simplices)
-    )
-    all_facets = {to_facet(s, counter) for s in schedules}
+    cap = simplex_cap(args.max_simplices)
+    all_facets = set(facet_structures(counter, max_schedules=cap))
     if args.count:
         _emit(f"{len(all_facets)}\n", args.out)
         return EXIT_OK
@@ -563,13 +560,11 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except ComplexTooLargeError as exc:
-        print(
-            _dump({"error": "simplex cap exceeded", "limit": exc.limit}).rstrip(),
-            file=sys.stderr,
-        )
+        error = {"error": f"{exc.budget} exceeded", "limit": exc.limit}
+        print(json.dumps(error, sort_keys=True), file=sys.stderr)
         return EXIT_TOO_LARGE
     except VerificationError as exc:
-        print(_dump({"error": str(exc)}).rstrip(), file=sys.stderr)
+        print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return EXIT_FAILURE
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

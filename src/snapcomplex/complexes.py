@@ -54,11 +54,14 @@ def simplex_cap(override: int | None = None) -> int:
     return DEFAULT_SIMPLEX_CAP
 
 
-def facet_structures(r: RoundCounter) -> Iterator[WitnessStructure]:
-    """All facets of the complex: one per layered schedule of ``r``."""
+def facet_structures(
+    r: RoundCounter, *, max_schedules: int | None = None
+) -> Iterator[WitnessStructure]:
+    """All facets of the complex: one per layered schedule of ``r``, under
+    the budgets of :func:`~snapcomplex.schedules.enumerate_schedules`."""
     if not r.support:
         raise ValueError("facets need a nonempty support")
-    for schedule in enumerate_schedules(r):
+    for schedule in enumerate_schedules(r, max_schedules=max_schedules):
         yield to_facet(schedule, r)
 
 
@@ -316,8 +319,9 @@ def build(r: RoundCounter, *, max_simplices: int | None = None) -> Complex:
             stack.append(sigma)
         return stored
 
-    schedules = enumerate_schedules(r, max_schedules=cap)
-    facet_list = [f for f in (to_facet(s, r) for s in schedules) if admit(f) is f]
+    facet_list = [
+        f for f in facet_structures(r, max_schedules=cap) if admit(f) is f
+    ]
     admit(WitnessStructure([((), r.support)]))
     lower: dict[WitnessStructure, Covers] = {}
     while stack:
@@ -332,14 +336,18 @@ def _sub_builder(k: Complex) -> Callable[[RoundCounter], Complex]:
     Every counter the certifications and collapses recurse into is the
     γ or δ image of a stratum of ``k`` (or of such an image), and those
     maps are isomorphisms onto their image, so no derived complex has
-    more simplices than ``k``.  Each is built under that bound; the cap
-    that admitted ``k`` thereby governs them all.
+    more simplices than ``k``; nor do deleting and restricting processes
+    add rounds.  Each is built under the larger of ``len(k)`` and the
+    total rounds of ``k``, as the build budgets both, so the cap that
+    admitted ``k`` governs them all.  (A counter with passive processes
+    can have more rounds than simplices: ``5,0`` has five and four.)
     """
     cache = {k.counter: k}
+    bound = max(len(k), k.counter.cardinality)
 
     def sub(counter: RoundCounter) -> Complex:
         if counter not in cache:
-            cache[counter] = build(counter, max_simplices=len(k))
+            cache[counter] = build(counter, max_simplices=bound)
         return cache[counter]
 
     return sub

@@ -8,11 +8,13 @@ class SnapComplexError(Exception):
 
 
 class ComplexTooLargeError(SnapComplexError):
-    """Raised when a construction would exceed the configured simplex cap."""
+    """Raised when a construction would exceed the configured simplex cap,
+    or a budget bounded by it (``budget`` names which)."""
 
-    def __init__(self, limit: int, message: str | None = None):
+    def __init__(self, limit: int, budget: str = "simplex cap"):
         self.limit = limit
-        super().__init__(message or f"simplex cap of {limit} exceeded")
+        self.budget = budget
+        super().__init__(f"{budget} of {limit} exceeded")
 
 
 class VerificationError(SnapComplexError):

@@ -72,10 +72,10 @@ def enumerate_schedules(
     the total rounds, the most layers a schedule (and so the search
     stack) can have, exceed ``max_schedules``."""
     if max_schedules is not None and r.cardinality > max_schedules:
-        raise ComplexTooLargeError(max_schedules)
+        raise ComplexTooLargeError(max_schedules, "round budget")
     for produced, schedule in enumerate(_walk(dict(r)), start=1):
         if max_schedules is not None and produced > max_schedules:
-            raise ComplexTooLargeError(max_schedules, "schedule cap exceeded")
+            raise ComplexTooLargeError(max_schedules, "schedule cap")
         yield schedule
 
 

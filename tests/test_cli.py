@@ -152,9 +152,13 @@ def test_bad_counter_is_a_usage_error(capsys):
 
 
 def test_cap_exceeded_exits_three(capsys):
+    # 1,1,1 has 13 facets and 50 simplices.
+    code, _, err = run(capsys, "build", "-r", "1,1,1", "--max-simplices", "20")
+    assert code == 3
+    assert err == '{"error": "simplex cap exceeded", "limit": 20}\n'
     code, _, err = run(capsys, "build", "-r", "1,1,1", "--max-simplices", "5")
     assert code == 3
-    assert json.loads(err)["limit"] == 5
+    assert err == '{"error": "schedule cap exceeded", "limit": 5}\n'
 
 
 def test_long_single_process_counter_builds(capsys):
@@ -165,9 +169,10 @@ def test_long_single_process_counter_builds(capsys):
 
 
 def test_facet_listing_respects_the_cap(capsys):
-    code, _, err = run(capsys, "facets", "-r", "6,6,6", "--count", "--max-simplices", "10")
+    # 6,6,6 has 18 rounds, within the cap, and far more schedules.
+    code, _, err = run(capsys, "facets", "-r", "6,6,6", "--count", "--max-simplices", "20")
     assert code == 3
-    assert json.loads(err)["limit"] == 10
+    assert err == '{"error": "schedule cap exceeded", "limit": 20}\n'
 
 
 def test_cone_check_reuses_the_built_complex(capsys, monkeypatch):
@@ -264,7 +269,27 @@ def test_round_budgets_are_checked_against_the_cap(argv, code, monkeypatch):
     assert proc.returncode == code, proc.stderr
     assert "Traceback" not in proc.stderr
     if code == 3:
+        assert len(proc.stderr.splitlines()) == 1
         assert json.loads(proc.stderr) == {
-            "error": "simplex cap exceeded",
+            "error": "round budget exceeded",
             "limit": DEFAULT_SIMPLEX_CAP,
         }
+
+
+def test_round_budget_error_names_the_budget(capsys):
+    # 1200 rounds make a complex of two simplices, but more layers than
+    # the cap allows.
+    code, _, err = run(capsys, "build", "-r", "1200", "--max-simplices", "100")
+    assert code == 3
+    assert err == '{"error": "round budget exceeded", "limit": 100}\n'
+
+
+@pytest.mark.parametrize(
+    "argv", [("verify", "-r", "5,0", "--checks", "cone"), ("collapse", "-r", "5,0", "--full")]
+)
+def test_sub_builds_may_have_more_rounds_than_simplices(capsys, argv):
+    # 5,0 has four simplices; its cone base and the collapse's dropped
+    # stratum are the complex of 5, with five rounds.
+    code, out, err = run(capsys, *argv)
+    assert code == 0, err
+    assert json.loads(out)["counter"] == {"0": 5, "1": 0}

@@ -144,11 +144,14 @@ def test_simplex_cap_env_override(monkeypatch):
         build(RoundCounter.parse("1,1,1"))
 
 
-@pytest.mark.parametrize("text", TEST_COUNTERS + ("2,1,1,1", "2,1,0,1"))
+@pytest.mark.parametrize(
+    "text", TEST_COUNTERS + ("2,1,1,1", "2,1,0,1", "5,0", "9,0,0")
+)
 def test_sub_builds_are_bounded_by_their_parent(text, get_complex, monkeypatch):
     # Every build lowers the environment cap to 1 once it returns, so a
     # complex derived from a built one is made only if its own bound,
-    # the parent's size, governs it.
+    # taken from the parent, governs it.  5,0 and 9,0,0 have more rounds
+    # than simplices.
     real = complexes.build
     sizes: list[int] = []
 
