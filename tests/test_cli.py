@@ -159,6 +159,11 @@ def test_cap_exceeded_exits_three(capsys):
     code, _, err = run(capsys, "build", "-r", "1,1,1", "--max-simplices", "5")
     assert code == 3
     assert err == '{"error": "schedule cap exceeded", "limit": 5}\n'
+    # 1200 rounds make a complex of two simplices, but more layers than
+    # the cap allows.
+    code, _, err = run(capsys, "build", "-r", "1200", "--max-simplices", "100")
+    assert code == 3
+    assert err == '{"error": "round budget exceeded", "limit": 100}\n'
 
 
 def test_long_single_process_counter_builds(capsys):
@@ -274,14 +279,6 @@ def test_round_budgets_are_checked_against_the_cap(argv, code, monkeypatch):
             "error": "round budget exceeded",
             "limit": DEFAULT_SIMPLEX_CAP,
         }
-
-
-def test_round_budget_error_names_the_budget(capsys):
-    # 1200 rounds make a complex of two simplices, but more layers than
-    # the cap allows.
-    code, _, err = run(capsys, "build", "-r", "1200", "--max-simplices", "100")
-    assert code == 3
-    assert err == '{"error": "round budget exceeded", "limit": 100}\n'
 
 
 @pytest.mark.parametrize(
