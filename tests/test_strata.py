@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import hashlib
+import json
 from itertools import combinations
 
 import pytest
@@ -248,6 +250,23 @@ def test_diagram_verifier(get_complex):
     assert len(reports) == 25
     assert all(r.status == "ok" for r in reports)
     assert sum(r.instances_checked for r in reports) == 71
+
+
+@pytest.mark.parametrize(
+    "text, count, digest",
+    [
+        ("2,1,1", 101, "287f90b167da69d0e88b6eacdd857a839f66b1cc22328b2c3ebc41406458e933"),
+        ("2,1,0,1", 101, "65df13375f3f1f7a9d6f99bd806fc9f6cd34b836c7f1e63e4df9a963a2e9312e"),
+        ("1,1,1,1", 385, "03a87d91bb6d2132a38949b1d3164ad87d3494eb3d37fc4be61fe58ee2277a70"),
+    ],
+)
+def test_diagram_reports_keep_their_order(text, count, digest, get_complex):
+    # The digests pin the report list, order included, as the hand-written
+    # subset loops produced it.
+    reports = verify_diagrams(get_complex(text))
+    assert len(reports) == count
+    dumped = json.dumps([r.to_json_obj() for r in reports])
+    assert hashlib.sha256(dumped.encode()).hexdigest() == digest
 
 
 def _doctored(k, drop=(), add=()):
