@@ -43,11 +43,12 @@ class ChromaticSimplex:
         return frozenset(out)
 
 
-def chromatic_oracle(n: int, *, bound: int = DEFAULT_COLOR_BOUND) -> frozenset[ChromaticSimplex]:
+def chromatic_oracle(n: int) -> frozenset[ChromaticSimplex]:
     """Enumerate every simplex of the chromatic subdivision of the
-    ``n``-simplex on colors ``0..n`` (empty simplex included)."""
-    if n > bound:
-        raise ValueError(f"color bound exceeded: n={n} > {bound}")
+    ``n``-simplex on colors ``0..n`` (empty simplex included), for ``n``
+    up to :data:`DEFAULT_COLOR_BOUND`."""
+    if n > DEFAULT_COLOR_BOUND:
+        raise ValueError(f"color bound exceeded: n={n} > {DEFAULT_COLOR_BOUND}")
     if n < 0:
         raise ValueError("n must be nonnegative")
 
@@ -97,7 +98,7 @@ class PhiReport:
         return self.bijective and self.dimension_preserving and self.face_preserving
 
 
-def phi_iso(source: int | Complex, *, bound: int = DEFAULT_COLOR_BOUND) -> PhiReport:
+def phi_iso(source: int | Complex) -> PhiReport:
     """Certify the table map as a dimension- and face-relation-preserving
     bijection from the independently enumerated subdivision onto the
     complex of the all-ones counter on ``0..n``.
@@ -106,7 +107,7 @@ def phi_iso(source: int | Complex, *, bound: int = DEFAULT_COLOR_BOUND) -> PhiRe
     is built as :func:`build` does.
     """
     n = len(source.counter) - 1 if isinstance(source, Complex) else source
-    oracle = chromatic_oracle(n, bound=bound)
+    oracle = chromatic_oracle(n)
     all_ones = RoundCounter({p: 1 for p in range(n + 1)})
     if not isinstance(source, Complex):
         target = build(all_ones)

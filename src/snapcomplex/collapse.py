@@ -27,7 +27,6 @@ with :func:`validate_collapse`.
 from __future__ import annotations
 
 import heapq
-import itertools
 from collections import Counter as Multiset
 from dataclasses import dataclass, field
 from typing import Callable, Iterable
@@ -35,7 +34,8 @@ from typing import Callable, Iterable
 from .complexes import Complex, _sub_builder
 from .counters import RoundCounter
 from .errors import CollapseStalledError
-from .strata import delta_inverse, rho
+from .schedules import _subsets
+from .strata import _x_params, delta_inverse, rho
 from .witness import WitnessStructure, _filter_heads, _from_rows, _head, _mask_of
 
 Builder = Callable[[RoundCounter], Complex]
@@ -131,14 +131,10 @@ def _compute_ctrb(
     # are keyed by the exact round-1 row (witnesses S∖A, ghosts A); a
     # coface can only sit in a class with strictly fewer ghosts, so
     # running the pairs in order of |A| keeps every move legal.
-    others = sorted(active - {pivot})
-    pairs: list[tuple[frozenset[int], frozenset[int]]] = []
-    for size in range(1, len(others) + 1):
-        for sel in itertools.combinations(others, size):
-            for a_size in range(size):
-                for absorbed in itertools.combinations(sel, a_size):
-                    pairs.append((frozenset(sel), frozenset(absorbed)))
-    pairs.sort(key=lambda sa: (len(sa[1]), sorted(sa[0]), sorted(sa[1])))
+    pairs = sorted(
+        (sa for sa in _x_params(active - {pivot}) if sa[1] != sa[0]),  # A ⊊ S
+        key=lambda sa: (len(sa[1]), sorted(sa[0]), sorted(sa[1])),
+    )
     for sel, absorbed in pairs:
         sub_counter = counter.restrict(sel, absorbed)
         for step in _ctrb_steps(sub_counter, pivot, builder, memo):
@@ -256,12 +252,7 @@ def collapse_all(complex_: Complex) -> CollapseSequence:
     builder = _sub_builder(complex_)
     memo: dict[tuple[RoundCounter, int], tuple[CollapseStep, ...]] = {}
     steps: list[CollapseStep] = []
-    rest = sorted(support - {pivot})
-    phases = []
-    for size in range(len(rest) + 1):
-        for dropped in itertools.combinations(rest, size):
-            phases.append(frozenset(dropped))
-    for dropped in phases:
+    for dropped in map(frozenset, _subsets(sorted(support - {pivot}))):
         for step in _ctrb_steps(counter.delete(dropped), pivot, builder, memo):
             if dropped:
                 steps.append(

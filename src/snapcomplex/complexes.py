@@ -341,13 +341,21 @@ def _sub_builder(k: Complex) -> Callable[[RoundCounter], Complex]:
     total rounds of ``k``, as the build budgets both, so the cap that
     admitted ``k`` governs them all.  (A counter with passive processes
     can have more rounds than simplices: ``5,0`` has five and four.)
+
+    Absorbing or deleting every process leaves the empty counter, which
+    :func:`build` refuses.  Its complex is the complex over nothing: the
+    empty structure ``[[[],[]]]`` alone, as empty simplex and as facet.
     """
     cache = {k.counter: k}
     bound = max(len(k), k.counter.cardinality)
 
     def sub(counter: RoundCounter) -> Complex:
         if counter not in cache:
-            cache[counter] = build(counter, max_simplices=bound)
+            if counter.support:
+                cache[counter] = build(counter, max_simplices=bound)
+            else:
+                void = WitnessStructure([((), ())])
+                cache[counter] = Complex(counter, {void: ()}, [void])
         return cache[counter]
 
     return sub

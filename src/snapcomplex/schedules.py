@@ -9,7 +9,7 @@ machinery, which this module treats as the execution semantics.
 from __future__ import annotations
 
 from collections.abc import Iterator, Sequence
-from itertools import combinations
+from itertools import combinations, islice
 
 from .counters import RoundCounter
 from .errors import ComplexTooLargeError
@@ -18,10 +18,21 @@ from .witness import WitnessStructure, _from_rows, _mask_of, ghost
 Schedule = tuple[frozenset[int], ...]
 
 
-def _nonempty_subsets(items: Sequence) -> Iterator[tuple]:
-    """Every nonempty subset of ``items``, by size, then lexicographically."""
-    for size in range(1, len(items) + 1):
+def _subsets(items: Sequence) -> Iterator[tuple]:
+    """Every subset of ``items``, by size, then lexicographically by
+    position in ``items``; the empty one comes first.
+
+    This is the package's one subset order: layer choices, strata
+    parameters, collapse phases and certification loops all walk
+    subsets through here, so their outputs list them alike.
+    """
+    for size in range(len(items) + 1):
         yield from combinations(items, size)
+
+
+def _nonempty_subsets(items: Sequence) -> Iterator[tuple]:
+    """:func:`_subsets` without the empty one."""
+    return islice(_subsets(items), 1, None)
 
 
 def is_valid_schedule(s: Sequence[frozenset[int]], r: RoundCounter) -> bool:

@@ -35,7 +35,7 @@ from typing import Callable, Iterable, Iterator
 from .complexes import Complex, _membership_test, _sub_builder
 from .counters import _check_pid
 from .errors import VerificationError
-from .schedules import _nonempty_subsets
+from .schedules import _nonempty_subsets, _subsets
 from .witness import (
     WitnessStructure,
     _bits,
@@ -56,6 +56,17 @@ def _procs(values: Iterable[int]) -> Procs:
 
 def _fmt_procs(values: Iterable[int]) -> str:
     return "{" + ",".join(str(p) for p in sorted(values)) + "}"
+
+
+def _x_params(procs: Iterable[int]) -> list[tuple[Procs, Procs]]:
+    """Every parameter pair ``(S, A)`` of a stratum ``X_{S,A}`` with
+    ``A ⊆ S ⊆ procs``: by ``S``, then by ``A``, each in the subset order
+    of :func:`~snapcomplex.schedules._subsets`.  ``(∅, ∅)`` comes first."""
+    return [
+        (frozenset(select), frozenset(absorbed))
+        for select in _subsets(sorted(procs))
+        for absorbed in _subsets(select)
+    ]
 
 
 @dataclass(frozen=True)
@@ -513,18 +524,8 @@ def verify_strata_calculus(complex_: Complex) -> dict[str, int]:
     and each stratum reference is made once per parameter choice.
     """
     active = frozenset(complex_.counter.active)
-    ordered = sorted(active)
-    subsets = [
-        frozenset(combo)
-        for size in range(len(ordered) + 1)
-        for combo in itertools.combinations(ordered, size)
-    ]
-    sa_pairs = [
-        (sel, frozenset(absorbed))
-        for sel in subsets
-        for a_size in range(len(sel) + 1)
-        for absorbed in itertools.combinations(sorted(sel), a_size)
-    ]
+    subsets = [frozenset(s) for s in _subsets(sorted(active))]
+    sa_pairs = _x_params(active)
 
     x_refs = [StratumRef.x(s, a) for s, a in sa_pairs]
     mem_x = {
@@ -561,12 +562,7 @@ def verify_strata_calculus(complex_: Complex) -> dict[str, int]:
             if actual and not claim:
                 mismatches.add((s, a, t, b))
             containments += 1
-    predicted: set[tuple[Procs, Procs, Procs, Procs]] = set()
-    for s, a in sa_pairs:
-        if s == a and len(active - s) == 1:
-            for b_size in range(len(s) + 1):
-                for b in itertools.combinations(sorted(s), b_size):
-                    predicted.add((s, a, active, frozenset(b)))
+    predicted = {(s, s, active, b) for s, b in sa_pairs if len(active - s) == 1}
     if mismatches != predicted:
         unexpected = sorted(
             (sorted(s), sorted(a), sorted(t), sorted(b))
@@ -701,68 +697,47 @@ def verify_translation_maps(complex_: Complex) -> dict[str, int]:
     complexes are built under the size of ``complex_``, which bounds them.
     """
     counter = complex_.counter
-    active = sorted(counter.active)
     target_for = _sub_builder(complex_)
 
     gamma_strata = 0
     rho_roundtrips = 0
     delta_strata = 0
-    for size in range(len(active) + 1):
-        for sel in itertools.combinations(active, size):
-            s = frozenset(sel)
-            s_mask = _mask_of(s)
-            for a_size in range(size + 1):
-                for absorbed in itertools.combinations(sel, a_size):
-                    a = frozenset(absorbed)
-                    a_mask = _mask_of(a)
-                    label = f"γ_{_fmt_procs(s)},{_fmt_procs(a)}"
-                    domain = _sorted_members(complex_, StratumRef.x(s, a))
-                    restricted = counter.restrict(s, a)
-                    if not restricted.support:
-                        # Absorbing every process leaves the complex over
-                        # nothing, whose lone simplex is the empty structure.
-                        blank = WitnessStructure(((frozenset(), frozenset()),))
-                        if len(domain) != 1 or _gamma(domain[0], s_mask, a_mask) != blank:
-                            raise VerificationError(
-                                f"{label} misses the empty-counter complex"
-                            )
-                        gamma_strata += 1
-                        continue
-                    target = target_for(restricted)
-                    image = {sigma: _gamma(sigma, s_mask, a_mask) for sigma in domain}
-                    _certify_iso(complex_, domain, target, image, label)
-                    gamma_strata += 1
-                    if a:
-                        continue
-                    members_set = frozenset(domain)
-                    for sigma in domain:
-                        if _rho(image[sigma], s_mask, 0) != sigma:
-                            raise VerificationError(
-                                f"ρ_{_fmt_procs(s)} does not undo {label} "
-                                f"on {sigma.encode()}"
-                            )
-                    for tau in sorted(target.simplices, key=WitnessStructure.encode):
-                        back = _rho(tau, s_mask, 0)
-                        if back not in members_set or _gamma(back, s_mask, 0) != tau:
-                            raise VerificationError(
-                                f"ρ_{_fmt_procs(s)} is not a right inverse "
-                                f"on {tau.encode()}"
-                            )
-                        rho_roundtrips += 1
-    support = sorted(counter.support)
-    for v_size in range(len(support)):
-        for dropped in itertools.combinations(support, v_size):
-            v = frozenset(dropped)
-            v_mask = _mask_of(v)
-            label = f"δ_{_fmt_procs(v)}"
-            domain = _sorted_members(complex_, StratumRef.b(v))
-            target = target_for(counter.delete(v))
-            image = {sigma: _delta(sigma, v_mask) for sigma in domain}
-            _certify_iso(complex_, domain, target, image, label)
-            for sigma in domain:
-                if _delta_inverse(image[sigma], v_mask) != sigma:
-                    raise VerificationError(f"{label} round trip fails on {sigma.encode()}")
-            delta_strata += 1
+    for s, a in _x_params(counter.active):
+        s_mask, a_mask = _mask_of(s), _mask_of(a)
+        label = f"γ_{_fmt_procs(s)},{_fmt_procs(a)}"
+        domain = _sorted_members(complex_, StratumRef.x(s, a))
+        target = target_for(counter.restrict(s, a))
+        image = {sigma: _gamma(sigma, s_mask, a_mask) for sigma in domain}
+        _certify_iso(complex_, domain, target, image, label)
+        gamma_strata += 1
+        if a:
+            continue
+        members_set = frozenset(domain)
+        for sigma in domain:
+            if _rho(image[sigma], s_mask, 0) != sigma:
+                raise VerificationError(
+                    f"ρ_{_fmt_procs(s)} does not undo {label} on {sigma.encode()}"
+                )
+        for tau in sorted(target.simplices, key=WitnessStructure.encode):
+            back = _rho(tau, s_mask, 0)
+            if back not in members_set or _gamma(back, s_mask, 0) != tau:
+                raise VerificationError(
+                    f"ρ_{_fmt_procs(s)} is not a right inverse on {tau.encode()}"
+                )
+            rho_roundtrips += 1
+    # Every V ⊆ supp but supp itself, which _subsets lists last.
+    for dropped in list(_subsets(sorted(counter.support)))[:-1]:
+        v = frozenset(dropped)
+        v_mask = _mask_of(v)
+        label = f"δ_{_fmt_procs(v)}"
+        domain = _sorted_members(complex_, StratumRef.b(v))
+        target = target_for(counter.delete(v))
+        image = {sigma: _delta(sigma, v_mask) for sigma in domain}
+        _certify_iso(complex_, domain, target, image, label)
+        for sigma in domain:
+            if _delta_inverse(image[sigma], v_mask) != sigma:
+                raise VerificationError(f"{label} round trip fails on {sigma.encode()}")
+        delta_strata += 1
     return {
         "gamma_strata": gamma_strata,
         "rho_roundtrips": rho_roundtrips,
@@ -846,100 +821,81 @@ def _check_restriction_composition(complex_: Complex) -> Iterator[DiagramReport]
 def _check_restriction_absorbs_drop(complex_: Complex) -> Iterator[DiagramReport]:
     """Absorbing extra ghosts after peeling equals absorbing them during it."""
     counter = complex_.counter
-    active = sorted(counter.active)
-    for select in _nonempty_subsets(active):
-        s = frozenset(select)
-        s_mask = _mask_of(s)
-        target = counter.execute(s)
-        for absorbed in itertools.chain(((),), _nonempty_subsets(sorted(s))):
-            a = frozenset(absorbed)
-            a_mask = _mask_of(a)
-            shrunk = target.delete(a)
-            in_shrunk = _membership_test(shrunk)
-            stratum = _sorted_members(complex_, StratumRef.x(s, a))
-            peeled: dict[WitnessStructure, WitnessStructure] = {}
-            for small in itertools.chain(((),), _nonempty_subsets(sorted(a))):
-                b = frozenset(small)
-                b_mask = _mask_of(b)
-                checked = 0
-                for sigma in stratum:
-                    left = _delta(_gamma(sigma, s_mask, b_mask), a_mask & ~b_mask)
-                    right = peeled.get(sigma)
-                    if right is None:
-                        right = peeled[sigma] = _gamma(sigma, s_mask, a_mask)
-                    if left != right:
-                        raise _fail(
-                            "restriction-absorbs-drop",
-                            sigma,
-                            f"{left.encode()} != {right.encode()}",
-                        )
-                    if not in_shrunk(left):
-                        raise _fail(
-                            "restriction-absorbs-drop",
-                            sigma,
-                            f"{left.encode()} is not a simplex over "
-                            f"{shrunk.to_text()!r}",
-                        )
-                    checked += 1
-                yield DiagramReport(
-                    "restriction-absorbs-drop",
-                    {
-                        "select": sorted(s),
-                        "absorbed": sorted(a),
-                        "kept_absorbed": sorted(b),
-                    },
-                    checked,
-                )
+    for s, a in _x_params(counter.active)[1:]:  # every S ≠ ∅
+        s_mask, a_mask = _mask_of(s), _mask_of(a)
+        shrunk = counter.restrict(s, a)
+        in_shrunk = _membership_test(shrunk)
+        stratum = _sorted_members(complex_, StratumRef.x(s, a))
+        peeled: dict[WitnessStructure, WitnessStructure] = {}
+        for small in _subsets(sorted(a)):
+            b_mask = _mask_of(small)
+            checked = 0
+            for sigma in stratum:
+                left = _delta(_gamma(sigma, s_mask, b_mask), a_mask & ~b_mask)
+                right = peeled.get(sigma)
+                if right is None:
+                    right = peeled[sigma] = _gamma(sigma, s_mask, a_mask)
+                if left != right:
+                    raise _fail(
+                        "restriction-absorbs-drop",
+                        sigma,
+                        f"{left.encode()} != {right.encode()}",
+                    )
+                if not in_shrunk(left):
+                    raise _fail(
+                        "restriction-absorbs-drop",
+                        sigma,
+                        f"{left.encode()} is not a simplex over {shrunk.to_text()!r}",
+                    )
+                checked += 1
+            yield DiagramReport(
+                "restriction-absorbs-drop",
+                {"select": sorted(s), "absorbed": sorted(a), "kept_absorbed": list(small)},
+                checked,
+            )
 
 
 def _check_drop_restriction_commute(complex_: Complex) -> Iterator[DiagramReport]:
     """Forgetting row-0 ghosts commutes with peeling round one."""
     counter = complex_.counter
-    active = sorted(counter.active)
     # Row-0 ghost masks -> their subsets as masks, the empty one first.
     drops: dict[int, list[int]] = {}
-    for select in _nonempty_subsets(active):
-        s = frozenset(select)
-        s_mask = _mask_of(s)
-        for absorbed in itertools.chain(((),), _nonempty_subsets(sorted(s))):
-            a = frozenset(absorbed)
-            a_mask = _mask_of(a)
-            # Dropped mask -> membership in the dropped-and-stepped counter.
-            in_target: dict[int, Callable[[WitnessStructure], bool]] = {}
-            checked = 0
-            for sigma in _sorted_members(complex_, StratumRef.x(s, a)):
-                loose = _head(sigma)[1] & ~s_mask
-                if loose not in drops:
-                    drops[loose] = [0] + [
-                        sum(1 << p for p in v) for v in _nonempty_subsets(_bits(loose))
-                    ]
-                peeled = _gamma(sigma, s_mask, a_mask)
-                for v_mask in drops[loose]:
-                    left = _delta(peeled, v_mask)
-                    right = _gamma(_delta(sigma, v_mask), s_mask, a_mask)
-                    if left != right:
-                        raise _fail(
-                            "drop-restriction-commute",
-                            sigma,
-                            f"{left.encode()} != {right.encode()}",
-                        )
-                    if v_mask not in in_target:
-                        in_target[v_mask] = _membership_test(
-                            counter.delete(_bits(v_mask)).execute(s).delete(a)
-                        )
-                    if not in_target[v_mask](left):
-                        raise _fail(
-                            "drop-restriction-commute",
-                            sigma,
-                            f"{left.encode()} is not a simplex over the "
-                            "dropped-and-stepped counter",
-                        )
-                    checked += 1
-            yield DiagramReport(
-                "drop-restriction-commute",
-                {"select": sorted(s), "absorbed": sorted(a)},
-                checked,
-            )
+    for s, a in _x_params(counter.active)[1:]:  # every S ≠ ∅
+        s_mask, a_mask = _mask_of(s), _mask_of(a)
+        # Dropped mask -> membership in the dropped-and-stepped counter.
+        in_target: dict[int, Callable[[WitnessStructure], bool]] = {}
+        checked = 0
+        for sigma in _sorted_members(complex_, StratumRef.x(s, a)):
+            loose = _head(sigma)[1] & ~s_mask
+            if loose not in drops:
+                drops[loose] = [sum(1 << p for p in v) for v in _subsets(_bits(loose))]
+            peeled = _gamma(sigma, s_mask, a_mask)
+            for v_mask in drops[loose]:
+                left = _delta(peeled, v_mask)
+                right = _gamma(_delta(sigma, v_mask), s_mask, a_mask)
+                if left != right:
+                    raise _fail(
+                        "drop-restriction-commute",
+                        sigma,
+                        f"{left.encode()} != {right.encode()}",
+                    )
+                if v_mask not in in_target:
+                    in_target[v_mask] = _membership_test(
+                        counter.delete(_bits(v_mask)).restrict(s, a)
+                    )
+                if not in_target[v_mask](left):
+                    raise _fail(
+                        "drop-restriction-commute",
+                        sigma,
+                        f"{left.encode()} is not a simplex over the "
+                        "dropped-and-stepped counter",
+                    )
+                checked += 1
+        yield DiagramReport(
+            "drop-restriction-commute",
+            {"select": sorted(s), "absorbed": sorted(a)},
+            checked,
+        )
 
 
 def verify_diagrams(complex_: Complex) -> list[DiagramReport]:

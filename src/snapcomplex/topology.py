@@ -6,10 +6,10 @@ from collections import Counter as Multiset
 from dataclasses import dataclass
 from typing import Iterable
 
-from .complexes import Complex
+from .complexes import Complex, _reach
 from .errors import VerificationError
 from .strata import StratumRef
-from .witness import WitnessStructure, _lower_faces
+from .witness import WitnessStructure, _filter_heads, _lower_faces
 
 
 def _simplex_set(source: Complex | Iterable[WitnessStructure]) -> frozenset[WitnessStructure]:
@@ -60,16 +60,14 @@ def boundary(complex_: Complex) -> BoundaryReport:
             "the complex is not a pseudomanifold with boundary"
         )
     rim = frozenset(ridge for ridge, d in degrees.items() if d == 1)
-    closure: set[WitnessStructure] = set()
-    for ridge in rim:
-        closure |= complex_.faces(ridge)
-    expected = frozenset(s for s in complex_.simplices if s.ghost_row(0))
+    closure = frozenset(_reach(rim, complex_.lower_covers))
+    expected = _filter_heads(complex_.simplices, lambda w0, g0, w1, g1: g0)
     return BoundaryReport(
         top_dim=complex_.dim,
         ridge_count=len(degrees),
         boundary_ridges=rim,
-        simplices=frozenset(closure),
-        ghost_rule_holds=frozenset(closure) == expected,
+        simplices=closure,
+        ghost_rule_holds=closure == expected,
     )
 
 

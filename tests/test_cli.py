@@ -281,6 +281,23 @@ def test_round_budgets_are_checked_against_the_cap(argv, code, monkeypatch):
         }
 
 
+@pytest.mark.parametrize("text, apex", [("0", 0), ("x,0", 1)])
+def test_cone_check_certifies_a_lone_passive_process(capsys, text, apex):
+    # Deleting the only process leaves the complex over nothing: one
+    # simplex, under a cone of two.
+    code, out, err = run(capsys, "verify", "-r", text, "--checks", "cone")
+    assert code == 0, err
+    assert json.loads(out)["checks"]["cone"]["certificates"] == [
+        {"apex_process": apex, "base_simplices": 1, "ok": True, "simplices": 2}
+    ]
+
+
+def test_building_the_empty_counter_is_a_usage_error(capsys):
+    code, out, err = run(capsys, "build", "-r", "")
+    assert (code, out) == (2, "")
+    assert err == "error: cannot build a complex over an empty support\n"
+
+
 @pytest.mark.parametrize(
     "argv", [("verify", "-r", "5,0", "--checks", "cone"), ("collapse", "-r", "5,0", "--full")]
 )

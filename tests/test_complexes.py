@@ -272,6 +272,11 @@ def test_cone_split_certificates(text, apex):
     assert cert["simplices"] == 2 * cert["base_simplices"]
 
 
+def test_cone_split_over_the_empty_counter():
+    cert = cone_split(RoundCounter.parse("0"), 0).certify()
+    assert (cert["simplices"], cert["base_simplices"]) == (2, 1)
+
+
 def test_cone_split_requires_a_passive_apex():
     with pytest.raises(ValueError):
         cone_split(RoundCounter.parse("1,1"), 1)

@@ -16,6 +16,8 @@ from snapcomplex import (
     views,
 )
 
+from snapcomplex.schedules import _nonempty_subsets, _subsets
+
 from .oracles import fubini, layered_sequence_count
 
 
@@ -120,3 +122,10 @@ def test_json_round_trip():
     s = (frozenset({0, 2}), frozenset({1}))
     assert schedule_to_json_obj(s) == [[0, 2], [1]]
     assert schedule_from_json_obj([[0, 2], [1]]) == s
+
+
+def test_subsets_go_by_size_then_lexicographically():
+    assert list(_subsets((0, 1, 2))) == [
+        (), (0,), (1,), (2,), (0, 1), (0, 2), (1, 2), (0, 1, 2)
+    ]
+    assert list(_nonempty_subsets((0, 1, 2))) == list(_subsets((0, 1, 2)))[1:]

@@ -32,7 +32,7 @@ from snapcomplex import (
 from snapcomplex import counters, strata, witness
 from snapcomplex.complexes import HeadIndex
 from snapcomplex.errors import VerificationError
-from snapcomplex.strata import _head_test, _member_bits
+from snapcomplex.strata import _head_test, _member_bits, _x_params
 from snapcomplex.witness import _filter_heads, _head
 
 
@@ -379,6 +379,31 @@ def test_checks_validate_each_process_set_once_per_parameter(
         monkeypatch.setattr(module, "_check_pid", counting)
     check(k)
     assert calls * 10 <= parent_calls
+
+
+def _listed(pairs):
+    return [(sorted(s), sorted(a)) for s, a in pairs]
+
+
+def test_x_params_go_by_select_then_absorbed():
+    assert _listed(_x_params({0, 1})) == [
+        ([], []),
+        ([0], []), ([0], [0]),
+        ([1], []), ([1], [1]),
+        ([0, 1], []), ([0, 1], [0]), ([0, 1], [1]), ([0, 1], [0, 1]),
+    ]
+    assert _listed(_x_params({0, 1, 2})) == [
+        ([], []),
+        ([0], []), ([0], [0]),
+        ([1], []), ([1], [1]),
+        ([2], []), ([2], [2]),
+        ([0, 1], []), ([0, 1], [0]), ([0, 1], [1]), ([0, 1], [0, 1]),
+        ([0, 2], []), ([0, 2], [0]), ([0, 2], [2]), ([0, 2], [0, 2]),
+        ([1, 2], []), ([1, 2], [1]), ([1, 2], [2]), ([1, 2], [1, 2]),
+        ([0, 1, 2], []), ([0, 1, 2], [0]), ([0, 1, 2], [1]), ([0, 1, 2], [2]),
+        ([0, 1, 2], [0, 1]), ([0, 1, 2], [0, 2]), ([0, 1, 2], [1, 2]),
+        ([0, 1, 2], [0, 1, 2]),
+    ]
 
 
 def test_stratum_json_shape():
