@@ -263,18 +263,14 @@ def test_json_shape(get_complex):
     assert obj["counter"] == {"0": 1, "1": 1}
 
 
-@pytest.mark.parametrize("text, apex", [("1,0", 1), ("1,1,0", 2), ("1,0,1", 1)])
+# Over ``0`` the base is the complex over nothing: one simplex.
+@pytest.mark.parametrize("text, apex", [("0", 0), ("1,0", 1), ("1,1,0", 2), ("1,0,1", 1)])
 def test_cone_split_certificates(text, apex):
     split = cone_split(RoundCounter.parse(text), apex)
     cert = split.certify()
     assert cert["ok"]
     assert cert["apex_process"] == apex
     assert cert["simplices"] == 2 * cert["base_simplices"]
-
-
-def test_cone_split_over_the_empty_counter():
-    cert = cone_split(RoundCounter.parse("0"), 0).certify()
-    assert (cert["simplices"], cert["base_simplices"]) == (2, 1)
 
 
 def test_cone_split_requires_a_passive_apex():
