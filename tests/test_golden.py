@@ -39,10 +39,14 @@ _VARIANTS = {
 
 # Counters kept out of TEST_COUNTERS, each pinned on the variants listed:
 # 2,1,1,1 is larger, and only these five finish quickly on it; 2,1,0,1
-# has a passive process (a cone base) and a process with two rounds.
+# has a passive process (a cone base) and a process with two rounds;
+# 1,0,0,1 has two passive processes, so two cone certificates; 0 is a
+# lone passive process, whose cone base is the complex over nothing.
 _LARGE_CASES = {
     "2,1,1,1": ("build", "export-dot", "verify-all", "collapse-full", "collapse-relative"),
     "2,1,0,1": ("verify-all", "collapse-full", "collapse-relative"),
+    "1,0,0,1": ("verify-all",),
+    "0": ("verify-all",),
 }
 
 
