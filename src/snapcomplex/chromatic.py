@@ -13,7 +13,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .counters import RoundCounter
-from .complexes import Complex, build
+from .complexes import Complex, _certify_iso, build
 from .errors import VerificationError
 from .schedules import _nonempty_subsets
 from .witness import WitnessStructure
@@ -32,6 +32,10 @@ class ChromaticSimplex:
     @property
     def dim(self) -> int:
         return sum(len(c) for c in self.chosen) - 1
+
+    def encode(self) -> str:
+        """Compact key: the ``[block, survivors]`` pairs as sorted lists."""
+        return str([[sorted(b), sorted(c)] for b, c in zip(self.blocks, self.chosen)])
 
     def vertices(self) -> frozenset[tuple[int, frozenset[int]]]:
         """Vertices are (color, set of colors seen) pairs."""
@@ -86,22 +90,28 @@ def table_map(cs: ChromaticSimplex, n: int) -> WitnessStructure:
 
 @dataclass(frozen=True)
 class PhiReport:
+    """A certified φ: the subdivision of the ``n``-simplex, its simplex
+    count (the empty simplex included) and its f-vector."""
+
     n: int
     simplices: int
     f_vector: tuple[int, ...]
-    bijective: bool
-    dimension_preserving: bool
-    face_preserving: bool
 
     @property
     def ok(self) -> bool:
-        return self.bijective and self.dimension_preserving and self.face_preserving
+        """Always true: :func:`phi_iso` raises rather than report a defect."""
+        return True
 
 
 def phi_iso(source: int | Complex) -> PhiReport:
-    """Certify the table map as a dimension- and face-relation-preserving
-    bijection from the independently enumerated subdivision onto the
-    complex of the all-ones counter on ``0..n``.
+    """Certify the table map as a simplicial isomorphism from the
+    independently enumerated subdivision onto the complex of the
+    all-ones counter on ``0..n``, through
+    :func:`~snapcomplex.complexes._certify_iso`; raise
+    :class:`VerificationError`, naming φ, on any defect.
+
+    The subdivision's face relation is vertex containment (checked to be
+    faithful): the lower covers of a simplex drop one vertex each.
 
     Accepts ``n`` or that complex already built; from ``n`` the complex
     is built as :func:`build` does.
@@ -118,30 +128,15 @@ def phi_iso(source: int | Complex) -> PhiReport:
             f"phi needs the all-ones counter on 0..n, got {source.counter.to_text()!r}"
         )
 
-    image = {cs: table_map(cs, n) for cs in oracle}
-    bijective = (
-        len(set(image.values())) == len(oracle) and set(image.values()) == target.simplices
-    )
-    dimension_preserving = all(cs.dim == ws.dim for cs, ws in image.items())
-
-    # Subdivision-side face relation is vertex containment (checked to be
-    # faithful): the codimension-1 faces drop one vertex each.  The map
-    # preserves faces iff it carries these onto the target's lower covers;
-    # a face missing from the subdivision is a failure.
-    by_vertices = {cs.vertices(): cs for cs in oracle}
+    vertices = {cs: cs.vertices() for cs in oracle}
+    by_vertices = {verts: cs for cs, verts in vertices.items()}
     if len(by_vertices) != len(oracle):
         raise VerificationError("subdivision simplices are not determined by their vertices")
-    face_preserving = bijective and all(
-        {image.get(by_vertices.get(verts - {v})) for v in verts}
-        == set(target.lower_covers(image[cs]))
-        for verts, cs in by_vertices.items()
-    )
 
-    return PhiReport(
-        n=n,
-        simplices=len(oracle),
-        f_vector=chromatic_f_vector(oracle),
-        bijective=bijective,
-        dimension_preserving=dimension_preserving,
-        face_preserving=face_preserving,
-    )
+    def lower(cs: ChromaticSimplex) -> list[ChromaticSimplex | None]:
+        verts = vertices[cs]
+        return [by_vertices.get(verts - {v}) for v in verts]
+
+    image = {cs: table_map(cs, n) for cs in oracle}
+    _certify_iso(oracle, lower, image, target.simplices, target.lower_covers, "φ")
+    return PhiReport(n=n, simplices=len(oracle), f_vector=chromatic_f_vector(oracle))

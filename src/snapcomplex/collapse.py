@@ -11,14 +11,16 @@ set, from the top facets all the way down to the final vertex.
 The residue left after the translated classes is matched greedily by a
 free-face worklist (Benedetti–Lutz, "Random discrete Morse theory",
 2014): each pending simplex counts its upper covers not yet removed,
-and a simplex whose count reaches one is pushed onto two heaps keyed by
-``(dim, encode())``.  The strict heap yields the least simplex whose one
-remaining cover is itself pending; the fallback heap, used only when the
-strict one runs dry, yields the least simplex with one remaining cover
-at all.  Counts only fall and the pending set only shrinks, so an entry
-that has gone stale stays stale and is dropped when it surfaces.  The
-first live entry is then the pair a full scan of the residue in that
-order would pick, and each step costs O(log n) amortised.
+and a simplex whose count reaches one is pushed onto a heap keyed by
+``(dim, encode())``, which yields the least simplex whose one remaining
+cover is itself pending.  Counts only fall and the pending set only
+shrinks, so an entry that has gone stale stays stale and is dropped when
+it surfaces.  The first live entry is then the pair a full scan of the
+residue in that order would pick, and each step costs O(log n)
+amortised.  A residue simplex whose one remaining cover lies outside the
+residue cannot be paired: that cover is a simplex the collapse must
+keep, or one a later phase removes.  When the heap runs dry with
+simplices pending, the collapse raises :class:`CollapseStalledError`.
 
 Every sequence produced here can be replayed and checked move by move
 with :func:`validate_collapse`.
@@ -76,6 +78,7 @@ class CollapseSequence:
 
     @property
     def fallback_count(self) -> int:
+        """Steps tagged ``greedy-fallback``; this module's engine makes none."""
         return sum(1 for step in self.steps if step.stage == "greedy-fallback")
 
     def to_json_obj(self) -> dict:
@@ -159,15 +162,12 @@ def _compute_ctrb(
 
     # Upper covers stand in for proper cofaces, as in validate_collapse.
     # live[σ] counts the upper covers of σ not yet removed; a simplex with
-    # exactly one is offered to both heaps, keyed by (dim, encode()).
+    # exactly one is offered to the heap, keyed by (dim, encode()).
     live: dict[WitnessStructure, int] = {}
-    strict: list[tuple[int, str, WitnessStructure]] = []
-    fallback: list[tuple[int, str, WitnessStructure]] = []
+    heap: list[tuple[int, str, WitnessStructure]] = []
 
     def offer(sigma: WitnessStructure) -> None:
-        entry = (sigma.dim, sigma.encode(), sigma)
-        heapq.heappush(strict, entry)
-        heapq.heappush(fallback, entry)
+        heapq.heappush(heap, (sigma.dim, sigma.encode(), sigma))
 
     for sigma in pending:
         live[sigma] = sum(1 for t in complex_.upper_covers(sigma) if t not in removed)
@@ -181,16 +181,12 @@ def _compute_ctrb(
         chosen: CollapseStep | None = None
         # A stale entry stays stale (see the module docstring), so every
         # entry popped is either used or dropped for good.
-        while strict and chosen is None:
-            sigma = heapq.heappop(strict)[2]
+        while heap and chosen is None:
+            sigma = heapq.heappop(heap)[2]
             if sigma in pending and live[sigma] == 1:
                 coface = free_coface(sigma)
                 if coface in pending:
                     chosen = CollapseStep(sigma, coface, _scan_label(sigma, pivot))
-        while fallback and chosen is None:
-            sigma = heapq.heappop(fallback)[2]
-            if sigma in pending and live[sigma] == 1:
-                chosen = CollapseStep(sigma, free_coface(sigma), "greedy-fallback")
         if chosen is None:
             raise CollapseStalledError(
                 f"collapse stalled over {counter.to_text()!r} with "

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import itertools
 import os
-from collections.abc import Callable, Iterable, Iterator, Mapping
+from collections.abc import Callable, Collection, Iterable, Iterator, Mapping, Set
 
 from .counters import RoundCounter
 from .errors import ComplexTooLargeError, VerificationError
@@ -24,13 +24,13 @@ from .witness import (
     WitnessStructure,
     _active_mask,
     _bits,
+    _delta,
     _ghost,
     _group_by_head,
     _head,
     _lower_faces,
     _mask_of,
     _pairs,
-    _splice,
     ghost,
 )
 
@@ -378,6 +378,37 @@ def check_purity(k: Complex) -> None:
         )
 
 
+def _certify_iso(
+    domain: Collection,
+    lower: Callable[..., Iterable],
+    image: Mapping,
+    target: Set,
+    target_lower: Callable[..., Iterable],
+    label: str,
+) -> None:
+    """Certify ``image`` as a simplicial isomorphism from ``domain`` onto
+    ``target``, each side given by its simplices and their lower covers.
+
+    Raises :class:`VerificationError` naming ``label``, and the simplex by
+    its ``encode()``, unless ``image`` is a bijection onto ``target`` that
+    carries each simplex's lower covers onto its image's lower covers; a
+    cover outside the domain fails.  Such a bijection preserves the face
+    relation both ways, and dimension too: on either side only the empty
+    simplex has no lower covers, so the claim follows by induction.
+    """
+    values = set(image.values())
+    if len(values) != len(domain):
+        raise VerificationError(f"{label} is not injective")
+    if values != target:
+        raise VerificationError(f"{label} is not onto the target complex")
+    for sigma in domain:
+        mapped = {image.get(face) for face in lower(sigma)}
+        if mapped != set(target_lower(image[sigma])):
+            raise VerificationError(
+                f"{label} breaks the face relation below {sigma.encode()}"
+            )
+
+
 # -- cone splitting over a passive process ------------------------------------
 
 
@@ -386,7 +417,9 @@ class ConeSplit:
     the join of the complex of ``r`` minus a passive process with a point.
 
     Each simplex is paired with (simplex of the smaller complex, flag); the
-    flag records whether the apex participates.
+    flag records whether the apex participates, and the simplex is the δ
+    image of the simplex with the apex ghosted.  A simplex that δ rejects
+    is a :class:`VerificationError`.
     """
 
     __slots__ = ("complex", "base", "apex", "pairing")
@@ -395,13 +428,14 @@ class ConeSplit:
         self.complex = whole
         self.base = base
         self.apex = apex_process
+        bit = 1 << apex_process
         pairing: dict[WitnessStructure, tuple[WitnessStructure, bool]] = {}
         for sigma in whole.simplices:
-            if apex_process in sigma.active_set:
-                reduced = ghost(sigma, {apex_process})
-                pairing[sigma] = (_drop_unseen(reduced, apex_process), True)
-            else:
-                pairing[sigma] = (_drop_unseen(sigma, apex_process), False)
+            flag = apex_process in sigma.active_set
+            try:
+                pairing[sigma] = (_delta(_ghost(sigma, bit) if flag else sigma, bit), flag)
+            except ValueError as exc:
+                raise VerificationError(f"cone pairing: {exc}") from None
         self.pairing = pairing
 
     @property
@@ -410,44 +444,29 @@ class ConeSplit:
         return WitnessStructure([({self.apex}, supp - {self.apex})])
 
     def certify(self) -> dict:
-        """Check bijectivity and face preservation; raise on any defect."""
-        images = set(self.pairing.values())
-        if len(images) != len(self.pairing):
-            raise VerificationError("cone pairing is not injective")
-        expected = {(tau, flag) for tau in self.base.simplices for flag in (False, True)}
-        if images != expected:
-            raise VerificationError("cone pairing is not onto the join")
+        """Check that the apex vertex pairs with the apex of the join, then
+        certify the pairing onto the join with :func:`_certify_iso`; raise
+        on any defect.  In the join, (τ, True) covers (τ, False) and
+        (face, True) for each lower cover face of τ, and (τ, False)
+        covers (face, False) for each such face."""
         if self.pairing[self.apex_vertex] != (self.base.empty_simplex, True):
             raise VerificationError("apex vertex does not map to the apex of the join")
-        # A bijection carrying lower covers onto lower covers is a
-        # simplicial isomorphism.  In the join, (τ, apex) covers (τ, no
-        # apex) and the (face, same flag) pairs for τ's lower covers.
-        for sigma in self.complex.simplices:
-            tau, flag = self.pairing[sigma]
-            got = {self.pairing[f] for f in self.complex.lower_covers(sigma)}
-            want = {(f, flag) for f in self.base.lower_covers(tau)}
-            if flag:
-                want.add((tau, False))
-            if got != want:
-                raise VerificationError(
-                    f"faces of {sigma.encode()} do not match the join faces"
-                )
+        base_lower = self.base.lower_covers
+
+        def join_lower(pair: tuple[WitnessStructure, bool]) -> list:
+            tau, flag = pair
+            covers = [(face, flag) for face in base_lower(tau)]
+            return covers + [(tau, False)] if flag else covers
+
+        join = {(tau, flag) for tau in self.base.simplices for flag in (False, True)}
+        whole, label = self.complex, f"cone pairing at apex {self.apex}"
+        _certify_iso(whole.simplices, whole.lower_covers, self.pairing, join, join_lower, label)
         return {
             "apex_process": self.apex,
             "simplices": len(self.pairing),
             "base_simplices": len(self.base.simplices),
             "ok": True,
         }
-
-
-def _drop_unseen(sigma: WitnessStructure, p: int) -> WitnessStructure:
-    """Remove ``p`` from the round-0 ghost set (it must sit there)."""
-    w0, g0, _, _ = _head(sigma)
-    if not (g0 >> p) & 1:
-        raise VerificationError(
-            f"process {p} is not a round-0 ghost of {sigma.encode()}"
-        )
-    return _splice(sigma, 1, (w0, g0 ^ (1 << p)))
 
 
 def cone_split(r: RoundCounter, p: int) -> ConeSplit:

@@ -32,13 +32,14 @@ import itertools
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator
 
-from .complexes import Complex, _membership_test, _sub_builder
+from .complexes import Complex, _certify_iso, _membership_test, _sub_builder
 from .counters import _check_pid
 from .errors import VerificationError
 from .schedules import _nonempty_subsets, _subsets
 from .witness import (
     WitnessStructure,
     _bits,
+    _delta,
     _from_rows,
     _head,
     _mask_of,
@@ -322,14 +323,6 @@ def delta(sigma: WitnessStructure, dropped: Iterable[int]) -> WitnessStructure:
     the complex over the counter with ``dropped`` deleted.
     """
     return _delta(sigma, _mask_of(dropped))
-
-
-def _delta(sigma: WitnessStructure, v: int) -> WitnessStructure:
-    """:func:`delta` with ``dropped`` given as a mask."""
-    w0, g0, _, _ = _head(sigma)
-    if v & ~g0:
-        raise ValueError(f"{_bits(v)} are not all row-0 ghosts of {sigma.encode()}")
-    return _splice(sigma, 1, (w0, g0 & ~v))
 
 
 def delta_inverse(tau: WitnessStructure, dropped: Iterable[int]) -> WitnessStructure:
@@ -659,41 +652,15 @@ def verify_strata_calculus(complex_: Complex) -> dict[str, int]:
     }
 
 
-def _certify_iso(
-    source: Complex,
-    domain: list[WitnessStructure],
-    target: Complex,
-    image: dict[WitnessStructure, WitnessStructure],
-    label: str,
-) -> None:
-    """Bijectivity, dimension and face-relation checks for one translation.
-
-    A bijection that carries lower covers onto lower covers preserves the
-    face relation both ways; a cover outside the domain is a failure.
-    """
-    values = set(image.values())
-    if len(values) != len(domain):
-        raise VerificationError(f"{label} is not injective")
-    if values != target.simplices:
-        raise VerificationError(f"{label} is not onto the target complex")
-    for sigma in domain:
-        if image[sigma].dim != sigma.dim:
-            raise VerificationError(f"{label} changes the dimension of {sigma.encode()}")
-        mapped = {image.get(face) for face in source.lower_covers(sigma)}
-        if mapped != set(target.lower_covers(image[sigma])):
-            raise VerificationError(
-                f"{label} breaks the face relation below {sigma.encode()}"
-            )
-
-
 def verify_translation_maps(complex_: Complex) -> dict[str, int]:
     """Certify γ, ρ and δ as simplicial isomorphisms stratum by stratum.
 
-    γ_{S,A} must carry the members of ``X_{S,A}`` bijectively onto the
-    complex of the executed-and-absorbed counter, preserving dimension
-    and faces; for ``A = ∅`` the peel ρ_S must invert it on both sides.
-    δ_V must do the same from the members of ``B_V`` onto the complex of
-    the shrunken counter, for every proper ``V ⊆ supp``.  The target
+    γ_{S,A} must carry the members of ``X_{S,A}`` onto the complex of
+    the executed-and-absorbed counter, as certified by
+    :func:`~snapcomplex.complexes._certify_iso`; for ``A = ∅`` the peel
+    ρ_S must invert it on both sides.  δ_V must do the same from the
+    members of ``B_V`` onto the complex of the shrunken counter, for
+    every proper ``V ⊆ supp``.  The target
     complexes are built under the size of ``complex_``, which bounds them.
     """
     counter = complex_.counter
@@ -708,7 +675,9 @@ def verify_translation_maps(complex_: Complex) -> dict[str, int]:
         domain = _sorted_members(complex_, StratumRef.x(s, a))
         target = target_for(counter.restrict(s, a))
         image = {sigma: _gamma(sigma, s_mask, a_mask) for sigma in domain}
-        _certify_iso(complex_, domain, target, image, label)
+        _certify_iso(
+            domain, complex_.lower_covers, image, target.simplices, target.lower_covers, label
+        )
         gamma_strata += 1
         if a:
             continue
@@ -733,7 +702,9 @@ def verify_translation_maps(complex_: Complex) -> dict[str, int]:
         domain = _sorted_members(complex_, StratumRef.b(v))
         target = target_for(counter.delete(v))
         image = {sigma: _delta(sigma, v_mask) for sigma in domain}
-        _certify_iso(complex_, domain, target, image, label)
+        _certify_iso(
+            domain, complex_.lower_covers, image, target.simplices, target.lower_covers, label
+        )
         for sigma in domain:
             if _delta_inverse(image[sigma], v_mask) != sigma:
                 raise VerificationError(f"{label} round trip fails on {sigma.encode()}")

@@ -363,6 +363,15 @@ def _splice(sigma: WitnessStructure, k: int, *head: tuple[int, int]) -> WitnessS
     return _from_masks(out + sigma._m[2 * k :])
 
 
+def _delta(sigma: WitnessStructure, v: int) -> WitnessStructure:
+    """δ: ``sigma`` with the row-0 ghosts of the mask ``v`` forgotten
+    entirely.  ``v`` must consist of row-0 ghosts."""
+    w0, g0 = sigma._m[:2]
+    if v & ~g0:
+        raise ValueError(f"{_bits(v)} are not all row-0 ghosts of {sigma.encode()}")
+    return _splice(sigma, 1, (w0, g0 & ~v))
+
+
 def ghost(sigma: WitnessStructure, hide: Iterable[int]) -> WitnessStructure:
     """The face of ``sigma`` that forgets the views of the processes in ``hide``.
 

@@ -3,8 +3,7 @@
 This is the residue loop the library used before the worklist: every
 elementary collapse re-sorts the whole pending set by ``(dim, encode())``
 and takes the first simplex with exactly one remaining upper cover, that
-cover still pending; failing that, the first with exactly one remaining
-upper cover at all (``greedy-fallback``).  Stage one and the phase loop
+cover still pending; failing that, it stalls.  Stage one and the phase loop
 of the full collapse are the library's, recursing through this module.
 The tests compare the step sequences of :mod:`snapcomplex.collapse`
 against the ones here.
@@ -102,12 +101,6 @@ def _compute_ctrb(
             if len(cofaces) == 1 and cofaces[0] in pending:
                 chosen = CollapseStep(sigma, cofaces[0], _scan_label(sigma, pivot))
                 break
-        if chosen is None:
-            for sigma in sorted(pending, key=_scan_order):
-                cofaces = [t for t in complex_.upper_covers(sigma) if t not in removed]
-                if len(cofaces) == 1:
-                    chosen = CollapseStep(sigma, cofaces[0], "greedy-fallback")
-                    break
         if chosen is None:
             raise CollapseStalledError(
                 f"collapse stalled over {counter.to_text()!r} with "

@@ -207,6 +207,37 @@ def test_phi_check_reuses_the_built_complex(capsys, monkeypatch):
     assert built == ["1,1,1,1"]
 
 
+def _swap_two_edges(keys, key) -> dict:
+    """The two least edges among ``keys`` in ``key`` order, each to the other."""
+    first, second = sorted((k for k in keys if k.dim == 1), key=key)[:2]
+    return {first: second, second: first}
+
+
+@pytest.mark.parametrize(
+    "text, check, named", [("1,1,1", "phi", "φ"), ("1,1,0", "cone", "cone")], ids=["phi", "cone"]
+)
+def test_a_broken_certificate_fails_its_check(capsys, monkeypatch, text, check, named):
+    # Every certificate raises on a defect; verify reports it in one shape.
+    if check == "phi":
+        true_map = chromatic.table_map
+        swap = _swap_two_edges(chromatic.chromatic_oracle(2), lambda cs: true_map(cs, 2).encode())
+        monkeypatch.setattr(chromatic, "table_map", lambda cs, n: true_map(swap.get(cs, cs), n))
+    else:
+
+        class Corrupted(cli.ConeSplit):
+            def __init__(self, *args):
+                super().__init__(*args)
+                swap = _swap_two_edges(self.pairing, lambda s: s.encode())
+                self.pairing = {s: self.pairing[swap.get(s, s)] for s in self.pairing}
+
+        monkeypatch.setattr(cli, "ConeSplit", Corrupted)
+    code, out, _ = run(capsys, "verify", "-r", text, "--checks", check)
+    assert code == 1
+    result = json.loads(out)["checks"][check]
+    assert sorted(result) == ["error", "status"] and result["status"] == "failed"
+    assert result["error"].startswith(named) and "face relation" in result["error"]
+
+
 @pytest.mark.parametrize("flags", [("--full",), ("--pivot", "0")])
 def test_collapse_sub_builds_obey_the_flag_over_the_environment(capsys, monkeypatch, flags):
     monkeypatch.setenv("SNAPCOMPLEX_MAX_SIMPLICES", "12")

@@ -178,18 +178,16 @@ RESIDUE_EDGE = ws(({0, 1}, ()), ({0}, ()), ({1}, ()))
 SURVIVOR = ws(({0}, {1}), ({0}, ()))
 
 
-def test_a_residue_simplex_covered_only_by_a_survivor_falls_back(get_complex):
-    # A fallback step pairs one residue simplex with one outside it, so a
-    # residue of even size needs an odd one added: a stray residue vertex
-    # whose only cover is the survivor.
+def test_a_residue_simplex_covered_only_by_a_survivor_stalls(get_complex):
+    # A stray residue vertex whose only cover is the survivor: the rest of
+    # the residue pairs off, and nothing in the residue can take the stray.
     k = get_complex("1,1")
     stray = ws(({0, 1}, ()), ({0}, ()))
     assert stray not in k
     doctored = _doctored(k, {stray: (k.empty_simplex,), SURVIVOR: (stray,)})
-    steps = _run(_compute_ctrb, doctored, 0)
-    assert _triples(steps) == _triples(_run(reference._compute_ctrb, doctored, 0))
-    assert [step.stage for step in steps] == ["stage1", "stage2", "stage2", "greedy-fallback"]
-    assert (steps[-1].free, steps[-1].cofacet) == (stray, SURVIVOR)
+    for engine in (_compute_ctrb, reference._compute_ctrb):
+        with pytest.raises(CollapseStalledError, match="1 simplices unmatched"):
+            _run(engine, doctored, 0)
 
 
 def test_an_extra_upper_cover_in_the_residue_stalls(get_complex):
