@@ -389,12 +389,13 @@ def _certify_iso(
     """Certify ``image`` as a simplicial isomorphism from ``domain`` onto
     ``target``, each side given by its simplices and their lower covers.
 
-    Raises :class:`VerificationError` naming ``label``, and the simplex by
-    its ``encode()``, unless ``image`` is a bijection onto ``target`` that
-    carries each simplex's lower covers onto its image's lower covers; a
-    cover outside the domain fails.  Such a bijection preserves the face
-    relation both ways, and dimension too: on either side only the empty
-    simplex has no lower covers, so the claim follows by induction.
+    Raises :class:`VerificationError` naming ``label`` unless ``image`` is
+    a bijection onto ``target`` that carries each simplex's lower covers
+    onto its image's lower covers; a cover outside the domain fails, and
+    the error names the simplex by its ``encode()``.  Such a bijection
+    preserves the face relation both ways, and dimension too: on either
+    side only the empty simplex has no lower covers, so the claim follows
+    by induction.
     """
     values = set(image.values())
     if len(values) != len(domain):
