@@ -9,9 +9,14 @@ Six subcommands mirror the library surface:
 * ``collapse``  produce and optionally validate collapse sequences,
 * ``export``    JSON dump, DOT face poset, or SVG picture.
 
-Exit codes: 0 success, 1 failed check, 2 usage or parse error,
-3 resource cap exceeded.  Identical inputs produce byte-identical
-output; every listing is explicitly sorted.
+Exit codes: 0 success, 1 failed check, 2 usage or parse error (an
+unwritable ``--out`` path included), 3 resource cap exceeded or memory
+exhausted.  Identical inputs produce byte-identical output; every
+listing is explicitly sorted.
+
+The certification modules (``chromatic``, ``collapse``, ``strata``,
+``topology``) are imported inside the functions that run them, so
+``build``, ``facets`` and ``export`` never load them.
 """
 
 from __future__ import annotations
@@ -22,13 +27,6 @@ import math
 import sys
 from collections.abc import Callable, Sequence
 
-from .chromatic import phi_iso
-from .collapse import (
-    collapse_all,
-    collapse_to_relative_boundary,
-    relative_boundary_remainder,
-    validate_collapse,
-)
 from .complexes import (
     Complex,
     ConeSplit,
@@ -42,15 +40,6 @@ from .complexes import (
 from .counters import RoundCounter
 from .errors import ComplexTooLargeError, VerificationError
 from .schedules import enumerate_schedules, to_facet, views
-from .strata import intersect_pair, nerve, verify_diagrams, verify_strata_calculus
-from .topology import (
-    boundary,
-    classify_interior,
-    euler,
-    homology_z2,
-    is_sphere_like,
-    strong_connectivity,
-)
 from .witness import WitnessStructure
 
 EXIT_OK = 0
@@ -67,8 +56,11 @@ def _emit(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
     else:
-        with open(out, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        try:
+            with open(out, "w", encoding="utf-8") as handle:
+                handle.write(text)
+        except OSError as exc:
+            raise UsageError(f"cannot write {out}: {exc.strerror}") from exc
 
 
 def _parse_counter(text: str) -> RoundCounter:
@@ -103,11 +95,15 @@ def _check_purity(k: Complex) -> dict:
 
 
 def _check_pseudomanifold(k: Complex) -> dict:
+    from .topology import boundary
+
     report = boundary(k)
     return {"status": "ok", "ridges": report.ridge_count}
 
 
 def _check_boundary(k: Complex) -> dict:
+    from .topology import boundary
+
     report = boundary(k)
     status = "ok" if report.ghost_rule_holds else "failed"
     return {
@@ -118,16 +114,22 @@ def _check_boundary(k: Complex) -> dict:
 
 
 def _check_strong_connectivity(k: Complex) -> dict:
+    from .topology import strong_connectivity
+
     connected = strong_connectivity(k)
     return {"status": "ok" if connected else "failed", "facets": len(k.facets)}
 
 
 def _check_euler(k: Complex) -> dict:
+    from .topology import euler
+
     value = euler(k)
     return {"status": "ok" if value == 1 else "failed", "euler": value}
 
 
 def _check_homology(k: Complex) -> dict:
+    from .topology import boundary, homology_z2, is_sphere_like
+
     betti = homology_z2(k)
     contractible = all(b == 0 for b in betti.values())
     detail: dict = {
@@ -147,11 +149,15 @@ def _check_homology(k: Complex) -> dict:
 
 
 def _check_strata_intersections(k: Complex) -> dict:
+    from .strata import verify_strata_calculus
+
     counts = verify_strata_calculus(k)
     return {"status": "ok", **counts}
 
 
 def _check_diagrams(k: Complex) -> dict:
+    from .strata import verify_diagrams
+
     reports = verify_diagrams(k)
     return {
         "status": "ok",
@@ -176,6 +182,8 @@ def _check_cone(k: Complex) -> dict:
 
 
 def _check_phi(k: Complex) -> dict:
+    from .chromatic import phi_iso
+
     counter = k.counter
     support = sorted(counter.support)
     if support != list(range(len(support))) or any(
@@ -290,6 +298,9 @@ def _cmd_facets(args: argparse.Namespace) -> int:
 
 
 def _cmd_strata(args: argparse.Namespace) -> int:
+    from .strata import intersect_pair, nerve
+    from .topology import classify_interior
+
     counter = _parse_counter(args.counter)
     if args.intersect is not None:
         first, second = (_parse_procs(token) for token in args.intersect)
@@ -322,6 +333,13 @@ def _cmd_strata(args: argparse.Namespace) -> int:
 
 
 def _cmd_collapse(args: argparse.Namespace) -> int:
+    from .collapse import (
+        collapse_all,
+        collapse_to_relative_boundary,
+        relative_boundary_remainder,
+        validate_collapse,
+    )
+
     counter = _parse_counter(args.counter)
     if args.full and args.pivot is not None:
         raise UsageError("--pivot applies to the relative-boundary collapse only")
@@ -367,6 +385,8 @@ _PALETTE = ("#d62728", "#1f77b4", "#2ca02c", "#9467bd", "#8c564b")
 
 def _vertex_positions(k: Complex) -> dict[WitnessStructure, tuple[float, float]]:
     """Plane coordinates: boundary pinned on a circle, interior relaxed."""
+    from .topology import boundary
+
     vertex_list = sorted((s for s in k.simplices if s.dim == 0), key=WitnessStructure.encode)
     if len(vertex_list) == 1:
         return {vertex_list[0]: (300.0, 300.0)}
@@ -569,6 +589,12 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except MemoryError:
+        # Reported after the handler, once the frames that held the
+        # memory have been released.
+        pass
+    print(json.dumps({"error": "memory exhausted"}), file=sys.stderr)
+    return EXIT_TOO_LARGE
 
 
 if __name__ == "__main__":

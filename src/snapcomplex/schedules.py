@@ -9,7 +9,7 @@ machinery, which this module treats as the execution semantics.
 from __future__ import annotations
 
 from collections.abc import Iterator, Sequence
-from itertools import combinations, islice
+from itertools import chain, combinations, islice, repeat
 
 from .counters import RoundCounter
 from .errors import ComplexTooLargeError
@@ -25,9 +25,9 @@ def _subsets(items: Sequence) -> Iterator[tuple]:
     This is the package's one subset order: layer choices, strata
     parameters, collapse phases and certification loops all walk
     subsets through here, so their outputs list them alike.
+    It is made of C iterators only, as :func:`_layer_choices` needs.
     """
-    for size in range(len(items) + 1):
-        yield from combinations(items, size)
+    return chain.from_iterable(map(combinations, repeat(items), range(len(items) + 1)))
 
 
 def _nonempty_subsets(items: Sequence) -> Iterator[tuple]:
@@ -45,9 +45,14 @@ def is_valid_schedule(s: Sequence[frozenset[int]], r: RoundCounter) -> bool:
 
 def _layer_choices(remaining: dict[int, int]) -> Iterator[frozenset[int]]:
     """The possible next layers: nonempty sets of processes with rounds left,
-    by size, then lexicographically."""
-    live = sorted(p for p, c in remaining.items() if c > 0)
-    return (frozenset(chosen) for chosen in _nonempty_subsets(live))
+    by size, then lexicographically.
+
+    The search keeps one of these per layer on its stack.  Neither making
+    nor freeing one suspends a Python generator: freeing a suspended
+    generator runs its frame, which allocates, so a search that runs out
+    of memory could not unwind cleanly to the CLI's exit-3 report."""
+    live = sorted([p for p, c in remaining.items() if c > 0])
+    return map(frozenset, _nonempty_subsets(live))
 
 
 def _walk(remaining: dict[int, int]) -> Iterator[Schedule]:
@@ -112,10 +117,3 @@ def views(s: Sequence[frozenset[int]], r: RoundCounter) -> dict[int, WitnessStru
     active = facet.active_set
     return {p: ghost(facet, active - {p}) for p in active}
 
-
-def schedule_to_json_obj(s: Sequence[frozenset[int]]) -> list[list[int]]:
-    return [sorted(layer) for layer in s]
-
-
-def schedule_from_json_obj(obj: Sequence[Sequence[int]]) -> Schedule:
-    return tuple(frozenset(layer) for layer in obj)

@@ -49,6 +49,18 @@ def test_build_out_writes_the_file(capsys, tmp_path):
     assert json.loads(target.read_text())["counter"] == {"0": 1, "1": 1}
 
 
+@pytest.mark.parametrize(
+    "where, reason",
+    [("missing/x.json", "No such file or directory"), (".", "Is a directory")],
+    ids=["missing-directory", "directory"],
+)
+def test_an_unwritable_out_path_is_a_usage_error(capsys, tmp_path, where, reason):
+    target = tmp_path / where
+    code, out, err = run(capsys, "build", "-r", "1,1", "--out", str(target))
+    assert (code, out) == (2, "")
+    assert err == f"error: cannot write {target}: {reason}\n"
+
+
 def test_verify_selected_checks(capsys):
     code, out, _ = run(
         capsys, "verify", "-r", "2,1,1", "--checks", "pseudomanifold,euler"
@@ -277,8 +289,7 @@ def test_module_entry_point_runs():
     assert proc.stdout == "3\n"
 
 
-def _limit_address_space() -> None:
-    limit = 1_500_000_000
+def _limit_address_space(limit: int = 1_500_000_000) -> None:
     resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
 
 
@@ -338,3 +349,21 @@ def test_sub_builds_may_have_more_rounds_than_simplices(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 0, err
     assert json.loads(out)["counter"] == {"0": 5, "1": 0}
+
+
+@pytest.mark.parametrize(
+    "argv", [("build", "-r", "1999999"), ("facets", "-r", "1000000,999999", "--count")]
+)
+def test_running_out_of_memory_exits_three(argv, monkeypatch):
+    # Both round budgets are just under the default cap, so only the
+    # address-space limit stops the search; 128 MB stops it within seconds.
+    monkeypatch.delenv("SNAPCOMPLEX_MAX_SIMPLICES", raising=False)
+    proc = subprocess.run(
+        [sys.executable, "-m", "snapcomplex", *argv],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        preexec_fn=lambda: _limit_address_space(128 << 20),
+    )
+    assert (proc.returncode, proc.stdout) == (3, "")
+    assert proc.stderr == '{"error": "memory exhausted"}\n'

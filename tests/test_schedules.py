@@ -10,8 +10,6 @@ from snapcomplex import (
     enumerate_schedules,
     is_valid_schedule,
     schedule_count,
-    schedule_from_json_obj,
-    schedule_to_json_obj,
     to_facet,
     views,
 )
@@ -116,12 +114,6 @@ def test_views_cover_every_vertex(get_complex):
     for s in enumerate_schedules(r):
         seen.update(views(s, r).values())
     assert seen == {v for v in k.simplices if v.dim == 0}
-
-
-def test_json_round_trip():
-    s = (frozenset({0, 2}), frozenset({1}))
-    assert schedule_to_json_obj(s) == [[0, 2], [1]]
-    assert schedule_from_json_obj([[0, 2], [1]]) == s
 
 
 def test_subsets_go_by_size_then_lexicographically():
