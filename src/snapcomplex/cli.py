@@ -574,25 +574,32 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    # A command writes nothing to stderr; its outcome is reported below.
+    # Without a stderr while it runs, a suspended generator that cannot be
+    # freed for want of memory is reported nowhere, so the exit-3 line is
+    # the only line.
+    stderr, sys.stderr = sys.stderr, None
     try:
         return args.func(args)
     except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {exc}", file=stderr)
         return EXIT_USAGE
     except ComplexTooLargeError as exc:
         error = {"error": f"{exc.budget} exceeded", "limit": exc.limit}
-        print(json.dumps(error, sort_keys=True), file=sys.stderr)
+        print(json.dumps(error, sort_keys=True), file=stderr)
         return EXIT_TOO_LARGE
     except VerificationError as exc:
-        print(json.dumps({"error": str(exc)}), file=sys.stderr)
+        print(json.dumps({"error": str(exc)}), file=stderr)
         return EXIT_FAILURE
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {exc}", file=stderr)
         return EXIT_USAGE
     except MemoryError:
         # Reported after the handler, once the frames that held the
         # memory have been released.
         pass
+    finally:
+        sys.stderr = stderr
     print(json.dumps({"error": "memory exhausted"}), file=sys.stderr)
     return EXIT_TOO_LARGE
 

@@ -6,7 +6,11 @@ boundary not facing the pivot.  The removal order is organised around
 the fact that a coface never has more row-0 ghosts than its faces, so
 classes with fewer absorbed processes can always go first.  A full
 collapse of the whole complex replays that routine once per row-0 ghost
-set, from the top facets all the way down to the final vertex.
+set, from the top facets all the way down to the final vertex.  The same
+fact makes the removed part of a complex closed upward, so it holds every
+upper cover the residue reads, and each smaller complex the recursion
+visits is built only in that part (see
+:func:`~snapcomplex.complexes._sub_builder`).
 
 The residue left after the translated classes is matched greedily by a
 free-face worklist (Benedetti–Lutz, "Random discrete Morse theory",
@@ -211,12 +215,13 @@ def collapse_to_relative_boundary(complex_: Complex, pivot: int) -> CollapseSequ
     pivot-facing side: exactly the simplices with some other row-0
     ghost.  Raises :class:`CollapseStalledError` if the residue worklist
     runs dry.  The smaller complexes it builds on the way are bounded by
-    ``complex_`` (see :func:`~snapcomplex.complexes._sub_builder`).
+    ``complex_``, and each holds only the part that this collapse removes
+    (see :func:`~snapcomplex.complexes._sub_builder`).
     """
     if pivot not in complex_.counter.support:
         raise ValueError(f"pivot {pivot} is outside the support")
     memo: dict[tuple[RoundCounter, int], tuple[CollapseStep, ...]] = {}
-    steps = _ctrb_steps(complex_.counter, pivot, _sub_builder(complex_), memo)
+    steps = _ctrb_steps(complex_.counter, pivot, _sub_builder(complex_, pivot), memo)
     return CollapseSequence(
         counter=complex_.counter, kind="relative-boundary", steps=steps, pivot=pivot
     )
@@ -237,15 +242,15 @@ def collapse_all(complex_: Complex) -> CollapseSequence:
     pivot; each phase replays the relative-boundary collapse of the
     complex with those ghosts deleted.  Phases run smallest ghost set
     first, which keeps cofaces ahead of their faces.  The smaller
-    complexes it builds on the way are bounded by ``complex_``, as in
-    :func:`collapse_to_relative_boundary`.
+    complexes it builds on the way are bounded by ``complex_`` and hold
+    only the part they lose, as in :func:`collapse_to_relative_boundary`.
     """
     counter = complex_.counter
     support = counter.support
     if not support:
         raise ValueError("cannot collapse a complex over an empty counter")
     pivot = min(support)
-    builder = _sub_builder(complex_)
+    builder = _sub_builder(complex_, pivot)
     memo: dict[tuple[RoundCounter, int], tuple[CollapseStep, ...]] = {}
     steps: list[CollapseStep] = []
     for dropped in map(frozenset, _subsets(sorted(support - {pivot}))):

@@ -21,22 +21,25 @@ from .counters import RoundCounter
 from .errors import ComplexTooLargeError, VerificationError
 from .schedules import enumerate_schedules, to_facet
 from .witness import (
+    Masks,
     WitnessStructure,
     _active_mask,
     _bits,
     _delta,
+    _from_masks,
     _ghost,
+    _ghost_masks,
     _group_by_head,
     _head,
-    _lower_faces,
     _mask_of,
     _pairs,
     ghost,
 )
 
-# A build retains about 340 B and takes about 16 µs per stored simplex
-# (tracemalloc and wall time on 2,1,1,1 and 1,1,1,1,1, Python 3.11), so
-# the default cap bounds a complex at about 0.7 GB and half a minute.
+# A build retains about 200 B and takes about 14 µs per stored simplex on
+# 2,1,1,1 and 1,1,1,1,1, and about 350 B and 18 µs on 1,1,1,1,1,1
+# (tracemalloc and wall time, Python 3.11), so the default cap bounds a
+# complex at about 0.7 GB and 40 s.
 DEFAULT_SIMPLEX_CAP = 2_000_000
 CAP_ENV_VAR = "SNAPCOMPLEX_MAX_SIMPLICES"
 
@@ -306,31 +309,50 @@ def build(r: RoundCounter, *, max_simplices: int | None = None) -> Complex:
     """
     if not r.support:
         raise ValueError("cannot build a complex over an empty support")
-    cap = simplex_cap(max_simplices)
-    # Equal faces reached from different cofaces share the first instance.
-    known: dict[WitnessStructure, WitnessStructure] = {}
-    stack: list[WitnessStructure] = []
+    return _build(r, simplex_cap(max_simplices), _mask_of(r))
 
-    def admit(sigma: WitnessStructure) -> WitnessStructure:
-        stored = known.setdefault(sigma, sigma)
-        if stored is sigma:
-            if len(known) > cap:
-                raise ComplexTooLargeError(cap)
-            stack.append(sigma)
-        return stored
 
-    facet_list = [
-        f for f in facet_structures(r, max_schedules=cap) if admit(f) is f
-    ]
-    admit(WitnessStructure([((), r.support)]))
+def _build(r: RoundCounter, cap: int, ghosts: int) -> Complex:
+    """The simplices of the complex of ``r`` whose row-0 ghosts lie in the
+    mask ``ghosts``, with their lower covers inside that part.
+
+    A coface never has more row-0 ghosts than its faces, so that part is
+    closed upward, and the closure from the facets reaches all of it
+    through it alone; a face outside it is dropped before it is made.
+    Faces are looked up by their masks, so each stored simplex is made,
+    and validated, once; equal faces reached from different cofaces
+    share that instance.
+    """
+    support = _mask_of(r)
+    facet_list = list(facet_structures(r, max_schedules=cap))
+    known: dict[Masks, WitnessStructure] = {f._m: f for f in facet_list}
+    stack = list(facet_list)
+    if not support & ~ghosts:
+        stack.append(_from_masks((0, support)))  # the empty simplex
+        known[(0, support)] = stack[-1]
+    if len(known) > cap:
+        raise ComplexTooLargeError(cap)
     lower: dict[WitnessStructure, Covers] = {}
     while stack:
         sigma = stack.pop()
-        lower[sigma] = tuple(admit(face) for face in _lower_faces(sigma))
+        m = sigma._m
+        covers = []
+        for p in _bits(_active_mask(m)):
+            face_m = _ghost_masks(m, 1 << p)
+            face = known.get(face_m)
+            if face is None:
+                if face_m[1] & ~ghosts:
+                    continue
+                face = known[face_m] = _from_masks(face_m)
+                if len(known) > cap:
+                    raise ComplexTooLargeError(cap)
+                stack.append(face)
+            covers.append(face)
+        lower[sigma] = tuple(covers)
     return Complex(r, lower, facet_list)
 
 
-def _sub_builder(k: Complex) -> Callable[[RoundCounter], Complex]:
+def _sub_builder(k: Complex, pivot: int | None = None) -> Callable[[RoundCounter], Complex]:
     """A memoised builder of the complexes derived from ``k``.
 
     Every counter the certifications and collapses recurse into is the
@@ -342,6 +364,12 @@ def _sub_builder(k: Complex) -> Callable[[RoundCounter], Complex]:
     admitted ``k`` governs them all.  (A counter with passive processes
     can have more rounds than simplices: ``5,0`` has five and four.)
 
+    With a ``pivot``, a derived complex is built only in the part a
+    collapse towards ``pivot`` removes: the simplices whose row-0 ghosts
+    lie in ``{pivot}``, with every upper cover of theirs (that part is
+    closed upward) and the lower covers that stay inside it.  ``k``
+    itself is kept whole.
+
     Absorbing or deleting every process leaves the empty counter, which
     :func:`build` refuses.  Its complex is the complex over nothing: the
     empty structure ``[[[],[]]]`` alone, as empty simplex and as facet.
@@ -352,7 +380,8 @@ def _sub_builder(k: Complex) -> Callable[[RoundCounter], Complex]:
     def sub(counter: RoundCounter) -> Complex:
         if counter not in cache:
             if counter.support:
-                cache[counter] = build(counter, max_simplices=bound)
+                ghosts = _mask_of(counter) if pivot is None else 1 << pivot
+                cache[counter] = _build(counter, bound, ghosts)
             else:
                 void = WitnessStructure([((), ())])
                 cache[counter] = Complex(counter, {void: ()}, [void])

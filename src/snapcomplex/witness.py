@@ -18,7 +18,10 @@ Only this module knows the flattened layout.  Inside the package, other
 modules read the first two rows of a structure with :func:`_head`, scan
 or group many structures by them with :func:`_filter_heads` and
 :func:`_group_by_head`, and make structures from mask rows with
-:func:`_from_rows` and :func:`_splice`.
+:func:`_from_rows` and :func:`_splice`.  :func:`_ghost_masks` hands out
+the masks of a face before it is validated, so that a build can look the
+face up by them (``G_0`` is entry 1) and validate only the faces it has
+not met yet.
 
 Rows are addressed leniently: reading past the last row yields the empty
 set, which is the convention used throughout the stratification code.
@@ -395,7 +398,11 @@ def _lower_faces(sigma: WitnessStructure) -> list[WitnessStructure]:
 
 def _ghost(sigma: WitnessStructure, hide: int) -> WitnessStructure:
     """:func:`ghost` with ``hide`` given as a mask."""
-    m = sigma._m
+    return _from_masks(_ghost_masks(sigma._m, hide))
+
+
+def _ghost_masks(m: Masks, hide: int) -> Masks:
+    """The flattened mask rows of :func:`_ghost`, not yet validated."""
     active = _active_mask(m)
     if hide & ~active:
         raise ValueError(
@@ -422,4 +429,4 @@ def _ghost(sigma: WitnessStructure, hide: int) -> WitnessStructure:
             out[-2] |= m[i + 1] | moved
     out += (m[1] | pending, m[0] & ~pending)
     out.reverse()
-    return _from_masks(tuple(out))
+    return tuple(out)

@@ -5,8 +5,9 @@ elementary collapse re-sorts the whole pending set by ``(dim, encode())``
 and takes the first simplex with exactly one remaining upper cover, that
 cover still pending; failing that, it stalls.  Stage one and the phase loop
 of the full collapse are the library's, recursing through this module.
-The tests compare the step sequences of :mod:`snapcomplex.collapse`
-against the ones here.
+Every smaller complex is built whole, by ``_sub_builder(complex_)``, so
+comparing the step sequences of :mod:`snapcomplex.collapse` with the ones
+here also checks the library's sub-builds of only the removed part.
 """
 
 from __future__ import annotations

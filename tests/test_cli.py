@@ -367,3 +367,20 @@ def test_running_out_of_memory_exits_three(argv, monkeypatch):
     )
     assert (proc.returncode, proc.stdout) == (3, "")
     assert proc.stderr == '{"error": "memory exhausted"}\n'
+
+
+@pytest.mark.parametrize("megabytes", [48, 52, 56, 60, 64])
+def test_exhausted_memory_is_reported_on_one_line(megabytes, monkeypatch):
+    # Under these limits memory runs out in the build or the JSON dump of
+    # 1,1,1,1,1,1, at times while a generator is suspended; freeing that
+    # generator must add nothing to stderr.
+    monkeypatch.delenv("SNAPCOMPLEX_MAX_SIMPLICES", raising=False)
+    proc = subprocess.run(
+        [sys.executable, "-m", "snapcomplex", "build", "-r", "1,1,1,1,1,1"],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        preexec_fn=lambda: _limit_address_space(megabytes << 20),
+    )
+    assert (proc.returncode, proc.stdout) == (3, "")
+    assert proc.stderr == '{"error": "memory exhausted"}\n'

@@ -20,9 +20,10 @@ from snapcomplex import (
     verify_translation_maps,
 )
 
-from snapcomplex import complexes
+from snapcomplex import complexes, witness
 from snapcomplex.errors import VerificationError
 
+from . import build_reference
 from .conftest import TEST_COUNTERS
 from .oracles import layered_sequence_count
 
@@ -152,16 +153,16 @@ def test_sub_builds_are_bounded_by_their_parent(text, get_complex, monkeypatch):
     # complex derived from a built one is made only if its own bound,
     # taken from the parent, governs it.  5,0 and 9,0,0 have more rounds
     # than simplices.
-    real = complexes.build
+    real = complexes._build
     sizes: list[int] = []
 
-    def recording(counter, **kwargs):
-        built = real(counter, **kwargs)
+    def recording(*args):
+        built = real(*args)
         sizes.append(len(built))
         monkeypatch.setenv(complexes.CAP_ENV_VAR, "1")
         return built
 
-    monkeypatch.setattr(complexes, "build", recording)
+    monkeypatch.setattr(complexes, "_build", recording)
     k = get_complex(text)
     monkeypatch.setenv(complexes.CAP_ENV_VAR, "1")
     collapse_all(k)
@@ -174,6 +175,57 @@ def test_sub_builds_are_bounded_by_their_parent(text, get_complex, monkeypatch):
         sizes.clear()
         cone_split(k.counter, p).certify()
         assert sizes[0] == len(k) and max(sizes[1:]) <= len(k)
+
+
+CLOSURE_COUNTERS = TEST_COUNTERS + ("2,1,1,1", "2,1,0,1", "1,0,0,1", "1,1,1,1,1")
+
+
+@pytest.mark.parametrize("text", CLOSURE_COUNTERS)
+def test_build_matches_the_validate_every_face_reference(text, get_complex):
+    k = get_complex(text)
+    ref = build_reference.build(k.counter)
+    assert k.simplices == ref.simplices
+    assert k.facets == ref.facets
+    for sigma in ref.simplices:
+        assert k.lower_covers(sigma) == ref.lower_covers(sigma)
+
+
+@pytest.mark.parametrize("text", ["2,1,1,1", "1,1,1,1,1"])
+def test_build_validates_each_stored_simplex_once(text, monkeypatch):
+    calls = 0
+    real = witness._is_prestructure
+
+    def counting(m):
+        nonlocal calls
+        calls += 1
+        return real(m)
+
+    monkeypatch.setattr(witness, "_is_prestructure", counting)
+    k = build(RoundCounter.parse(text))
+    assert calls == len(k)
+
+
+@pytest.mark.parametrize("text", CLOSURE_COUNTERS)
+def test_a_coface_never_has_more_row0_ghosts(text, get_complex):
+    k = get_complex(text)
+    for tau in k.simplices:
+        for sigma in k.lower_covers(tau):
+            assert tau.ghost_row(0) <= sigma.ghost_row(0)
+
+
+@pytest.mark.parametrize("text", CLOSURE_COUNTERS)
+def test_a_pivot_sub_build_is_the_part_a_collapse_removes(text, get_complex):
+    # The part with row-0 ghosts inside {pivot} is closed upward, so it
+    # keeps every upper cover; its lower covers are the full ones inside it.
+    k = get_complex(text)
+    for pivot in sorted(k.counter.support):
+        part = complexes._build(k.counter, len(k), 1 << pivot)
+        assert part.simplices == {s for s in k.simplices if s.ghost_row(0) <= {pivot}}
+        assert part.facets == k.facets
+        for sigma in part.simplices:
+            assert set(part.upper_covers(sigma)) == set(k.upper_covers(sigma))
+            inside = tuple(f for f in k.lower_covers(sigma) if f in part.simplices)
+            assert part.lower_covers(sigma) == inside
 
 
 def test_build_retains_at_most_600_bytes_per_simplex():
