@@ -37,16 +37,24 @@ _VARIANTS = {
     "export-svg": ("export", "--format", "svg"),
 }
 
+# Variants run on the counters below only.
+_LARGE_VARIANTS = {
+    **_VARIANTS,
+    "verify-certify": ("verify", "--checks", "strata-intersections,diagrams,gg"),
+}
+
 # Counters kept out of TEST_COUNTERS, each pinned on the variants listed:
 # 2,1,1,1 is larger, and only these five finish quickly on it; 2,1,0,1
 # has a passive process (a cone base) and a process with two rounds;
 # 1,0,0,1 has two passive processes, so two cone certificates; 0 is a
-# lone passive process, whose cone base is the complex over nothing.
+# lone passive process, whose cone base is the complex over nothing;
+# 1,1,1,1,1 pins the three certification loops on five processes.
 _LARGE_CASES = {
     "2,1,1,1": ("build", "export-dot", "verify-all", "collapse-full", "collapse-relative"),
     "2,1,0,1": ("verify-all", "collapse-full", "collapse-relative"),
     "1,0,0,1": ("verify-all",),
     "0": ("verify-all",),
+    "1,1,1,1,1": ("verify-certify",),
 }
 
 
@@ -60,7 +68,7 @@ def _cases() -> dict[str, list[str]]:
     runs += [(counter, name) for counter, names in _LARGE_CASES.items() for name in names]
     cases = {}
     for counter, name in runs:
-        command, *flags = _VARIANTS[name]
+        command, *flags = _LARGE_VARIANTS[name]
         cases[f"{name}:{counter}"] = [command, "-r", counter, *flags]
     return cases
 
