@@ -39,7 +39,7 @@ from .complexes import (
 )
 from .counters import RoundCounter
 from .errors import ComplexTooLargeError, VerificationError
-from .schedules import enumerate_schedules, to_facet, views
+from .schedules import _views
 from .witness import WitnessStructure
 
 EXIT_OK = 0
@@ -182,14 +182,14 @@ def _check_cone(k: Complex) -> dict:
 
 
 def _check_phi(k: Complex) -> dict:
-    from .chromatic import phi_iso
-
     counter = k.counter
     support = sorted(counter.support)
     if support != list(range(len(support))) or any(
         counter[p] != 1 for p in support
     ):
         return {"status": "skipped", "reason": "counter is not all-ones on 0..n"}
+    from .chromatic import phi_iso
+
     report = phi_iso(k)
     return {
         "status": "ok",
@@ -203,10 +203,9 @@ def _check_schedule_bijection(k: Complex) -> dict:
     mapped: dict[WitnessStructure, int] = {}
     seen_views: set[WitnessStructure] = set()
     count = 0
-    for schedule in enumerate_schedules(counter):
-        facet = to_facet(schedule, counter)
+    for facet in facet_structures(counter):
         mapped[facet] = mapped.get(facet, 0) + 1
-        seen_views.update(views(schedule, counter).values())
+        seen_views.update(_views(facet).values())
         count += 1
     vertex_set = {s for s in k.simplices if s.dim == 0}
     injective = all(n == 1 for n in mapped.values())

@@ -41,7 +41,7 @@ from .complexes import Complex, _sub_builder
 from .counters import RoundCounter
 from .errors import CollapseStalledError
 from .schedules import _subsets
-from .strata import _x_params, delta_inverse, rho
+from .strata import _delta_inverse, _rho, _x_params
 from .witness import WitnessStructure, _filter_heads, _from_rows, _head, _mask_of
 
 Builder = Callable[[RoundCounter], Complex]
@@ -144,11 +144,12 @@ def _compute_ctrb(
     )
     for sel, absorbed in pairs:
         sub_counter = counter.restrict(sel, absorbed)
+        s_mask, a_mask = _mask_of(sel), _mask_of(absorbed)
         for step in _ctrb_steps(sub_counter, pivot, builder, memo):
             steps.append(
                 CollapseStep(
-                    rho(step.free, sel, absorbed),
-                    rho(step.cofacet, sel, absorbed),
+                    _rho(step.free, s_mask, a_mask),
+                    _rho(step.cofacet, s_mask, a_mask),
                     "stage1",
                 )
             )
@@ -254,12 +255,13 @@ def collapse_all(complex_: Complex) -> CollapseSequence:
     memo: dict[tuple[RoundCounter, int], tuple[CollapseStep, ...]] = {}
     steps: list[CollapseStep] = []
     for dropped in map(frozenset, _subsets(sorted(support - {pivot}))):
+        v = _mask_of(dropped)
         for step in _ctrb_steps(counter.delete(dropped), pivot, builder, memo):
             if dropped:
                 steps.append(
                     CollapseStep(
-                        delta_inverse(step.free, dropped),
-                        delta_inverse(step.cofacet, dropped),
+                        _delta_inverse(step.free, v),
+                        _delta_inverse(step.cofacet, v),
                         "recursive",
                     )
                 )

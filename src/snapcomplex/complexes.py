@@ -16,10 +16,11 @@ from __future__ import annotations
 import itertools
 import os
 from collections.abc import Callable, Collection, Iterable, Iterator, Mapping, Set
+from operator import itemgetter
 
 from .counters import RoundCounter
 from .errors import ComplexTooLargeError, VerificationError
-from .schedules import enumerate_schedules, to_facet
+from .schedules import _facet, enumerate_schedules
 from .witness import (
     Masks,
     WitnessStructure,
@@ -30,7 +31,7 @@ from .witness import (
     _ghost,
     _ghost_masks,
     _group_by_head,
-    _head,
+    _is_witness,
     _mask_of,
     _pairs,
     ghost,
@@ -61,11 +62,17 @@ def facet_structures(
     r: RoundCounter, *, max_schedules: int | None = None
 ) -> Iterator[WitnessStructure]:
     """All facets of the complex: one per layered schedule of ``r``, under
-    the budgets of :func:`~snapcomplex.schedules.enumerate_schedules`."""
+    the budgets of :func:`~snapcomplex.schedules.enumerate_schedules`.
+
+    Each is :func:`~snapcomplex.schedules.to_facet` of its schedule, made
+    from the layers' masks and validated once, as a stored simplex; the
+    schedule check of ``to_facet`` is left out, as the search generates
+    only valid schedules."""
     if not r.support:
         raise ValueError("facets need a nonempty support")
+    support = _mask_of(r)
     for schedule in enumerate_schedules(r, max_schedules=max_schedules):
-        yield to_facet(schedule, r)
+        yield _facet(support, schedule)
 
 
 def facets(r: RoundCounter) -> frozenset[WitnessStructure]:
@@ -78,24 +85,20 @@ def membership(r: RoundCounter, sigma: WitnessStructure) -> bool:
     it is a witness structure on the full support whose active traces have
     exactly ``r(p)+1`` entries and whose ghost traces have at most that many.
     """
-    return _membership_test(r)(sigma)
+    return _membership_test(r)(sigma._m)
 
 
-def _membership_test(r: RoundCounter) -> Callable[[WitnessStructure], bool]:
-    """:func:`membership` in ``r`` as a predicate, with the support mask
-    and the processes of each row bound ``r(p)+1`` made once."""
+def _membership_test(r: RoundCounter) -> Callable[[Masks], bool]:
+    """:func:`membership` in ``r`` as a predicate on mask rows, with the
+    support mask and the processes of each row bound ``r(p)+1`` made once."""
     support = _mask_of(r)
     by_bound: dict[int, int] = {}
     for p, count in r.items():
         by_bound[count + 1] = by_bound.get(count + 1, 0) | 1 << p
     top = max(by_bound, default=0) + 1
 
-    def test(sigma: WitnessStructure) -> bool:
-        m = sigma._m
-        if not sigma.is_witness:
-            return False
-        w0, g0, _, _ = _head(sigma)
-        if w0 | g0 != support:
+    def test(m: Masks) -> bool:
+        if not _is_witness(m) or m[0] | m[1] != support:
             return False
         # seen[k]: the processes that occur in at least k rows, k <= top.
         seen = [support] + [0] * top
@@ -525,36 +528,105 @@ def _disjoint_pairs(n: int) -> list[tuple[int, int]]:
     return pairs
 
 
+def _hidden_masks(active: int) -> list[int]:
+    """The process mask of each subset ``U`` of ``active``'s colors, indexed
+    by ``U`` as a mask of positions in ascending color order."""
+    colors = [1 << p for p in _bits(active)]
+    hide = [0] * (1 << len(colors))
+    for u in range(1, len(hide)):
+        low = u & -u
+        hide[u] = hide[u ^ low] | colors[low.bit_length() - 1]
+    return hide
+
+
+def _composition_plan(n: int) -> list[tuple[int, Callable[[tuple], tuple]]]:
+    """For a simplex with ``n`` colors: each position mask ``S``, with a
+    getter that picks out of the simplex's face row the faces
+    ``ghost(σ,S∪T)``, ``T`` disjoint from ``S``, in the order of the face
+    row of ``ghost(σ,S)``, whose position ``j`` is the ``j``-th color
+    outside ``S``."""
+    plan = []
+    for s_part in range(1 << n):
+        rest = [1 << i for i in range(n) if not s_part >> i & 1]
+        picks = []
+        for j in range(1 << len(rest)):
+            picks.append(s_part | sum(bit for b, bit in enumerate(rest) if j >> b & 1))
+        if len(picks) > 1:
+            plan.append((s_part, itemgetter(*picks)))
+        else:
+            plan.append((s_part, lambda row, u=picks[0]: (row[u],)))
+    return plan
+
+
 def verify_ghost_composition(k: Complex) -> int:
     """Check that ghosting twice equals ghosting once by the union.
 
     For every simplex and every pair of disjoint subsets ``S``, ``T`` of
-    its active set, ``ghost(ghost(σ,S),T)`` must equal ``ghost(σ,S∪T)``.
-    The faces ``ghost(σ,U)`` are computed once per subset ``U``, so a
-    simplex of dimension ``d`` takes ``3^(d+1)`` checks and
-    ``3^(d+1) + 2^(d+1)`` ghosts.  Returns the number of instances
-    checked; raises :class:`VerificationError` at the first disagreement.
+    its active set, ``ghost(ghost(σ,S),T)`` must equal ``ghost(σ,S∪T)``,
+    so a simplex of dimension ``d`` has ``3^(d+1)`` instances.
+
+    Each simplex's ``2^(d+1)`` faces ``ghost(σ,U)`` are ghosted, and
+    validated, once, and kept in a face table as the row of their numbers
+    in ``encode`` order, indexed by ``U``.  Ghosting is a pure function of
+    the masks, so for a face ``τ = ghost(σ,S)`` of the complex whose active
+    set is that of ``σ`` less ``S``, ``ghost(τ,T)`` is entry ``T`` of
+    ``τ``'s own row: the instances of one ``S`` hold together exactly when
+    ``τ``'s row equals the entries ``S ∪ T`` of ``σ``'s.  A simplex that
+    cannot be checked so, having a face outside the complex or of another
+    active set, or that fails, is checked again instance by instance,
+    ghosting every composed face anew, and that verdict stands.  Returns the
+    number of instances checked; raises :class:`VerificationError` at the
+    first disagreement, in ``encode`` order of the simplices.
     """
-    pairs_by_size: dict[int, list[tuple[int, int]]] = {}
+    order = sorted(k.simplices, key=WitnessStructure.encode)
+    number = {sigma._m: i for i, sigma in enumerate(order)}
+    actives = [_active_mask(sigma._m) for sigma in order]
+    hides: dict[int, list[int]] = {}
+    # rows[i]: the face row of order[i]; () where the table cannot serve it.
+    rows: list[tuple[int, ...] | None] = [None] * len(order)
+
+    def row(i: int) -> tuple[int, ...]:
+        if rows[i] is None:
+            active = actives[i]
+            if active not in hides:
+                hides[active] = _hidden_masks(active)
+            faces = []
+            for h in hides[active]:
+                j = number.get(_ghost(order[i], h)._m)
+                if j is None or actives[j] != active & ~h:
+                    faces = []
+                    break
+                faces.append(j)
+            rows[i] = tuple(faces)
+        return rows[i]
+
+    plans: dict[int, list[tuple[int, Callable[[tuple], tuple]]]] = {}
     checked = 0
-    for sigma in sorted(k.simplices, key=WitnessStructure.encode):
-        colors = [1 << p for p in _bits(_active_mask(sigma._m))]
-        n = len(colors)
-        pairs = pairs_by_size.get(n)
-        if pairs is None:
-            pairs = pairs_by_size[n] = _disjoint_pairs(n)
-        hide = [0] * (1 << n)
-        for u in range(1, 1 << n):
-            low = u & -u
-            hide[u] = hide[u ^ low] | colors[low.bit_length() - 1]
-        face = [_ghost(sigma, h) for h in hide]
-        for s_part, t_part in pairs:
-            one = _ghost(face[s_part], hide[t_part])
-            if one != face[s_part | t_part]:
-                raise VerificationError(
-                    f"ghosting {_bits(hide[s_part])} then {_bits(hide[t_part])} on "
-                    f"{sigma.encode()} gives {one.encode()}, "
-                    f"not {face[s_part | t_part].encode()}"
-                )
-        checked += len(pairs)
+    for i, sigma in enumerate(order):
+        n = actives[i].bit_count()
+        if n not in plans:
+            plans[n] = _composition_plan(n)
+        try:
+            own = row(i)
+            holds = bool(own) and all(row(own[s]) == pick(own) for s, pick in plans[n])
+        except ValueError:
+            holds = False
+        if not holds:
+            _check_composition_at(sigma, hides[actives[i]])
+        checked += 3**n
     return checked
+
+
+def _check_composition_at(sigma: WitnessStructure, hide: list[int]) -> None:
+    """The instances of ``sigma``, one by one, in the order of
+    :func:`_disjoint_pairs`; ``hide`` is :func:`_hidden_masks` of its
+    active set."""
+    face = [_ghost(sigma, h) for h in hide]
+    for s_part, t_part in _disjoint_pairs(len(hide).bit_length() - 1):
+        one = _ghost(face[s_part], hide[t_part])
+        if one != face[s_part | t_part]:
+            raise VerificationError(
+                f"ghosting {_bits(hide[s_part])} then {_bits(hide[t_part])} on "
+                f"{sigma.encode()} gives {one.encode()}, "
+                f"not {face[s_part | t_part].encode()}"
+            )

@@ -104,7 +104,19 @@ def to_facet(s: Sequence[frozenset[int]], r: RoundCounter) -> WitnessStructure:
     row per layer."""
     if not is_valid_schedule(tuple(s), r):
         raise ValueError("not a valid schedule for the counter")
-    return _from_rows([(_mask_of(r), 0)] + [(_mask_of(layer), 0) for layer in s])
+    return _facet(_mask_of(r), s)
+
+
+def _facet(support: int, s: Sequence[frozenset[int]]) -> WitnessStructure:
+    """:func:`to_facet` of a schedule already known to be valid, given the
+    support mask: its process ids need no further check."""
+    rows = [(support, 0)]
+    for layer in s:
+        mask = 0
+        for p in layer:
+            mask |= 1 << p
+        rows.append((mask, 0))
+    return _from_rows(rows)
 
 
 def views(s: Sequence[frozenset[int]], r: RoundCounter) -> dict[int, WitnessStructure]:
@@ -113,7 +125,11 @@ def views(s: Sequence[frozenset[int]], r: RoundCounter) -> dict[int, WitnessStru
     The view of ``p`` is the color-``p`` vertex of the schedule's facet,
     i.e. the facet with every other process ghosted.
     """
-    facet = to_facet(s, r)
+    return _views(to_facet(s, r))
+
+
+def _views(facet: WitnessStructure) -> dict[int, WitnessStructure]:
+    """:func:`views` of the schedule whose facet is ``facet``."""
     active = facet.active_set
     return {p: ghost(facet, active - {p}) for p in active}
 

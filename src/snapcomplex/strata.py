@@ -23,7 +23,10 @@ reference for the life of the complex.  The certifications below compare
 member sets as these bitsets, which is exact because the buckets of
 simplices behind distinct heads are disjoint and nonempty.  They also
 validate each process set once per parameter choice and hand masks to
-the private forms ``_gamma``, ``_rho`` and ``_delta`` of the maps.
+the private forms ``_gamma``, ``_rho`` and ``_delta`` of the maps.  The
+commuting diagrams make no structure per instance: they apply the mask
+forms ``_gamma_masks`` and ``_delta_masks``, which the structure forms
+wrap, to mask tuples.
 """
 
 from __future__ import annotations
@@ -37,13 +40,21 @@ from .counters import _check_pid
 from .errors import VerificationError
 from .schedules import _nonempty_subsets, _subsets
 from .witness import (
+    Masks,
     WitnessStructure,
     _bits,
     _delta,
+    _delta_masks,
+    _encode,
+    _from_masks,
     _from_rows,
     _head,
+    _head_masks,
+    _last_row,
     _mask_of,
     _splice,
+    _splice_masks,
+    _validated,
 )
 
 Procs = frozenset[int]
@@ -261,27 +272,28 @@ def gamma(
 
 def _gamma(sigma: WitnessStructure, s: int, a: int) -> WitnessStructure:
     """:func:`gamma` with ``select`` and ``absorbed`` given as masks, ``a ⊆ s``."""
-    w0, g0, w1, g1 = _head(sigma)
-    if sigma.t == 0:
+    return _from_masks(_gamma_masks(sigma._m, s, a))
+
+
+def _gamma_masks(m: Masks, s: int, a: int) -> Masks:
+    """:func:`_gamma` on the mask rows ``m``, not yet validated."""
+    w0, g0, w1, g1 = _head_masks(m)
+    if _last_row(m) == 0:
         if w0 & s:
-            raise ValueError(
-                f"{sigma.encode()} is not in the stratum X_{_fmt_procs(_bits(s))}"
-            )
-        return _from_rows([(w0, g0 & ~a)])
+            raise ValueError(f"{_encode(m)} is not in the stratum X_{_fmt_procs(_bits(s))}")
+        return _splice_masks(m, 1, (w0, g0 & ~a))
     if s & ~g1 == 0:
         head_w, head_g, kept = w0 & ~s, g0 | s, [(w1, g1 & ~s)]
     elif w1 | g1 == s:
         head_w, head_g, kept = w0 & ~g1, g0 | g1, []
     else:
-        raise ValueError(
-            f"{sigma.encode()} is not in the stratum X_{_fmt_procs(_bits(s))}"
-        )
+        raise ValueError(f"{_encode(m)} is not in the stratum X_{_fmt_procs(_bits(s))}")
     if a & ~head_g:
         raise ValueError(
-            f"{sigma.encode()} is not in the stratum "
+            f"{_encode(m)} is not in the stratum "
             f"X_{{{_fmt_procs(_bits(s))},{_fmt_procs(_bits(a))}}}"
         )
-    return _splice(sigma, 2, (head_w, head_g & ~a), *kept)
+    return _splice_masks(m, 2, (head_w, head_g & ~a), *kept)
 
 
 def rho(
@@ -739,8 +751,15 @@ class DiagramReport:
         }
 
 
-def _fail(diagram: str, sigma: WitnessStructure, detail: str) -> VerificationError:
-    return VerificationError(f"diagram {diagram} breaks at {sigma.encode()}: {detail}")
+def _fail(diagram: str, m: Masks, detail: str) -> VerificationError:
+    return VerificationError(f"diagram {diagram} breaks at {_encode(m)}: {detail}")
+
+
+# The diagram checks below compute on mask tuples.  Each intermediate
+# structure is validated as making it would validate it, at the same step,
+# so that a defect raises the error, and words it, as a check on
+# structures would; an image that must equal one already validated is
+# validated only when it does not.
 
 
 def _check_restriction_composition(complex_: Complex) -> Iterator[DiagramReport]:
@@ -759,27 +778,29 @@ def _check_restriction_composition(complex_: Complex) -> Iterator[DiagramReport]
             in_x_s = _head_test(StratumRef.x(s), closed=False)
             checked = 0
             for sigma in _sorted_members(complex_, StratumRef.x(s | a, a)):
-                mid = _gamma(sigma, a_mask, a_mask)
+                m = sigma._m
+                mid = _validated(_gamma_masks(m, a_mask, a_mask))
                 if not in_deleted(mid):
                     raise _fail(
                         "restriction-composition",
-                        sigma,
-                        f"peeling {sorted(a)} leaves {mid.encode()}, "
+                        m,
+                        f"peeling {sorted(a)} leaves {_encode(mid)}, "
                         f"not a simplex over {deleted.to_text()!r}",
                     )
-                if mid.t != 0 and not in_x_s(*_head(mid)):
+                if _last_row(mid) != 0 and not in_x_s(*_head_masks(mid)):
                     raise _fail(
                         "restriction-composition",
-                        sigma,
-                        f"{mid.encode()} misses the stratum X_{_fmt_procs(s)}",
+                        m,
+                        f"{_encode(mid)} misses the stratum X_{_fmt_procs(s)}",
                     )
-                two_step = _gamma(mid, s_mask, 0)
-                one_step = _gamma(sigma, s_mask | a_mask, a_mask)
+                two_step = _validated(_gamma_masks(mid, s_mask, 0))
+                one_step = _gamma_masks(m, s_mask | a_mask, a_mask)
                 if two_step != one_step:
+                    _validated(one_step)
                     raise _fail(
                         "restriction-composition",
-                        sigma,
-                        f"{two_step.encode()} != {one_step.encode()}",
+                        m,
+                        f"{_encode(two_step)} != {_encode(one_step)}",
                     )
                 checked += 1
             yield DiagramReport(
@@ -790,39 +811,44 @@ def _check_restriction_composition(complex_: Complex) -> Iterator[DiagramReport]
 
 
 def _check_restriction_absorbs_drop(complex_: Complex) -> Iterator[DiagramReport]:
-    """Absorbing extra ghosts after peeling equals absorbing them during it."""
+    """Absorbing extra ghosts after peeling equals absorbing them during it.
+
+    The peel ``right`` absorbing all of ``A`` is made, and tested for
+    membership, once per simplex, on the first kept-absorbed subset (the
+    empty one); every ``left`` is compared with it."""
     counter = complex_.counter
     for s, a in _x_params(counter.active)[1:]:  # every S ≠ ∅
         s_mask, a_mask = _mask_of(s), _mask_of(a)
         shrunk = counter.restrict(s, a)
         in_shrunk = _membership_test(shrunk)
-        stratum = _sorted_members(complex_, StratumRef.x(s, a))
-        peeled: dict[WitnessStructure, WitnessStructure] = {}
+        stratum = [sigma._m for sigma in _sorted_members(complex_, StratumRef.x(s, a))]
+        peeled: list[Masks | None] = [None] * len(stratum)
         for small in _subsets(sorted(a)):
             b_mask = _mask_of(small)
-            checked = 0
-            for sigma in stratum:
-                left = _delta(_gamma(sigma, s_mask, b_mask), a_mask & ~b_mask)
-                right = peeled.get(sigma)
-                if right is None:
-                    right = peeled[sigma] = _gamma(sigma, s_mask, a_mask)
+            for i, m in enumerate(stratum):
+                left = _delta_masks(_validated(_gamma_masks(m, s_mask, b_mask)), a_mask & ~b_mask)
+                right = peeled[i]
+                fresh = right is None
+                if fresh:
+                    _validated(left)
+                    right = peeled[i] = _validated(_gamma_masks(m, s_mask, a_mask))
                 if left != right:
+                    _validated(left)
                     raise _fail(
                         "restriction-absorbs-drop",
-                        sigma,
-                        f"{left.encode()} != {right.encode()}",
+                        m,
+                        f"{_encode(left)} != {_encode(right)}",
                     )
-                if not in_shrunk(left):
+                if fresh and not in_shrunk(right):
                     raise _fail(
                         "restriction-absorbs-drop",
-                        sigma,
-                        f"{left.encode()} is not a simplex over {shrunk.to_text()!r}",
+                        m,
+                        f"{_encode(right)} is not a simplex over {shrunk.to_text()!r}",
                     )
-                checked += 1
             yield DiagramReport(
                 "restriction-absorbs-drop",
                 {"select": sorted(s), "absorbed": sorted(a), "kept_absorbed": list(small)},
-                checked,
+                len(stratum),
             )
 
 
@@ -834,21 +860,23 @@ def _check_drop_restriction_commute(complex_: Complex) -> Iterator[DiagramReport
     for s, a in _x_params(counter.active)[1:]:  # every S ≠ ∅
         s_mask, a_mask = _mask_of(s), _mask_of(a)
         # Dropped mask -> membership in the dropped-and-stepped counter.
-        in_target: dict[int, Callable[[WitnessStructure], bool]] = {}
+        in_target: dict[int, Callable[[Masks], bool]] = {}
         checked = 0
         for sigma in _sorted_members(complex_, StratumRef.x(s, a)):
-            loose = _head(sigma)[1] & ~s_mask
+            m = sigma._m
+            loose = _head_masks(m)[1] & ~s_mask
             if loose not in drops:
                 drops[loose] = [sum(1 << p for p in v) for v in _subsets(_bits(loose))]
-            peeled = _gamma(sigma, s_mask, a_mask)
+            peeled = _validated(_gamma_masks(m, s_mask, a_mask))
             for v_mask in drops[loose]:
-                left = _delta(peeled, v_mask)
-                right = _gamma(_delta(sigma, v_mask), s_mask, a_mask)
+                left = _validated(_delta_masks(peeled, v_mask))
+                right = _gamma_masks(_validated(_delta_masks(m, v_mask)), s_mask, a_mask)
                 if left != right:
+                    _validated(right)
                     raise _fail(
                         "drop-restriction-commute",
-                        sigma,
-                        f"{left.encode()} != {right.encode()}",
+                        m,
+                        f"{_encode(left)} != {_encode(right)}",
                     )
                 if v_mask not in in_target:
                     in_target[v_mask] = _membership_test(
@@ -857,8 +885,8 @@ def _check_drop_restriction_commute(complex_: Complex) -> Iterator[DiagramReport
                 if not in_target[v_mask](left):
                     raise _fail(
                         "drop-restriction-commute",
-                        sigma,
-                        f"{left.encode()} is not a simplex over the "
+                        m,
+                        f"{_encode(left)} is not a simplex over the "
                         "dropped-and-stepped counter",
                     )
                 checked += 1
@@ -872,9 +900,14 @@ def _check_drop_restriction_commute(complex_: Complex) -> Iterator[DiagramReport
 def verify_diagrams(complex_: Complex) -> list[DiagramReport]:
     """Certify the three translation diagrams pointwise.
 
-    Raises :class:`VerificationError` at the first offending simplex;
-    otherwise returns one report per diagram and parameter choice with
-    the number of verified instances.
+    An instance is one member of the stratum of a parameter choice; for
+    ``drop-restriction-commute`` one member and one set of its row-0
+    ghosts outside ``S``.  Its two sides are computed, and compared, as
+    mask tuples, and each intermediate is validated as the structure it
+    stands for.  Raises :class:`VerificationError`, or the
+    :class:`ValueError` of an invalid intermediate, at the first offending
+    instance, worded as on structures; otherwise returns one report per
+    diagram and parameter choice with the number of verified instances.
     """
     reports: list[DiagramReport] = []
     reports.extend(_check_restriction_composition(complex_))

@@ -21,7 +21,11 @@ or group many structures by them with :func:`_filter_heads` and
 :func:`_from_rows` and :func:`_splice`.  :func:`_ghost_masks` hands out
 the masks of a face before it is validated, so that a build can look the
 face up by them (``G_0`` is entry 1) and validate only the faces it has
-not met yet.
+not met yet.  Certification loops that need no structure compute on the
+mask tuples themselves: :func:`_splice_masks`, :func:`_delta_masks`,
+:func:`_head_masks` and :func:`_last_row` read and write them,
+:func:`_validated` checks one as a structure would and :func:`_encode`
+words it as :meth:`WitnessStructure.encode` does.
 
 Rows are addressed leniently: reading past the last row yields the empty
 set, which is the convention used throughout the stratification code.
@@ -159,6 +163,29 @@ def _structure_violation(rows: tuple[Row, ...]) -> str | None:
     return None
 
 
+def _validated(m: Masks) -> Masks:
+    """``m`` itself if it is a prestructure; otherwise the
+    :class:`ValueError` that making a structure of it raises."""
+    if not _is_prestructure(m):
+        raise ValueError(f"not a prestructure: {_structure_violation(_frozen_rows(m))}")
+    return m
+
+
+def _last_row(m: Masks) -> int:
+    """The index of the last row of ``m``."""
+    return len(m) // 2 - 1
+
+
+def _is_witness(m: Masks) -> bool:
+    """Every row past the first has witnesses."""
+    return all(m[2::2])
+
+
+def _encode(m: Masks) -> str:
+    """:meth:`WitnessStructure.encode` of the mask rows ``m``."""
+    return "[" + ",".join(f"[{_TEXT[w]},{_TEXT[g]}]" for w, g in _pairs(m)) + "]"
+
+
 def _classify(m: Masks) -> Classification:
     if not _is_prestructure(m):
         return Classification.INVALID
@@ -195,11 +222,7 @@ class WitnessStructure:
         self._set(_masks_of_rows(rows))
 
     def _set(self, m: Masks) -> None:
-        if not _is_prestructure(m):
-            raise ValueError(
-                f"not a prestructure: {_structure_violation(_frozen_rows(m))}"
-            )
-        self._m = m
+        self._m = _validated(m)
         self._hash = hash(m)
 
     # -- basic accessors ----------------------------------------------------
@@ -211,7 +234,7 @@ class WitnessStructure:
     @property
     def t(self) -> int:
         """Index of the last row."""
-        return len(self._m) // 2 - 1
+        return _last_row(self._m)
 
     def witness_row(self, i: int) -> frozenset[int]:
         """``W_i``, with out-of-range rows read as empty."""
@@ -260,7 +283,7 @@ class WitnessStructure:
 
     @property
     def is_witness(self) -> bool:
-        return all(self._m[2::2])
+        return _is_witness(self._m)
 
     def traces(self) -> dict[int, frozenset[int]]:
         """Round sets: ``traces()[p]`` is the set of rows mentioning ``p``."""
@@ -292,8 +315,7 @@ class WitnessStructure:
 
     def encode(self) -> str:
         """Canonical string key: pair form with sorted sets, compact JSON."""
-        rows = [f"[{_TEXT[w]},{_TEXT[g]}]" for w, g in _pairs(self._m)]
-        return "[" + ",".join(rows) + "]"
+        return _encode(self._m)
 
     @classmethod
     def decode(cls, text: str) -> "WitnessStructure":
@@ -316,7 +338,11 @@ def _from_masks(m: Masks) -> WitnessStructure:
 
 def _head(sigma: WitnessStructure) -> Masks:
     """``(W_0, G_0, W_1, G_1)`` of ``sigma``; a missing row 1 reads as empty."""
-    m = sigma._m
+    return _head_masks(sigma._m)
+
+
+def _head_masks(m: Masks) -> Masks:
+    """:func:`_head` of the mask rows ``m``."""
     return m[:4] if len(m) > 2 else m + (0, 0)
 
 
@@ -360,19 +386,29 @@ def _from_rows(rows: Iterable[tuple[int, int]]) -> WitnessStructure:
 def _splice(sigma: WitnessStructure, k: int, *head: tuple[int, int]) -> WitnessStructure:
     """The validated structure with mask rows ``head`` followed by the rows
     of ``sigma`` from row ``k`` on."""
+    return _from_masks(_splice_masks(sigma._m, k, *head))
+
+
+def _splice_masks(m: Masks, k: int, *head: tuple[int, int]) -> Masks:
+    """:func:`_splice` on the mask rows ``m``, not yet validated."""
     out: Masks = ()
     for row in head:
         out += row
-    return _from_masks(out + sigma._m[2 * k :])
+    return out + m[2 * k :]
 
 
 def _delta(sigma: WitnessStructure, v: int) -> WitnessStructure:
     """δ: ``sigma`` with the row-0 ghosts of the mask ``v`` forgotten
     entirely.  ``v`` must consist of row-0 ghosts."""
-    w0, g0 = sigma._m[:2]
+    return _from_masks(_delta_masks(sigma._m, v))
+
+
+def _delta_masks(m: Masks, v: int) -> Masks:
+    """:func:`_delta` on the mask rows ``m``, not yet validated."""
+    w0, g0 = m[:2]
     if v & ~g0:
-        raise ValueError(f"{_bits(v)} are not all row-0 ghosts of {sigma.encode()}")
-    return _splice(sigma, 1, (w0, g0 & ~v))
+        raise ValueError(f"{_bits(v)} are not all row-0 ghosts of {_encode(m)}")
+    return (w0, g0 & ~v) + m[2:]
 
 
 def ghost(sigma: WitnessStructure, hide: Iterable[int]) -> WitnessStructure:

@@ -14,8 +14,11 @@ from snapcomplex import (
     collapse_all,
     collapse_to_relative_boundary,
     cone_split,
+    enumerate_schedules,
+    facet_structures,
     facets,
     membership,
+    to_facet,
     verify_ghost_composition,
     verify_translation_maps,
 )
@@ -23,7 +26,7 @@ from snapcomplex import (
 from snapcomplex import complexes, witness
 from snapcomplex.errors import VerificationError
 
-from . import build_reference
+from . import build_reference, gg_reference
 from .conftest import TEST_COUNTERS
 from .oracles import layered_sequence_count
 
@@ -50,6 +53,12 @@ def test_facets_of_two_process_single_round():
 def test_facet_count_matches_layered_sequence_oracle(text):
     r = RoundCounter.parse(text)
     assert len(facets(r)) == layered_sequence_count(dict(r))
+
+
+@pytest.mark.parametrize("text", TEST_COUNTERS + ("2,1,0,1", "1,1,1,1,1"))
+def test_facets_from_the_search_are_the_checked_schedule_facets(text):
+    r = RoundCounter.parse(text)
+    assert list(facet_structures(r)) == [to_facet(s, r) for s in enumerate_schedules(r)]
 
 
 def test_membership_hand_cases():
@@ -288,8 +297,27 @@ def test_ghost_composition_ghosts_each_face_once(text, get_complex, monkeypatch)
 
     monkeypatch.setattr(complexes, "_ghost", counting)
     assert verify_ghost_composition(k) == sum(3 ** (s.dim + 1) for s in k.simplices)
-    # One ghost per subset of the active set, one per disjoint pair.
-    assert calls <= sum(3 ** (s.dim + 1) + 2 ** (s.dim + 1) for s in k.simplices)
+    # One ghost per subset of the active set; the composed faces are read
+    # from the face table.
+    assert calls <= sum(2 ** (s.dim + 1) for s in k.simplices)
+
+
+@pytest.mark.parametrize("text", TEST_COUNTERS + ("2,1,0,1", "1,1,1,1,1"))
+def test_ghost_composition_matches_the_per_instance_reference(text, get_complex):
+    k = get_complex(text)
+    assert verify_ghost_composition(k) == gg_reference.verify_ghost_composition(k)
+
+
+def test_ghost_composition_checks_faces_outside_the_complex_one_by_one(get_complex):
+    # Without a vertex, the faces of its cofaces that hide the other
+    # processes have no row in the face table.
+    k = get_complex("1,1,1")
+    vertex = min((s for s in k.simplices if s.dim == 0), key=WitnessStructure.encode)
+    lower = {s: k.lower_covers(s) for s in k.simplices if s != vertex}
+    doctored = Complex(k.counter, lower, k.facets)
+    assert verify_ghost_composition(doctored) == gg_reference.verify_ghost_composition(
+        doctored
+    )
 
 
 def test_ghost_composition_catches_one_corrupted_composition(get_complex, monkeypatch):
@@ -306,6 +334,28 @@ def test_ghost_composition_catches_one_corrupted_composition(get_complex, monkey
     monkeypatch.setattr(complexes, "_ghost", corrupted)
     with pytest.raises(VerificationError, match="ghosting"):
         verify_ghost_composition(k)
+
+
+def test_ghost_composition_fails_as_the_reference_on_a_deeper_face(get_complex, monkeypatch):
+    # Hiding one process of a triangle returns the edge that hides another;
+    # the triangle and its cofaces then compose to the wrong faces.
+    k = get_complex("1,1,1,1")
+    triangle = max((s for s in k.simplices if s.dim == 2), key=WitnessStructure.encode)
+    first, second = sorted(triangle.active_set)[:2]
+    real = complexes._ghost
+
+    def corrupted(sigma, mask):
+        if sigma == triangle and mask == 1 << first:
+            return real(sigma, 1 << second)
+        return real(sigma, mask)
+
+    monkeypatch.setattr(complexes, "_ghost", corrupted)
+    monkeypatch.setattr(gg_reference, "_ghost", corrupted)
+    with pytest.raises(VerificationError, match="ghosting") as fast:
+        verify_ghost_composition(k)
+    with pytest.raises(VerificationError) as slow:
+        gg_reference.verify_ghost_composition(k)
+    assert str(fast.value) == str(slow.value)
 
 
 def test_json_shape(get_complex):

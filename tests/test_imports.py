@@ -56,6 +56,17 @@ def test_construction_subcommands_load_only_the_construction(argv):
     assert "dataclasses" not in loaded
 
 
+def test_a_skipped_phi_check_loads_no_subdivision():
+    loaded = _modules_after(
+        "import contextlib, io\n"
+        "from snapcomplex.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert main(['verify', '-r', '2,1,1,1', '--checks', 'phi']) == 0\n"
+    )
+    assert "snapcomplex.cli" in loaded
+    assert "snapcomplex.chromatic" not in loaded
+
+
 def test_every_public_name_resolves_from_the_root():
     names = snapcomplex.__all__
     assert len(set(names)) == len(names)

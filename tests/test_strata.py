@@ -333,6 +333,33 @@ def test_indexed_diagrams_catch_a_foreign_simplex(get_complex):
         verify_diagrams(doctored)
 
 
+def test_diagrams_catch_a_left_broken_on_the_mask_path_alone(get_complex, monkeypatch):
+    # For one simplex and one kept-absorbed subset B, the mask form of δ
+    # forgets nothing, so only that left of restriction-absorbs-drop
+    # differs from the peel that absorbs all of A.
+    k = get_complex("2,1,1")
+    s, a = next(
+        (s, a)
+        for s, a in _x_params(k.counter.active)
+        if len(a) == 2 and members(k, StratumRef.x(s, a))
+    )
+    sigma = max(members(k, StratumRef.x(s, a)), key=WitnessStructure.encode)
+    kept = {min(a)}
+    inner, lost = gamma(sigma, s, kept)._m, witness._mask_of(a - kept)
+    real = strata._delta_masks
+
+    def broken(m, v):
+        return m if (m, v) == (inner, lost) else real(m, v)
+
+    monkeypatch.setattr(strata, "_delta_masks", broken)
+    with pytest.raises(VerificationError) as exc:
+        verify_diagrams(k)
+    assert str(exc.value) == (
+        f"diagram restriction-absorbs-drop breaks at {sigma.encode()}: "
+        f"{gamma(sigma, s, kept).encode()} != {gamma(sigma, s, a).encode()}"
+    )
+
+
 def test_calculus_tests_each_head_once_per_stratum(monkeypatch):
     k = build(RoundCounter.parse("2,1,1,1"))
     refs = set()
