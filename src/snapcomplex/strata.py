@@ -755,13 +755,6 @@ def _fail(diagram: str, m: Masks, detail: str) -> VerificationError:
     return VerificationError(f"diagram {diagram} breaks at {_encode(m)}: {detail}")
 
 
-# The diagram checks below compute on mask tuples.  Each intermediate
-# structure is validated as making it would validate it, at the same step,
-# so that a defect raises the error, and words it, as a check on
-# structures would; an image that must equal one already validated is
-# validated only when it does not.
-
-
 def _check_restriction_composition(complex_: Complex) -> Iterator[DiagramReport]:
     """Peeling ``S ∪ A`` while deleting ``A`` equals peeling ``A`` then ``S``."""
     counter = complex_.counter
@@ -903,11 +896,13 @@ def verify_diagrams(complex_: Complex) -> list[DiagramReport]:
     An instance is one member of the stratum of a parameter choice; for
     ``drop-restriction-commute`` one member and one set of its row-0
     ghosts outside ``S``.  Its two sides are computed, and compared, as
-    mask tuples, and each intermediate is validated as the structure it
-    stands for.  Raises :class:`VerificationError`, or the
-    :class:`ValueError` of an invalid intermediate, at the first offending
-    instance, worded as on structures; otherwise returns one report per
-    diagram and parameter choice with the number of verified instances.
+    mask tuples.  Each intermediate is validated, at the step that would
+    make it a structure, as making it would validate it; a side that must
+    equal one already validated is validated only when it does not.  So
+    this raises :class:`VerificationError`, or the :class:`ValueError` of
+    an invalid intermediate, at the first offending instance and worded
+    as on structures; otherwise it returns one report per diagram and
+    parameter choice with the number of verified instances.
     """
     reports: list[DiagramReport] = []
     reports.extend(_check_restriction_composition(complex_))
