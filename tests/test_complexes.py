@@ -336,26 +336,28 @@ def test_ghost_composition_catches_one_corrupted_composition(get_complex, monkey
         verify_ghost_composition(k)
 
 
-def test_ghost_composition_fails_as_the_reference_on_a_deeper_face(get_complex, monkeypatch):
-    # Hiding one process of a triangle returns the edge that hides another;
-    # the triangle and its cofaces then compose to the wrong faces.
-    k = get_complex("1,1,1,1")
-    triangle = max((s for s in k.simplices if s.dim == 2), key=WitnessStructure.encode)
-    first, second = sorted(triangle.active_set)[:2]
+@pytest.mark.parametrize("text, dim", [("2,1", 1), ("1,1,1,1", 2)])
+def test_ghost_composition_fails_as_the_reference_on_a_corrupted_face(
+    text, dim, get_complex, monkeypatch
+):
+    # Hiding one process of a simplex returns the face that hides another.
+    # An edge of 2,1, a facet, then ghosts a process it no longer has; a
+    # triangle of 1,1,1,1 and its cofaces compose to the wrong faces.
+    k = get_complex(text)
+    sigma = max((s for s in k.simplices if s.dim == dim), key=WitnessStructure.encode)
+    first, second = sorted(sigma.active_set)[:2]
     real = complexes._ghost
 
-    def corrupted(sigma, mask):
-        if sigma == triangle and mask == 1 << first:
-            return real(sigma, 1 << second)
-        return real(sigma, mask)
+    def corrupted(tau, mask):
+        return real(tau, 1 << second if tau == sigma and mask == 1 << first else mask)
 
     monkeypatch.setattr(complexes, "_ghost", corrupted)
     monkeypatch.setattr(gg_reference, "_ghost", corrupted)
-    with pytest.raises(VerificationError, match="ghosting") as fast:
+    with pytest.raises((VerificationError, ValueError)) as fast:
         verify_ghost_composition(k)
-    with pytest.raises(VerificationError) as slow:
+    with pytest.raises((VerificationError, ValueError)) as slow:
         gg_reference.verify_ghost_composition(k)
-    assert str(fast.value) == str(slow.value)
+    assert (type(fast.value), str(fast.value)) == (type(slow.value), str(slow.value))
 
 
 def test_json_shape(get_complex):
