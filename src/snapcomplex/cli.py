@@ -244,6 +244,8 @@ CHECK_ORDER = tuple(_CHECKS)
 def _cmd_verify(args: argparse.Namespace) -> int:
     counter = _parse_counter(args.counter)
     wanted = [name.strip() for name in args.checks.split(",") if name.strip()]
+    if not wanted:
+        raise UsageError(f"no checks given; available: {', '.join(CHECK_ORDER)}")
     unknown = [name for name in wanted if name not in _CHECKS]
     if unknown:
         raise UsageError(

@@ -29,33 +29,37 @@ from .witness import (
     _delta,
     _from_masks,
     _ghost,
-    _ghost_masks,
     _group_by_head,
     _is_witness,
     _mask_of,
     _pairs,
+    _validated,
     ghost,
 )
 
-# A build retains about 200 B and takes about 14 µs per stored simplex on
-# 2,1,1,1 and 1,1,1,1,1, and about 350 B and 18 µs on 1,1,1,1,1,1
+# A build retains about 260 B per stored simplex on 2,1,1,1 and about
+# 280 B on 1,1,1,1,1 and 1,1,1,1,1,1, and takes 10 to 20 µs for each
 # (tracemalloc and wall time, Python 3.11), so the default cap bounds a
-# complex at about 0.7 GB and 40 s.
+# complex at about 0.56 GB and 40 s.
 DEFAULT_SIMPLEX_CAP = 2_000_000
 CAP_ENV_VAR = "SNAPCOMPLEX_MAX_SIMPLICES"
 
 
 def simplex_cap(override: int | None = None) -> int:
-    """Resolve the stored-simplex budget (argument, else env var, else default)."""
-    if override is not None:
-        return override
-    env = os.environ.get(CAP_ENV_VAR)
-    if env:
+    """Resolve the stored-simplex budget (argument, else env var, else
+    default); a negative budget is a :class:`ValueError`."""
+    cap, source = override, "the simplex cap"
+    if cap is None:
+        env = os.environ.get(CAP_ENV_VAR)
+        if not env:
+            return DEFAULT_SIMPLEX_CAP
         try:
-            return int(env)
+            cap, source = int(env), CAP_ENV_VAR
         except ValueError:
             raise ValueError(f"{CAP_ENV_VAR} must be an integer, got {env!r}") from None
-    return DEFAULT_SIMPLEX_CAP
+    if cap < 0:
+        raise ValueError(f"{source} must be nonnegative, got {cap}")
+    return cap
 
 
 def facet_structures(
@@ -85,7 +89,7 @@ def membership(r: RoundCounter, sigma: WitnessStructure) -> bool:
     it is a witness structure on the full support whose active traces have
     exactly ``r(p)+1`` entries and whose ghost traces have at most that many.
     """
-    return _membership_test(r)(sigma._m)
+    return _membership_test(r)(sigma)
 
 
 def _membership_test(r: RoundCounter) -> Callable[[Masks], bool]:
@@ -322,31 +326,32 @@ def _build(r: RoundCounter, cap: int, ghosts: int) -> Complex:
     A coface never has more row-0 ghosts than its faces, so that part is
     closed upward, and the closure from the facets reaches all of it
     through it alone; a face outside it is dropped before it is made.
-    Faces are looked up by their masks, so each stored simplex is made,
-    and validated, once; equal faces reached from different cofaces
-    share that instance.
+    A face is looked up by its unvalidated masks, which equal and hash as
+    the structure they make, so each stored simplex is made, and
+    validated, once; equal faces reached from different cofaces share
+    that instance.
     """
     support = _mask_of(r)
     facet_list = list(facet_structures(r, max_schedules=cap))
-    known: dict[Masks, WitnessStructure] = {f._m: f for f in facet_list}
+    known: dict[WitnessStructure, WitnessStructure] = {f: f for f in facet_list}
     stack = list(facet_list)
     if not support & ~ghosts:
         stack.append(_from_masks((0, support)))  # the empty simplex
-        known[(0, support)] = stack[-1]
+        known[stack[-1]] = stack[-1]
     if len(known) > cap:
         raise ComplexTooLargeError(cap)
     lower: dict[WitnessStructure, Covers] = {}
     while stack:
         sigma = stack.pop()
-        m = sigma._m
         covers = []
-        for p in _bits(_active_mask(m)):
-            face_m = _ghost_masks(m, 1 << p)
+        for p in _bits(_active_mask(sigma)):
+            face_m = _ghost(sigma, 1 << p)
             face = known.get(face_m)
             if face is None:
                 if face_m[1] & ~ghosts:
                     continue
-                face = known[face_m] = _from_masks(face_m)
+                face = _from_masks(face_m)
+                known[face] = face
                 if len(known) > cap:
                     raise ComplexTooLargeError(cap)
                 stack.append(face)
@@ -466,7 +471,8 @@ class ConeSplit:
         for sigma in whole.simplices:
             flag = apex_process in sigma.active_set
             try:
-                pairing[sigma] = (_delta(_ghost(sigma, bit) if flag else sigma, bit), flag)
+                face = _validated(_ghost(sigma, bit)) if flag else sigma
+                pairing[sigma] = (_from_masks(_delta(face, bit)), flag)
             except ValueError as exc:
                 raise VerificationError(f"cone pairing: {exc}") from None
         self.pairing = pairing
@@ -579,8 +585,8 @@ def verify_ghost_composition(k: Complex) -> int:
     first disagreement, in ``encode`` order of the simplices.
     """
     order = sorted(k.simplices, key=WitnessStructure.encode)
-    number = {sigma._m: i for i, sigma in enumerate(order)}
-    actives = [_active_mask(sigma._m) for sigma in order]
+    number = {sigma: i for i, sigma in enumerate(order)}
+    actives = [_active_mask(sigma) for sigma in order]
     hides: dict[int, list[int]] = {}
     # rows[i]: the face row of order[i]; () where the table cannot serve it.
     rows: list[tuple[int, ...] | None] = [None] * len(order)
@@ -592,7 +598,7 @@ def verify_ghost_composition(k: Complex) -> int:
                 hides[active] = _hidden_masks(active)
             faces = []
             for h in hides[active]:
-                j = number.get(_ghost(order[i], h)._m)
+                j = number.get(_validated(_ghost(order[i], h)))
                 if j is None or actives[j] != active & ~h:
                     faces = []
                     break
@@ -621,9 +627,9 @@ def _check_composition_at(sigma: WitnessStructure, hide: list[int]) -> None:
     """The instances of ``sigma``, one by one, in the order of
     :func:`_disjoint_pairs`; ``hide`` is :func:`_hidden_masks` of its
     active set."""
-    face = [_ghost(sigma, h) for h in hide]
+    face = [_from_masks(_ghost(sigma, h)) for h in hide]
     for s_part, t_part in _disjoint_pairs(len(hide).bit_length() - 1):
-        one = _ghost(face[s_part], hide[t_part])
+        one = _from_masks(_ghost(face[s_part], hide[t_part]))
         if one != face[s_part | t_part]:
             raise VerificationError(
                 f"ghosting {_bits(hide[s_part])} then {_bits(hide[t_part])} on "

@@ -23,10 +23,11 @@ reference for the life of the complex.  The certifications below compare
 member sets as these bitsets, which is exact because the buckets of
 simplices behind distinct heads are disjoint and nonempty.  They also
 validate each process set once per parameter choice and hand masks to
-the private forms ``_gamma``, ``_rho`` and ``_delta`` of the maps.  The
-commuting diagrams make no structure per instance: they apply the mask
-forms ``_gamma_masks`` and ``_delta_masks``, which the structure forms
-wrap, to mask tuples.
+the private forms ``_gamma``, ``_rho`` and ``_delta`` of the maps.
+``_gamma`` and ``_delta`` take a mask tuple (a structure is one) and
+return the image unvalidated.  A caller makes a structure of it, which
+validates it, at the step where it needs one; the commuting diagrams
+only validate their intermediates, and compute on mask tuples.
 """
 
 from __future__ import annotations
@@ -44,16 +45,11 @@ from .witness import (
     WitnessStructure,
     _bits,
     _delta,
-    _delta_masks,
-    _encode,
     _from_masks,
     _from_rows,
     _head,
-    _head_masks,
-    _last_row,
     _mask_of,
     _splice,
-    _splice_masks,
     _validated,
 )
 
@@ -64,6 +60,10 @@ _KINDS = ("X", "Y", "Z", "B", "XBV")
 
 def _procs(values: Iterable[int]) -> Procs:
     return frozenset(map(_check_pid, values))
+
+
+# Words a mask tuple, validated or not, as its structure's encode does.
+_text = WitnessStructure.encode
 
 
 def _fmt_procs(values: Iterable[int]) -> str:
@@ -267,33 +267,29 @@ def gamma(
     a = _mask_of(absorbed)
     if a & ~s:
         raise ValueError("absorbed set must lie inside the selected set")
-    return _gamma(sigma, s, a)
+    return _from_masks(_gamma(sigma, s, a))
 
 
-def _gamma(sigma: WitnessStructure, s: int, a: int) -> WitnessStructure:
-    """:func:`gamma` with ``select`` and ``absorbed`` given as masks, ``a ⊆ s``."""
-    return _from_masks(_gamma_masks(sigma._m, s, a))
-
-
-def _gamma_masks(m: Masks, s: int, a: int) -> Masks:
-    """:func:`_gamma` on the mask rows ``m``, not yet validated."""
-    w0, g0, w1, g1 = _head_masks(m)
-    if _last_row(m) == 0:
+def _gamma(m: Masks, s: int, a: int) -> Masks:
+    """:func:`gamma` of the mask rows ``m``, with ``select`` and ``absorbed``
+    given as masks, ``a ⊆ s``; not yet validated."""
+    w0, g0, w1, g1 = _head(m)
+    if len(m) == 2:
         if w0 & s:
-            raise ValueError(f"{_encode(m)} is not in the stratum X_{_fmt_procs(_bits(s))}")
-        return _splice_masks(m, 1, (w0, g0 & ~a))
+            raise ValueError(f"{_text(m)} is not in the stratum X_{_fmt_procs(_bits(s))}")
+        return _splice(m, 1, (w0, g0 & ~a))
     if s & ~g1 == 0:
         head_w, head_g, kept = w0 & ~s, g0 | s, [(w1, g1 & ~s)]
     elif w1 | g1 == s:
         head_w, head_g, kept = w0 & ~g1, g0 | g1, []
     else:
-        raise ValueError(f"{_encode(m)} is not in the stratum X_{_fmt_procs(_bits(s))}")
+        raise ValueError(f"{_text(m)} is not in the stratum X_{_fmt_procs(_bits(s))}")
     if a & ~head_g:
         raise ValueError(
-            f"{_encode(m)} is not in the stratum "
+            f"{_text(m)} is not in the stratum "
             f"X_{{{_fmt_procs(_bits(s))},{_fmt_procs(_bits(a))}}}"
         )
-    return _splice_masks(m, 2, (head_w, head_g & ~a), *kept)
+    return _splice(m, 2, (head_w, head_g & ~a), *kept)
 
 
 def rho(
@@ -322,9 +318,9 @@ def _rho(tau: WitnessStructure, s: int, a: int) -> WitnessStructure:
         raise ValueError("absorbed processes are still present in the simplex")
     h0 |= a
     if v0 & s:
-        return _splice(tau, 1, (v0 | (h0 & s), h0 & ~s), (v0 & s, h0 & s))
+        return _from_masks(_splice(tau, 1, (v0 | (h0 & s), h0 & ~s), (v0 & s, h0 & s)))
     if tau.t >= 1 and s & ~h0 == 0:
-        return _splice(tau, 2, (v0 | s, h0 & ~s), (w1, g1 | s))
+        return _from_masks(_splice(tau, 2, (v0 | s, h0 & ~s), (w1, g1 | s)))
     return _from_rows([(v0, h0)])
 
 
@@ -334,7 +330,7 @@ def delta(sigma: WitnessStructure, dropped: Iterable[int]) -> WitnessStructure:
     Requires ``dropped`` to consist of row-0 ghosts; the image lives in
     the complex over the counter with ``dropped`` deleted.
     """
-    return _delta(sigma, _mask_of(dropped))
+    return _from_masks(_delta(sigma, _mask_of(dropped)))
 
 
 def delta_inverse(tau: WitnessStructure, dropped: Iterable[int]) -> WitnessStructure:
@@ -347,7 +343,7 @@ def _delta_inverse(tau: WitnessStructure, v: int) -> WitnessStructure:
     w0, g0, _, _ = _head(tau)
     if v & (w0 | g0):
         raise ValueError("dropped processes are still present in the simplex")
-    return _splice(tau, 1, (w0, g0 | v))
+    return _from_masks(_splice(tau, 1, (w0, g0 | v)))
 
 
 # ---------------------------------------------------------------------------
@@ -686,7 +682,7 @@ def verify_translation_maps(complex_: Complex) -> dict[str, int]:
         label = f"γ_{_fmt_procs(s)},{_fmt_procs(a)}"
         domain = _sorted_members(complex_, StratumRef.x(s, a))
         target = target_for(counter.restrict(s, a))
-        image = {sigma: _gamma(sigma, s_mask, a_mask) for sigma in domain}
+        image = {sigma: _from_masks(_gamma(sigma, s_mask, a_mask)) for sigma in domain}
         _certify_iso(
             domain, complex_.lower_covers, image, target.simplices, target.lower_covers, label
         )
@@ -701,7 +697,7 @@ def verify_translation_maps(complex_: Complex) -> dict[str, int]:
                 )
         for tau in sorted(target.simplices, key=WitnessStructure.encode):
             back = _rho(tau, s_mask, 0)
-            if back not in members_set or _gamma(back, s_mask, 0) != tau:
+            if back not in members_set or _validated(_gamma(back, s_mask, 0)) != tau:
                 raise VerificationError(
                     f"ρ_{_fmt_procs(s)} is not a right inverse on {tau.encode()}"
                 )
@@ -713,7 +709,7 @@ def verify_translation_maps(complex_: Complex) -> dict[str, int]:
         label = f"δ_{_fmt_procs(v)}"
         domain = _sorted_members(complex_, StratumRef.b(v))
         target = target_for(counter.delete(v))
-        image = {sigma: _delta(sigma, v_mask) for sigma in domain}
+        image = {sigma: _from_masks(_delta(sigma, v_mask)) for sigma in domain}
         _certify_iso(
             domain, complex_.lower_covers, image, target.simplices, target.lower_covers, label
         )
@@ -751,8 +747,8 @@ class DiagramReport:
         }
 
 
-def _fail(diagram: str, m: Masks, detail: str) -> VerificationError:
-    return VerificationError(f"diagram {diagram} breaks at {_encode(m)}: {detail}")
+def _fail(diagram: str, sigma: WitnessStructure, detail: str) -> VerificationError:
+    return VerificationError(f"diagram {diagram} breaks at {sigma.encode()}: {detail}")
 
 
 def _check_restriction_composition(complex_: Complex) -> Iterator[DiagramReport]:
@@ -771,29 +767,27 @@ def _check_restriction_composition(complex_: Complex) -> Iterator[DiagramReport]
             in_x_s = _head_test(StratumRef.x(s), closed=False)
             checked = 0
             for sigma in _sorted_members(complex_, StratumRef.x(s | a, a)):
-                m = sigma._m
-                mid = _validated(_gamma_masks(m, a_mask, a_mask))
+                mid = _validated(_gamma(sigma, a_mask, a_mask))
                 if not in_deleted(mid):
                     raise _fail(
                         "restriction-composition",
-                        m,
-                        f"peeling {sorted(a)} leaves {_encode(mid)}, "
+                        sigma,
+                        f"peeling {sorted(a)} leaves {_text(mid)}, "
                         f"not a simplex over {deleted.to_text()!r}",
                     )
-                if _last_row(mid) != 0 and not in_x_s(*_head_masks(mid)):
+                if len(mid) != 2 and not in_x_s(*_head(mid)):
                     raise _fail(
                         "restriction-composition",
-                        m,
-                        f"{_encode(mid)} misses the stratum X_{_fmt_procs(s)}",
+                        sigma,
+                        f"{_text(mid)} misses the stratum X_{_fmt_procs(s)}",
                     )
-                two_step = _validated(_gamma_masks(mid, s_mask, 0))
-                one_step = _gamma_masks(m, s_mask | a_mask, a_mask)
+                two_step = _validated(_gamma(mid, s_mask, 0))
+                one_step = _gamma(sigma, s_mask | a_mask, a_mask)
                 if two_step != one_step:
-                    _validated(one_step)
                     raise _fail(
                         "restriction-composition",
-                        m,
-                        f"{_encode(two_step)} != {_encode(one_step)}",
+                        sigma,
+                        f"{_text(two_step)} != {_text(_validated(one_step))}",
                     )
                 checked += 1
             yield DiagramReport(
@@ -814,29 +808,28 @@ def _check_restriction_absorbs_drop(complex_: Complex) -> Iterator[DiagramReport
         s_mask, a_mask = _mask_of(s), _mask_of(a)
         shrunk = counter.restrict(s, a)
         in_shrunk = _membership_test(shrunk)
-        stratum = [sigma._m for sigma in _sorted_members(complex_, StratumRef.x(s, a))]
+        stratum = _sorted_members(complex_, StratumRef.x(s, a))
         peeled: list[Masks | None] = [None] * len(stratum)
         for small in _subsets(sorted(a)):
             b_mask = _mask_of(small)
-            for i, m in enumerate(stratum):
-                left = _delta_masks(_validated(_gamma_masks(m, s_mask, b_mask)), a_mask & ~b_mask)
+            for i, sigma in enumerate(stratum):
+                left = _delta(_validated(_gamma(sigma, s_mask, b_mask)), a_mask & ~b_mask)
                 right = peeled[i]
                 fresh = right is None
                 if fresh:
                     _validated(left)
-                    right = peeled[i] = _validated(_gamma_masks(m, s_mask, a_mask))
+                    right = peeled[i] = _validated(_gamma(sigma, s_mask, a_mask))
                 if left != right:
-                    _validated(left)
                     raise _fail(
                         "restriction-absorbs-drop",
-                        m,
-                        f"{_encode(left)} != {_encode(right)}",
+                        sigma,
+                        f"{_text(_validated(left))} != {_text(right)}",
                     )
                 if fresh and not in_shrunk(right):
                     raise _fail(
                         "restriction-absorbs-drop",
-                        m,
-                        f"{_encode(right)} is not a simplex over {shrunk.to_text()!r}",
+                        sigma,
+                        f"{_text(right)} is not a simplex over {shrunk.to_text()!r}",
                     )
             yield DiagramReport(
                 "restriction-absorbs-drop",
@@ -856,20 +849,18 @@ def _check_drop_restriction_commute(complex_: Complex) -> Iterator[DiagramReport
         in_target: dict[int, Callable[[Masks], bool]] = {}
         checked = 0
         for sigma in _sorted_members(complex_, StratumRef.x(s, a)):
-            m = sigma._m
-            loose = _head_masks(m)[1] & ~s_mask
+            loose = sigma[1] & ~s_mask  # the row-0 ghosts outside S
             if loose not in drops:
                 drops[loose] = [sum(1 << p for p in v) for v in _subsets(_bits(loose))]
-            peeled = _validated(_gamma_masks(m, s_mask, a_mask))
+            peeled = _validated(_gamma(sigma, s_mask, a_mask))
             for v_mask in drops[loose]:
-                left = _validated(_delta_masks(peeled, v_mask))
-                right = _gamma_masks(_validated(_delta_masks(m, v_mask)), s_mask, a_mask)
+                left = _validated(_delta(peeled, v_mask))
+                right = _gamma(_validated(_delta(sigma, v_mask)), s_mask, a_mask)
                 if left != right:
-                    _validated(right)
                     raise _fail(
                         "drop-restriction-commute",
-                        m,
-                        f"{_encode(left)} != {_encode(right)}",
+                        sigma,
+                        f"{_text(left)} != {_text(_validated(right))}",
                     )
                 if v_mask not in in_target:
                     in_target[v_mask] = _membership_test(
@@ -878,8 +869,8 @@ def _check_drop_restriction_commute(complex_: Complex) -> Iterator[DiagramReport
                 if not in_target[v_mask](left):
                     raise _fail(
                         "drop-restriction-commute",
-                        m,
-                        f"{_encode(left)} is not a simplex over the "
+                        sigma,
+                        f"{_text(left)} is not a simplex over the "
                         "dropped-and-stepped counter",
                     )
                 checked += 1

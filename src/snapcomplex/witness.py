@@ -2,30 +2,30 @@
 
 A witness structure is a sequence of rows ``(W_i, G_i)``: ``W_i`` holds the
 processes whose activity is witnessed in round ``i``, ``G_i`` the processes
-whose last (passive) appearance is round ``i``.  This pair form is the one
-representation: it is stored, compared, encoded and ghosted directly.
-:func:`ghost` computes every face of a simplex in one pass over the rows.
+whose last (passive) appearance is round ``i``.
 
-Each set is stored as an int bitmask (bit ``p`` set iff process ``p`` is
-in it), and the rows are flattened into one tuple ``(W_0, G_0, W_1, G_1,
-...)``.  Hashing, equality, validation, ghosting and encoding read the
-masks alone; the frozenset accessors serve their sets from one shared
-mask-to-frozenset table.  Since a mask holding id ``p`` takes about
-``p/8`` bytes, process ids must be small integers: at most
-:data:`MAX_PROCESS_ID`.
+A structure is its masks.  Each set is an int bitmask (bit ``p`` set iff
+process ``p`` is in it), and :class:`WitnessStructure` is the ``tuple`` of
+the rows flattened, ``(W_0, G_0, W_1, G_1, ...)``, checked to be a
+prestructure when it is made.  It equals, and hashes as, that plain tuple,
+and its ``len``, iteration and indexing are the tuple's: a set or dict of
+structures finds a member from its masks alone, so each simplex of a
+complex is one object.  Only the order differs: ``<`` and ``>`` compare
+:meth:`WitnessStructure.encode`, and ``<=`` and ``>=`` are undefined.  The
+frozenset accessors serve their sets from one shared mask-to-frozenset
+table.  Since a mask holding id ``p`` takes about ``p/8`` bytes, process
+ids must be small integers: at most :data:`MAX_PROCESS_ID`.
 
-Only this module knows the flattened layout.  Inside the package, other
-modules read the first two rows of a structure with :func:`_head`, scan
-or group many structures by them with :func:`_filter_heads` and
-:func:`_group_by_head`, and make structures from mask rows with
-:func:`_from_rows` and :func:`_splice`.  :func:`_ghost_masks` hands out
-the masks of a face before it is validated, so that a build can look the
-face up by them (``G_0`` is entry 1) and validate only the faces it has
-not met yet.  Certification loops that need no structure compute on the
-mask tuples themselves: :func:`_splice_masks`, :func:`_delta_masks`,
-:func:`_head_masks` and :func:`_last_row` read and write them,
-:func:`_validated` checks one as a structure would and :func:`_encode`
-words it as :meth:`WitnessStructure.encode` does.
+Each operation on the rows is written once, as a function of a mask tuple
+(a structure is one) that returns its result unvalidated: :func:`_head`
+reads the first two rows, :func:`_ghost` forgets processes, :func:`_splice`
+replaces the first rows and :func:`_delta` forgets row-0 ghosts.
+:func:`_from_masks` is the one constructor from masks, and it validates
+with :func:`_validated`: a caller wraps a result in it at the step where it
+needs a structure, or only validates it where a mask tuple will do, and a
+build looks a face up by its masks first, so that only a new face is
+validated.  :func:`_filter_heads` and :func:`_group_by_head` scan or group
+many structures by head, and :func:`ghost` is the validated face map.
 
 Rows are addressed leniently: reading past the last row yields the empty
 set, which is the convention used throughout the stratification code.
@@ -171,19 +171,9 @@ def _validated(m: Masks) -> Masks:
     return m
 
 
-def _last_row(m: Masks) -> int:
-    """The index of the last row of ``m``."""
-    return len(m) // 2 - 1
-
-
 def _is_witness(m: Masks) -> bool:
     """Every row past the first has witnesses."""
     return all(m[2::2])
-
-
-def _encode(m: Masks) -> str:
-    """:meth:`WitnessStructure.encode` of the mask rows ``m``."""
-    return "[" + ",".join(f"[{_TEXT[w]},{_TEXT[g]}]" for w, g in _pairs(m)) + "]"
 
 
 def _classify(m: Masks) -> Classification:
@@ -209,161 +199,160 @@ def validate(rows: Iterable[RawRow]) -> Classification:
     return _classify(_masks_of_rows(rows))
 
 
-class WitnessStructure:
-    """An immutable, validated prestructure in pair form.
+class WitnessStructure(tuple):
+    """An immutable, validated prestructure: the tuple of its flattened
+    mask rows ``(W_0, G_0, W_1, G_1, ...)``.
 
-    Process ids must be nonnegative integers no larger than
-    :data:`MAX_PROCESS_ID`; others raise :class:`ValueError`.
+    Equality, hashing, ``len``, iteration and indexing are those of that
+    tuple, so a structure equals the plain tuple of its masks.  ``<`` and
+    ``>`` order structures by :meth:`encode`; ``<=`` and ``>=`` raise
+    :class:`TypeError`.  Process ids must be nonnegative integers no larger
+    than :data:`MAX_PROCESS_ID`; others raise :class:`ValueError`.
     """
 
-    __slots__ = ("_m", "_hash")
+    __slots__ = ()
 
-    def __init__(self, rows: Iterable[RawRow]):
-        self._set(_masks_of_rows(rows))
+    def __new__(cls, rows: Iterable[RawRow]) -> WitnessStructure:
+        return _from_masks(_masks_of_rows(rows))
 
-    def _set(self, m: Masks) -> None:
-        self._m = _validated(m)
-        self._hash = hash(m)
+    def __reduce__(self) -> tuple:
+        # tuple's own reduction would hand the masks to __new__ as rows.
+        return _from_masks, (tuple(self),)
 
     # -- basic accessors ----------------------------------------------------
 
     @property
     def rows(self) -> tuple[Row, ...]:
-        return _frozen_rows(self._m)
+        return _frozen_rows(self)
 
     @property
     def t(self) -> int:
         """Index of the last row."""
-        return _last_row(self._m)
+        return len(self) // 2 - 1
 
     def witness_row(self, i: int) -> frozenset[int]:
         """``W_i``, with out-of-range rows read as empty."""
         if 0 <= i <= self.t:
-            return _SETS[self._m[2 * i]]
+            return _SETS[self[2 * i]]
         return frozenset()
 
     def ghost_row(self, i: int) -> frozenset[int]:
         """``G_i``, with out-of-range rows read as empty."""
         if 0 <= i <= self.t:
-            return _SETS[self._m[2 * i + 1]]
+            return _SETS[self[2 * i + 1]]
         return frozenset()
 
     @property
     def support(self) -> frozenset[int]:
         """All participating processes: row 0 witnesses plus row 0 ghosts."""
-        return _SETS[self._m[0] | self._m[1]]
+        return _SETS[self[0] | self[1]]
 
     @property
     def ghost_union(self) -> frozenset[int]:
         """Processes ghosted in some row."""
-        m = self._m
-        return _SETS[(m[0] | m[1]) & ~_active_mask(m)]
+        return _SETS[(self[0] | self[1]) & ~_active_mask(self)]
 
     @property
     def active_set(self) -> frozenset[int]:
         """Processes never ghosted; these are the colors of the simplex."""
-        return _SETS[_active_mask(self._m)]
+        return _SETS[_active_mask(self)]
 
     @property
     def dim(self) -> int:
-        return _active_mask(self._m).bit_count() - 1
+        return _active_mask(self).bit_count() - 1
 
     @property
     def is_empty(self) -> bool:
         """True for the dimension -1 simplex (no active processes)."""
-        return not _active_mask(self._m)
+        return not _active_mask(self)
 
     @property
     def classification(self) -> Classification:
-        return _classify(self._m)
+        return _classify(self)
 
     @property
     def is_stable(self) -> bool:
         return self.classification in (Classification.STABLE, Classification.WITNESS)
 
-    @property
-    def is_witness(self) -> bool:
-        return _is_witness(self._m)
+    is_witness = property(_is_witness)
 
     def traces(self) -> dict[int, frozenset[int]]:
         """Round sets: ``traces()[p]`` is the set of rows mentioning ``p``."""
         acc: dict[int, set[int]] = {p: set() for p in self.support}
-        for i, (w, g) in enumerate(_pairs(self._m)):
+        for i, (w, g) in enumerate(_pairs(self)):
             for p in _SETS[w | g]:
                 acc[p].add(i)
         return {p: frozenset(s) for p, s in acc.items()}
 
-    # -- value semantics -----------------------------------------------------
+    # -- order and text ------------------------------------------------------
 
-    def __eq__(self, other: object) -> bool:
+    def __lt__(self, other: object) -> bool:
+        # Deterministic total order: canonical encoding.
         if isinstance(other, WitnessStructure):
-            return self._m == other._m
+            return self.encode() < other.encode()
         return NotImplemented
 
-    def __hash__(self) -> int:
-        return self._hash
+    def __gt__(self, other: object) -> bool:
+        if isinstance(other, WitnessStructure):
+            return self.encode() > other.encode()
+        return NotImplemented
 
-    def __lt__(self, other: "WitnessStructure") -> bool:
-        # Deterministic total order: canonical encoding.
-        return self.encode() < other.encode()
+    def __le__(self, other: object) -> bool:
+        # Not tuple's order of the masks: structures have no ``<=``.
+        return NotImplemented
+
+    __ge__ = __le__
 
     def __repr__(self) -> str:
-        body = ",".join(f"({_bits(w)},{_bits(g)})" for w, g in _pairs(self._m))
+        body = ",".join(f"({_bits(w)},{_bits(g)})" for w, g in _pairs(self))
         return f"WitnessStructure([{body}])"
 
     # -- canonical encoding / JSON --------------------------------------------
 
     def encode(self) -> str:
-        """Canonical string key: pair form with sorted sets, compact JSON."""
-        return _encode(self._m)
+        """Canonical string key: pair form with sorted sets, compact JSON.
+        Reads the masks alone, so it words any mask tuple."""
+        return "[" + ",".join(f"[{_TEXT[w]},{_TEXT[g]}]" for w, g in _pairs(self)) + "]"
 
     @classmethod
-    def decode(cls, text: str) -> "WitnessStructure":
+    def decode(cls, text: str) -> WitnessStructure:
         return cls(json.loads(text))
 
     def to_json_obj(self) -> dict[str, list[list[list[int]]]]:
-        return {"pairs": [[_bits(w), _bits(g)] for w, g in _pairs(self._m)]}
+        return {"pairs": [[_bits(w), _bits(g)] for w, g in _pairs(self)]}
 
     @classmethod
-    def from_json_obj(cls, obj: Mapping[str, object]) -> "WitnessStructure":
+    def from_json_obj(cls, obj: Mapping[str, object]) -> WitnessStructure:
         return cls(obj["pairs"])  # type: ignore[arg-type]
 
 
 def _from_masks(m: Masks) -> WitnessStructure:
-    """The validated structure with flattened mask rows ``m``."""
-    sigma = WitnessStructure.__new__(WitnessStructure)
-    sigma._set(m)
-    return sigma
+    """The structure with flattened mask rows ``m``; :class:`ValueError`
+    unless ``m`` is a prestructure."""
+    return tuple.__new__(WitnessStructure, _validated(m))
 
 
-def _head(sigma: WitnessStructure) -> Masks:
-    """``(W_0, G_0, W_1, G_1)`` of ``sigma``; a missing row 1 reads as empty."""
-    return _head_masks(sigma._m)
+def _from_rows(rows: Iterable[tuple[int, int]]) -> WitnessStructure:
+    """The validated structure with the mask rows ``(W_i, G_i)`` of ``rows``."""
+    return _from_masks(tuple(x for row in rows for x in row))
 
 
-def _head_masks(m: Masks) -> Masks:
-    """:func:`_head` of the mask rows ``m``."""
+def _head(m: Masks) -> Masks:
+    """``(W_0, G_0, W_1, G_1)`` of ``m``; a missing row 1 reads as empty."""
     return m[:4] if len(m) > 2 else m + (0, 0)
 
 
 def _filter_heads(
     structures: Iterable[WitnessStructure], test: Callable[[int, int, int, int], object]
 ) -> frozenset[WitnessStructure]:
-    """The structures whose first two rows ``W_0, G_0, W_1, G_1`` pass
-    ``test``; a missing row 1 reads as empty."""
-    out = []
-    for sigma in structures:
-        m = sigma._m
-        if test(m[0], m[1], m[2], m[3]) if len(m) > 2 else test(m[0], m[1], 0, 0):
-            out.append(sigma)
-    return frozenset(out)
+    """The structures whose :func:`_head` passes ``test``."""
+    return frozenset(sigma for sigma in structures if test(*_head(sigma)))
 
 
 def _group_by_head(
     structures: Iterable[WitnessStructure],
 ) -> dict[Masks, list[WitnessStructure]]:
-    """The structures grouped by their first two rows ``(W_0, G_0, W_1,
-    G_1)``, a missing row 1 read as empty, in ``encode`` order.
+    """The structures grouped by :func:`_head`, in ``encode`` order.
 
     The encoding begins with the text of rows 0 and 1, and no set's text
     is a prefix of another's.  So when every row past the first has
@@ -373,41 +362,27 @@ def _group_by_head(
     """
     groups: dict[Masks, list[WitnessStructure]] = {}
     for sigma in sorted(structures, key=WitnessStructure.encode):
-        m = sigma._m
-        groups.setdefault(m[:4] if len(m) > 2 else m + (0, 0), []).append(sigma)
+        groups.setdefault(_head(sigma), []).append(sigma)
     return groups
 
 
-def _from_rows(rows: Iterable[tuple[int, int]]) -> WitnessStructure:
-    """The validated structure with the mask rows ``(W_i, G_i)`` of ``rows``."""
-    return _from_masks(tuple(x for row in rows for x in row))
-
-
-def _splice(sigma: WitnessStructure, k: int, *head: tuple[int, int]) -> WitnessStructure:
-    """The validated structure with mask rows ``head`` followed by the rows
-    of ``sigma`` from row ``k`` on."""
-    return _from_masks(_splice_masks(sigma._m, k, *head))
-
-
-def _splice_masks(m: Masks, k: int, *head: tuple[int, int]) -> Masks:
-    """:func:`_splice` on the mask rows ``m``, not yet validated."""
+def _splice(m: Masks, k: int, *head: tuple[int, int]) -> Masks:
+    """The mask rows ``head`` followed by the rows of ``m`` from row ``k``
+    on, not yet validated."""
     out: Masks = ()
     for row in head:
         out += row
     return out + m[2 * k :]
 
 
-def _delta(sigma: WitnessStructure, v: int) -> WitnessStructure:
-    """δ: ``sigma`` with the row-0 ghosts of the mask ``v`` forgotten
-    entirely.  ``v`` must consist of row-0 ghosts."""
-    return _from_masks(_delta_masks(sigma._m, v))
-
-
-def _delta_masks(m: Masks, v: int) -> Masks:
-    """:func:`_delta` on the mask rows ``m``, not yet validated."""
+def _delta(m: Masks, v: int) -> Masks:
+    """δ: ``m`` with the row-0 ghosts of the mask ``v`` forgotten entirely,
+    not yet validated.  ``v`` must consist of row-0 ghosts."""
     w0, g0 = m[:2]
     if v & ~g0:
-        raise ValueError(f"{_bits(v)} are not all row-0 ghosts of {_encode(m)}")
+        raise ValueError(
+            f"{_bits(v)} are not all row-0 ghosts of {WitnessStructure.encode(m)}"
+        )
     return (w0, g0 & ~v) + m[2:]
 
 
@@ -424,21 +399,18 @@ def ghost(sigma: WitnessStructure, hide: Iterable[int]) -> WitnessStructure:
     3. drop the rows past row 0 whose witness set is now empty, carrying
        their ghosts forward to the next remaining row.
     """
-    return _ghost(sigma, _mask_of(hide))
+    return _from_masks(_ghost(sigma, _mask_of(hide)))
 
 
 def _lower_faces(sigma: WitnessStructure) -> list[WitnessStructure]:
     """The codimension-1 faces ``ghost(σ,{p})``, ``p`` ascending."""
-    return [_ghost(sigma, 1 << p) for p in _bits(_active_mask(sigma._m))]
+    return [_from_masks(_ghost(sigma, 1 << p)) for p in _bits(_active_mask(sigma))]
 
 
-def _ghost(sigma: WitnessStructure, hide: int) -> WitnessStructure:
-    """:func:`ghost` with ``hide`` given as a mask."""
-    return _from_masks(_ghost_masks(sigma._m, hide))
-
-
-def _ghost_masks(m: Masks, hide: int) -> Masks:
-    """The flattened mask rows of :func:`_ghost`, not yet validated."""
+def _ghost(m: Masks, hide: int) -> Masks:
+    """:func:`ghost` of the mask rows ``m``, with ``hide`` given as a mask,
+    not yet validated."""
+    m = m[:]  # an exact tuple: CPython specialises item reads on those alone
     active = _active_mask(m)
     if hide & ~active:
         raise ValueError(

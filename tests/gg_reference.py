@@ -12,14 +12,14 @@ from __future__ import annotations
 
 from snapcomplex.complexes import Complex, _disjoint_pairs
 from snapcomplex.errors import VerificationError
-from snapcomplex.witness import WitnessStructure, _active_mask, _bits, _ghost
+from snapcomplex.witness import WitnessStructure, _active_mask, _bits, _from_masks, _ghost
 
 
 def verify_ghost_composition(k: Complex) -> int:
     pairs_by_size: dict[int, list[tuple[int, int]]] = {}
     checked = 0
     for sigma in sorted(k.simplices, key=WitnessStructure.encode):
-        colors = [1 << p for p in _bits(_active_mask(sigma._m))]
+        colors = [1 << p for p in _bits(_active_mask(sigma))]
         n = len(colors)
         pairs = pairs_by_size.get(n)
         if pairs is None:
@@ -28,9 +28,9 @@ def verify_ghost_composition(k: Complex) -> int:
         for u in range(1, 1 << n):
             low = u & -u
             hide[u] = hide[u ^ low] | colors[low.bit_length() - 1]
-        face = [_ghost(sigma, h) for h in hide]
+        face = [_from_masks(_ghost(sigma, h)) for h in hide]
         for s_part, t_part in pairs:
-            one = _ghost(face[s_part], hide[t_part])
+            one = _from_masks(_ghost(face[s_part], hide[t_part]))
             if one != face[s_part | t_part]:
                 raise VerificationError(
                     f"ghosting {_bits(hide[s_part])} then {_bits(hide[t_part])} on "

@@ -78,6 +78,14 @@ def test_verify_rejects_unknown_check(capsys):
     assert "unknown checks" in err
 
 
+@pytest.mark.parametrize("checks", ["", " , "])
+def test_verify_rejects_an_empty_check_list(capsys, monkeypatch, checks):
+    monkeypatch.setattr(cli, "build", lambda *args, **kwargs: pytest.fail("built"))
+    code, out, err = run(capsys, "verify", "-r", "1,1", "--checks", checks)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: no checks given;") and err.count("\n") == 1
+
+
 def test_verify_skips_inapplicable_checks(capsys):
     code, out, _ = run(capsys, "verify", "-r", "2,1", "--checks", "cone,phi")
     assert code == 0
@@ -176,6 +184,22 @@ def test_cap_exceeded_exits_three(capsys):
     code, _, err = run(capsys, "build", "-r", "1200", "--max-simplices", "100")
     assert code == 3
     assert err == '{"error": "round budget exceeded", "limit": 100}\n'
+
+
+@pytest.mark.parametrize("flag, env", [("-1", ""), (None, "-5")], ids=["flag", "env"])
+def test_a_negative_cap_is_a_usage_error(capsys, monkeypatch, flag, env):
+    monkeypatch.setenv("SNAPCOMPLEX_MAX_SIMPLICES", env)
+    argv = ["build", "-r", "1,1"] + (["--max-simplices", flag] if flag else [])
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "must be nonnegative" in err
+    assert err.count("\n") == 1
+
+
+def test_a_zero_cap_still_exits_three(capsys):
+    code, _, err = run(capsys, "build", "-r", "1,1", "--max-simplices", "0")
+    assert code == 3
+    assert err == '{"error": "round budget exceeded", "limit": 0}\n'
 
 
 def test_long_single_process_counter_builds(capsys):

@@ -148,6 +148,16 @@ def test_build_respects_simplex_cap():
     assert info.value.limit == 5
 
 
+def test_a_negative_cap_is_rejected(monkeypatch):
+    with pytest.raises(ValueError, match="the simplex cap must be nonnegative, got -1"):
+        build(R11, max_simplices=-1)
+    monkeypatch.setenv("SNAPCOMPLEX_MAX_SIMPLICES", "-5")
+    with pytest.raises(ValueError, match="SNAPCOMPLEX_MAX_SIMPLICES must be nonnegative"):
+        build(R11)
+    with pytest.raises(ComplexTooLargeError):
+        build(R11, max_simplices=0)
+
+
 def test_simplex_cap_env_override(monkeypatch):
     monkeypatch.setenv("SNAPCOMPLEX_MAX_SIMPLICES", "6")
     with pytest.raises(ComplexTooLargeError):
@@ -237,7 +247,16 @@ def test_a_pivot_sub_build_is_the_part_a_collapse_removes(text, get_complex):
             assert part.lower_covers(sigma) == inside
 
 
-def test_build_retains_at_most_600_bytes_per_simplex():
+@pytest.mark.parametrize("text", TEST_COUNTERS + ("2,1,0,1",))
+def test_every_lower_cover_is_the_stored_simplex(text, get_complex):
+    k = get_complex(text)
+    stored = {sigma: sigma for sigma in k.simplices}
+    for sigma in k.simplices:
+        assert all(stored[face] is face for face in k.lower_covers(sigma))
+        assert all(stored[coface] is coface for coface in k.upper_covers(sigma))
+
+
+def test_build_retains_at_most_300_bytes_per_simplex():
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
@@ -245,7 +264,7 @@ def test_build_retains_at_most_600_bytes_per_simplex():
         retained = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
-    assert retained / len(k) <= 600
+    assert retained / len(k) <= 300
 
 
 def test_complex_accessors(get_complex):

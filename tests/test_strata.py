@@ -334,9 +334,9 @@ def test_indexed_diagrams_catch_a_foreign_simplex(get_complex):
 
 
 def test_diagrams_catch_a_left_broken_on_the_mask_path_alone(get_complex, monkeypatch):
-    # For one simplex and one kept-absorbed subset B, the mask form of δ
-    # forgets nothing, so only that left of restriction-absorbs-drop
-    # differs from the peel that absorbs all of A.
+    # For one simplex and one kept-absorbed subset B, δ forgets nothing,
+    # so only that left of restriction-absorbs-drop differs from the peel
+    # that absorbs all of A.
     k = get_complex("2,1,1")
     s, a = next(
         (s, a)
@@ -345,13 +345,13 @@ def test_diagrams_catch_a_left_broken_on_the_mask_path_alone(get_complex, monkey
     )
     sigma = max(members(k, StratumRef.x(s, a)), key=WitnessStructure.encode)
     kept = {min(a)}
-    inner, lost = gamma(sigma, s, kept)._m, witness._mask_of(a - kept)
-    real = strata._delta_masks
+    inner, lost = gamma(sigma, s, kept), witness._mask_of(a - kept)
+    real = strata._delta
 
     def broken(m, v):
         return m if (m, v) == (inner, lost) else real(m, v)
 
-    monkeypatch.setattr(strata, "_delta_masks", broken)
+    monkeypatch.setattr(strata, "_delta", broken)
     with pytest.raises(VerificationError) as exc:
         verify_diagrams(k)
     assert str(exc.value) == (

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import copy
+import pickle
 import re
 from itertools import combinations
 
@@ -87,6 +89,42 @@ def test_ids_past_the_mask_bound_are_rejected():
         ws(({big}, ()))
     with pytest.raises(ValueError, match="got 1000000000"):
         build(RoundCounter({10**9: 1}))
+
+
+def test_a_structure_equals_and_hashes_as_its_mask_tuple():
+    masks = (0b11, 0, 0b01, 0, 0b10, 0)
+    assert ZERO_FIRST == masks and masks == ZERO_FIRST
+    assert hash(ZERO_FIRST) == hash(masks)
+    assert {masks: "found"}[ZERO_FIRST] == "found" and masks in {ZERO_FIRST}
+    assert (len(ZERO_FIRST), tuple(ZERO_FIRST), ZERO_FIRST[2]) == (6, masks, 0b01)
+    assert ZERO_FIRST != (0b11, 0, 0b10, 0, 0b01, 0)
+    assert repr(A0) == "WitnessStructure([([0],[1]),([0],[])])"
+
+
+def test_a_structure_is_ordered_by_its_encoding_alone(get_complex):
+    simplices = list(get_complex("2,1").simplices)
+    assert sorted(simplices) == sorted(simplices, key=WitnessStructure.encode)
+    for sigma in simplices[:6]:
+        for tau in simplices[:6]:
+            assert (sigma < tau) == (sigma.encode() < tau.encode())
+            assert (sigma > tau) == (sigma.encode() > tau.encode())
+    # By masks ZERO_FIRST < CENTRAL; by encoding it is the other way.
+    assert tuple(ZERO_FIRST) < tuple(CENTRAL) and ZERO_FIRST > CENTRAL
+    for compare in (lambda x, y: x <= y, lambda x, y: x >= y):
+        with pytest.raises(TypeError):
+            compare(ZERO_FIRST, CENTRAL)
+
+
+@pytest.mark.parametrize(
+    "clone",
+    [copy.copy, copy.deepcopy, lambda s: pickle.loads(pickle.dumps(s))],
+    ids=["copy", "deepcopy", "pickle"],
+)
+def test_a_structure_survives_copy_and_pickle(clone):
+    for sigma in (CENTRAL, ZERO_FIRST, A0, C0):
+        twin = clone(sigma)
+        assert type(twin) is WitnessStructure
+        assert twin == sigma and twin.encode() == sigma.encode()
 
 
 def test_head_reads_a_missing_row_one_as_empty():
