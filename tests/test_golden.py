@@ -44,14 +44,22 @@ _LARGE_VARIANTS = {
 }
 
 # Counters kept out of TEST_COUNTERS, each pinned on the variants listed:
-# 2,1,1,1 is larger, and only these five finish quickly on it; 2,1,0,1
-# has a passive process (a cone base) and a process with two rounds;
+# 2,1,1,1 is larger, and only these six finish quickly on it; 2,1,0,1
+# has a passive process (a cone base) and a process with two rounds, and
+# pins the JSON and DOT writers on a counter with a passive process;
 # 1,0,0,1 has two passive processes, so two cone certificates; 0 is a
 # lone passive process, whose cone base is the complex over nothing;
 # 1,1,1,1,1 pins the three certification loops on five processes.
 _LARGE_CASES = {
-    "2,1,1,1": ("build", "export-dot", "verify-all", "collapse-full", "collapse-relative"),
-    "2,1,0,1": ("verify-all", "collapse-full", "collapse-relative"),
+    "2,1,1,1": (
+        "build",
+        "export-dot",
+        "export-json",
+        "verify-all",
+        "collapse-full",
+        "collapse-relative",
+    ),
+    "2,1,0,1": ("build", "export-dot", "verify-all", "collapse-full", "collapse-relative"),
     "1,0,0,1": ("verify-all",),
     "0": ("verify-all",),
     "1,1,1,1,1": ("verify-certify",),
