@@ -64,6 +64,7 @@ _EXPORTS = {
         "DiagramReport",
         "NerveReport",
         "StratumRef",
+        "classify_interior",
         "delta",
         "delta_inverse",
         "gamma",
@@ -83,7 +84,6 @@ _EXPORTS = {
     "topology": (
         "BoundaryReport",
         "boundary",
-        "classify_interior",
         "euler",
         "homology_z2",
         "is_sphere_like",

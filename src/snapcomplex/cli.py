@@ -299,8 +299,7 @@ def _cmd_facets(args: argparse.Namespace) -> int:
 
 
 def _cmd_strata(args: argparse.Namespace) -> int:
-    from .strata import intersect_pair, nerve
-    from .topology import classify_interior
+    from .strata import classify_interior, intersect_pair, nerve
 
     counter = _parse_counter(args.counter)
     if args.intersect is not None:
@@ -367,8 +366,9 @@ def _cmd_collapse(args: argparse.Namespace) -> int:
 
 def _hasse_dot(k: Complex) -> str:
     lines = ["digraph face_poset {", "  rankdir=BT;", '  node [shape=box, fontname="monospace"];']
-    code = {sigma: sigma.encode() for sigma in k.simplices}
-    ordered = sorted(k.simplices, key=lambda s: (s.dim, code[s]))
+    code = k.encodings()
+    # A stable sort by dimension of the encode order: (dim, encode()) order.
+    ordered = sorted(k.ordered(), key=lambda s: s.dim)
     for sigma in ordered:
         name = code[sigma].replace("\\", "\\\\").replace('"', '\\"')
         lines.append(f'  "{name}" [label="dim {sigma.dim}: {name}"];')
@@ -388,10 +388,10 @@ def _vertex_positions(k: Complex) -> dict[WitnessStructure, tuple[float, float]]
     """Plane coordinates: boundary pinned on a circle, interior relaxed."""
     from .topology import boundary
 
-    vertex_list = sorted((s for s in k.simplices if s.dim == 0), key=WitnessStructure.encode)
+    vertex_list = [s for s in k.ordered() if s.dim == 0]
     if len(vertex_list) == 1:
         return {vertex_list[0]: (300.0, 300.0)}
-    edges = [s for s in k.simplices if s.dim == 1]
+    edges = [s for s in k.ordered() if s.dim == 1]
     neighbors: dict[WitnessStructure, set[WitnessStructure]] = {
         v: set() for v in vertex_list
     }
@@ -402,9 +402,7 @@ def _vertex_positions(k: Complex) -> dict[WitnessStructure, tuple[float, float]]
 
     if k.dim == 1:
         # A path: walk it end to end and spread it on a horizontal line.
-        ends = sorted(
-            (v for v in vertex_list if len(neighbors[v]) == 1), key=WitnessStructure.encode
-        )
+        ends = [v for v in vertex_list if len(neighbors[v]) == 1]
         walk = [ends[0]]
         while len(walk) < len(vertex_list):
             options = neighbors[walk[-1]] - set(walk)
@@ -456,20 +454,20 @@ def _svg(k: Complex) -> str:
     def fmt(value: float) -> str:
         return f"{value:.2f}"
 
-    for facet in sorted((s for s in k.simplices if s.dim == 2), key=WitnessStructure.encode):
+    for facet in (s for s in k.ordered() if s.dim == 2):
         points = " ".join(
             f"{fmt(positions[v][0])},{fmt(positions[v][1])}"
             for v in sorted(k.vertices(facet), key=WitnessStructure.encode)
         )
         parts.append(f'  <polygon points="{points}" fill="#eef0f7" stroke="none"/>')
-    for edge in sorted((s for s in k.simplices if s.dim == 1), key=WitnessStructure.encode):
+    for edge in (s for s in k.ordered() if s.dim == 1):
         u, v = sorted(k.vertices(edge), key=WitnessStructure.encode)
         parts.append(
             f'  <line x1="{fmt(positions[u][0])}" y1="{fmt(positions[u][1])}" '
             f'x2="{fmt(positions[v][0])}" y2="{fmt(positions[v][1])}" '
             'stroke="#444444" stroke-width="1.5"/>'
         )
-    for vertex in sorted(positions, key=WitnessStructure.encode):
+    for vertex in (s for s in k.ordered() if s.dim == 0):
         x, y = positions[vertex]
         color = _PALETTE[next(iter(vertex.active_set)) % len(_PALETTE)]
         title = vertex.encode().replace("&", "&amp;").replace("<", "&lt;")

@@ -5,10 +5,10 @@ and every face arises by ghosting a subset of the active processes.  The
 complex is built as the ghosting closure of its facets, plus the explicit
 empty simplex, and is immutable once built.  The build keeps what it
 computes on the way: each simplex's codimension-1 faces ``ghost(σ,{p})``.
-That cover relation is the whole face poset, and every face query walks it.
-Stratum queries read only the first two rows of a simplex, its *head*;
-:class:`HeadIndex` groups the simplices by head so that such a query tests
-each head once.
+That cover relation is the whole face poset, its keys are the simplex set,
+and the complex sorts them by ``encode`` once.  Stratum queries read only
+the first two rows of a simplex, its *head*; :class:`HeadIndex` groups that
+order by head so that such a query tests each head once.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from operator import itemgetter
 
 from .counters import RoundCounter
 from .errors import ComplexTooLargeError, VerificationError
-from .schedules import _facet, enumerate_schedules
+from .schedules import _facet, _views, enumerate_schedules
 from .witness import (
     Masks,
     WitnessStructure,
@@ -29,18 +29,17 @@ from .witness import (
     _delta,
     _from_masks,
     _ghost,
-    _group_by_head,
+    _head,
     _is_witness,
     _mask_of,
     _pairs,
     _validated,
-    ghost,
 )
 
-# A build retains about 260 B per stored simplex on 2,1,1,1 and about
-# 280 B on 1,1,1,1,1 and 1,1,1,1,1,1, and takes 10 to 20 µs for each
-# (tracemalloc and wall time, Python 3.11), so the default cap bounds a
-# complex at about 0.56 GB and 40 s.
+# A build retains about 210 B per stored simplex on 2,1,1,1 and
+# 1,1,1,1,1 and about 240 B on 1,1,1,1,1,1, and takes 10 to 20 µs for
+# each (tracemalloc and wall time, Python 3.11), so the default cap
+# bounds a complex at about 0.48 GB and 40 s.
 DEFAULT_SIMPLEX_CAP = 2_000_000
 CAP_ENV_VAR = "SNAPCOMPLEX_MAX_SIMPLICES"
 
@@ -141,15 +140,16 @@ class Complex:
     """The immediate snapshot complex of a round counter.
 
     Stores the cover relation of its face poset: each simplex (the empty
-    simplex included) maps to the tuple of its codimension-1 faces, and
-    the keys are the simplex set.  The upper covers are that mapping
-    inverted, once, on first use.  Faces and cofaces are walks down and
-    up the covers; all queries are pure.  The head index
-    (:meth:`head_index`) is likewise built once, on first use, and keeps
-    the head bitsets of the strata queried so far.
+    simplex included) maps to the tuple of its codimension-1 faces.  That
+    mapping is the one simplex store: :attr:`simplices` is a read-only set
+    view of its keys, not a frozenset.  The upper covers are that mapping inverted, once, on
+    first use.  Faces and cofaces are walks down and up the covers; all
+    queries are pure.  The ``encode`` order (:meth:`ordered`) and the head
+    index (:meth:`head_index`) are likewise made once, on first use; the
+    index keeps the head bitsets of the strata queried so far.
     """
 
-    __slots__ = ("_counter", "_lower", "_simplices", "_facets", "_upper", "_heads")
+    __slots__ = ("_counter", "_lower", "_facets", "_order", "_upper", "_heads")
 
     def __init__(
         self,
@@ -159,8 +159,8 @@ class Complex:
     ):
         self._counter = counter
         self._lower = dict(lower_covers)
-        self._simplices = frozenset(self._lower)
         self._facets = frozenset(facet_set)
+        self._order: tuple[WitnessStructure, ...] | None = None
         self._upper: dict[WitnessStructure, Covers] | None = None
         self._heads: HeadIndex | None = None
 
@@ -169,8 +169,9 @@ class Complex:
         return self._counter
 
     @property
-    def simplices(self) -> frozenset[WitnessStructure]:
-        return self._simplices
+    def simplices(self) -> Set[WitnessStructure]:
+        """The simplex set, as a read-only view of the cover mapping's keys."""
+        return self._lower.keys()
 
     @property
     def facets(self) -> frozenset[WitnessStructure]:
@@ -185,21 +186,21 @@ class Complex:
         return len(self._counter.support) - 1
 
     def __contains__(self, sigma: object) -> bool:
-        return sigma in self._simplices
+        return sigma in self._lower
 
     def __len__(self) -> int:
-        return len(self._simplices)
+        return len(self._lower)
 
     def __repr__(self) -> str:
         return (
             f"<Complex of {self._counter.to_text()!r}: "
-            f"{len(self._simplices)} simplices, {len(self._facets)} facets>"
+            f"{len(self._lower)} simplices, {len(self._facets)} facets>"
         )
 
     def f_vector(self) -> tuple[int, ...]:
         """Simplex counts by dimension, the empty simplex excluded."""
         counts = [0] * (self.dim + 1)
-        for sigma in self._simplices:
+        for sigma in self._lower:
             if not sigma.is_empty:
                 counts[sigma.dim] += 1
         return tuple(counts)
@@ -226,10 +227,24 @@ class Complex:
         except KeyError:
             raise ValueError("simplex is not part of this complex") from None
 
+    def ordered(self) -> tuple[WitnessStructure, ...]:
+        """The simplices in ``encode`` order, sorted once, on first use."""
+        if self._order is None:
+            self.encodings()
+        return self._order
+
+    def encodings(self) -> dict[WitnessStructure, str]:
+        """Each simplex's ``encode()``; a first call also sorts
+        :meth:`ordered` on these strings, so none is encoded twice."""
+        code = {sigma: sigma.encode() for sigma in self._lower}
+        if self._order is None:
+            self._order = tuple(sorted(code, key=code.__getitem__))
+        return code
+
     def head_index(self) -> HeadIndex:
         """The simplices grouped by head ``(W_0, G_0, W_1, G_1)``."""
         if self._heads is None:
-            self._heads = HeadIndex(self._simplices)
+            self._heads = HeadIndex(self.ordered())
         return self._heads
 
     def faces(self, sigma: WitnessStructure) -> frozenset[WitnessStructure]:
@@ -238,18 +253,19 @@ class Complex:
 
     def vertices(self, sigma: WitnessStructure) -> frozenset[WitnessStructure]:
         """The ``dim+1`` vertices: one per active color."""
-        if sigma not in self._simplices:
+        if sigma not in self._lower:
             raise ValueError("simplex is not part of this complex")
-        active = sigma.active_set
-        return frozenset(ghost(sigma, active - {p}) for p in active)
+        return frozenset(_views(sigma).values())
 
     def proper_cofaces(self, sigma: WitnessStructure) -> frozenset[WitnessStructure]:
         """All simplices strictly containing ``sigma``."""
         return frozenset(_reach((sigma,), self.upper_covers) - {sigma})
 
     def to_json_obj(self, *, include_simplices: bool = False) -> dict:
-        listed = self._simplices if include_simplices else self._facets
-        code = {sigma: sigma.encode() for sigma in listed}
+        if include_simplices:
+            code = self.encodings()
+        else:
+            code = {sigma: sigma.encode() for sigma in self._facets}
         obj: dict = {
             "counter": self._counter.to_json_obj(),
             "f_vector": list(self.f_vector()),
@@ -262,7 +278,7 @@ class Complex:
                     "dim": sigma.dim,
                     "faces": sorted(code[tau] for tau in self._lower[sigma]),
                 }
-                for sigma in sorted(self._simplices, key=code.__getitem__)
+                for sigma in self._order
             ]
         return obj
 
@@ -276,14 +292,17 @@ class HeadIndex:
     intersection and union of such unions are those of their bitsets.
     Heads are numbered, and buckets listed, in ``encode`` order, which is
     therefore the order of the buckets chained by ascending head id.
+    The simplices come in that order: an encoding begins with the text of
+    rows 0 and 1, no set's text prefixes another's, and every row past the
+    first of a simplex has witnesses, so each head's simplices form a run.
     """
 
     __slots__ = ("heads", "buckets", "_selected")
 
-    def __init__(self, simplices: Iterable[WitnessStructure]):
-        groups = _group_by_head(simplices)
-        self.heads = tuple(groups)
-        self.buckets = tuple(map(tuple, groups.values()))
+    def __init__(self, ordered: Iterable[WitnessStructure]):
+        runs = [(head, tuple(run)) for head, run in itertools.groupby(ordered, _head)]
+        self.heads = tuple(head for head, _ in runs)
+        self.buckets = tuple(bucket for _, bucket in runs)
         self._selected: dict[object, int] = {}
 
     def select(
@@ -357,6 +376,7 @@ def _build(r: RoundCounter, cap: int, ghosts: int) -> Complex:
                 stack.append(face)
             covers.append(face)
         lower[sigma] = tuple(covers)
+    del known
     return Complex(r, lower, facet_list)
 
 
@@ -584,7 +604,7 @@ def verify_ghost_composition(k: Complex) -> int:
     number of instances checked; raises :class:`VerificationError` at the
     first disagreement, in ``encode`` order of the simplices.
     """
-    order = sorted(k.simplices, key=WitnessStructure.encode)
+    order = k.ordered()
     number = {sigma: i for i, sigma in enumerate(order)}
     actives = [_active_mask(sigma) for sigma in order]
     hides: dict[int, list[int]] = {}

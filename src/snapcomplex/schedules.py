@@ -128,8 +128,9 @@ def views(s: Sequence[frozenset[int]], r: RoundCounter) -> dict[int, WitnessStru
     return _views(to_facet(s, r))
 
 
-def _views(facet: WitnessStructure) -> dict[int, WitnessStructure]:
-    """:func:`views` of the schedule whose facet is ``facet``."""
-    active = facet.active_set
-    return {p: ghost(facet, active - {p}) for p in active}
+def _views(sigma: WitnessStructure) -> dict[int, WitnessStructure]:
+    """The vertex of each color of ``sigma``: ``sigma`` with every other
+    color ghosted.  On the facet of a schedule, these are its :func:`views`."""
+    active = sigma.active_set
+    return {p: ghost(sigma, active - {p}) for p in active}
 

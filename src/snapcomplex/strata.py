@@ -190,6 +190,19 @@ def in_stratum(ref: StratumRef, sigma: WitnessStructure) -> bool:
     return x_part and ref.dropped <= g0  # XBV
 
 
+def classify_interior(sigma: WitnessStructure) -> StratumRef | None:
+    """Name the stratum a simplex's first two rows pin it to.
+
+    One-row simplices sit on the passive side and get ``None``;
+    otherwise the answer is the stratum selecting row 1's occupants,
+    absorbing its ghosts and dropping row 0's.
+    """
+    if sigma.t == 0:
+        return None
+    select = sigma.witness_row(1) | sigma.ghost_row(1)
+    return StratumRef.xbv(select, sigma.ghost_row(1), sigma.ghost_row(0))
+
+
 def _head_test(ref: StratumRef, closed: bool) -> Callable[[int, int, int, int], bool]:
     """:func:`in_stratum` on the mask rows 0 and 1, with the stratum's masks
     made once.  ``closed`` also admits the one-row simplices that ghost
@@ -695,7 +708,7 @@ def verify_translation_maps(complex_: Complex) -> dict[str, int]:
                 raise VerificationError(
                     f"ρ_{_fmt_procs(s)} does not undo {label} on {sigma.encode()}"
                 )
-        for tau in sorted(target.simplices, key=WitnessStructure.encode):
+        for tau in target.ordered():
             back = _rho(tau, s_mask, 0)
             if back not in members_set or _validated(_gamma(back, s_mask, 0)) != tau:
                 raise VerificationError(

@@ -8,14 +8,7 @@ from typing import Iterable
 
 from .complexes import Complex, _reach
 from .errors import VerificationError
-from .strata import StratumRef
 from .witness import WitnessStructure, _filter_heads, _lower_faces
-
-
-def _simplex_set(source: Complex | Iterable[WitnessStructure]) -> frozenset[WitnessStructure]:
-    if isinstance(source, Complex):
-        return source.simplices
-    return frozenset(source)
 
 
 @dataclass(frozen=True)
@@ -73,7 +66,7 @@ def boundary(complex_: Complex) -> BoundaryReport:
 
 def strong_connectivity(complex_: Complex) -> bool:
     """Can any facet reach any other through shared ridges?"""
-    facets = sorted(complex_.facets, key=WitnessStructure.encode)
+    facets = list(complex_.facets)
     if len(facets) <= 1:
         return True
     owners: dict[WitnessStructure, list[int]] = {}
@@ -93,24 +86,10 @@ def strong_connectivity(complex_: Complex) -> bool:
     return len(seen) == len(facets)
 
 
-def classify_interior(sigma: WitnessStructure) -> StratumRef | None:
-    """Name the stratum a simplex's first two rows pin it to.
-
-    One-row simplices sit on the passive side and get ``None``;
-    otherwise the answer is the stratum selecting row 1's occupants,
-    absorbing its ghosts and dropping row 0's.
-    """
-    if sigma.t == 0:
-        return None
-    select = sigma.witness_row(1) | sigma.ghost_row(1)
-    return StratumRef.xbv(select, sigma.ghost_row(1), sigma.ghost_row(0))
-
-
 def euler(source: Complex | Iterable[WitnessStructure]) -> int:
     """The Euler characteristic, empty simplex excluded."""
-    return sum(
-        (-1) ** s.dim for s in _simplex_set(source) if not s.is_empty
-    )
+    simplices = source.simplices if isinstance(source, Complex) else frozenset(source)
+    return sum((-1) ** s.dim for s in simplices if not s.is_empty)
 
 
 def _rank_gf2(columns: list[int]) -> int:
@@ -135,13 +114,17 @@ def homology_z2(source: Complex | Iterable[WitnessStructure]) -> dict[int, int]:
     The empty simplex acts as the lone generator in dimension -1, so a
     single point reports all zeros and the bare empty simplex reports
     ``{-1: 1}``.  Raises :class:`ValueError` if the collection is not
-    closed under faces.
+    closed under faces.  A complex's columns are read off its lower covers;
+    a bare collection's simplices are ghosted into their faces.
     """
-    simplices = _simplex_set(source)
-    if not simplices:
+    if isinstance(source, Complex):
+        order, lower = source.ordered(), source.lower_covers
+    else:
+        order, lower = sorted(frozenset(source), key=WitnessStructure.encode), _lower_faces
+    if not order:
         raise ValueError("need at least the empty simplex")
     by_dim: dict[int, list[WitnessStructure]] = {}
-    for s in sorted(simplices, key=WitnessStructure.encode):
+    for s in order:
         by_dim.setdefault(s.dim, []).append(s)
     top = max(by_dim)
     index = {d: {s: i for i, s in enumerate(members)} for d, members in by_dim.items()}
@@ -150,7 +133,7 @@ def homology_z2(source: Complex | Iterable[WitnessStructure]) -> dict[int, int]:
         columns = []
         for s in by_dim.get(d, []):
             mask = 0
-            for face in _lower_faces(s):
+            for face in lower(s):
                 row = index.get(d - 1, {}).get(face)
                 if row is None:
                     raise ValueError(

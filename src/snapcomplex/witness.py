@@ -24,8 +24,8 @@ replaces the first rows and :func:`_delta` forgets row-0 ghosts.
 with :func:`_validated`: a caller wraps a result in it at the step where it
 needs a structure, or only validates it where a mask tuple will do, and a
 build looks a face up by its masks first, so that only a new face is
-validated.  :func:`_filter_heads` and :func:`_group_by_head` scan or group
-many structures by head, and :func:`ghost` is the validated face map.
+validated.  :func:`_filter_heads` scans many structures by head, and
+:func:`ghost` is the validated face map.
 
 Rows are addressed leniently: reading past the last row yields the empty
 set, which is the convention used throughout the stratification code.
@@ -347,23 +347,6 @@ def _filter_heads(
 ) -> frozenset[WitnessStructure]:
     """The structures whose :func:`_head` passes ``test``."""
     return frozenset(sigma for sigma in structures if test(*_head(sigma)))
-
-
-def _group_by_head(
-    structures: Iterable[WitnessStructure],
-) -> dict[Masks, list[WitnessStructure]]:
-    """The structures grouped by :func:`_head`, in ``encode`` order.
-
-    The encoding begins with the text of rows 0 and 1, and no set's text
-    is a prefix of another's.  So when every row past the first has
-    witnesses, as in a witness structure, the structures of one head form
-    one run of the encode order, and the groups, taken in order, list
-    every structure in encode order.
-    """
-    groups: dict[Masks, list[WitnessStructure]] = {}
-    for sigma in sorted(structures, key=WitnessStructure.encode):
-        groups.setdefault(_head(sigma), []).append(sigma)
-    return groups
 
 
 def _splice(m: Masks, k: int, *head: tuple[int, int]) -> Masks:

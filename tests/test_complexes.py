@@ -256,15 +256,25 @@ def test_every_lower_cover_is_the_stored_simplex(text, get_complex):
         assert all(stored[coface] is coface for coface in k.upper_covers(sigma))
 
 
-def test_build_retains_at_most_300_bytes_per_simplex():
+@pytest.mark.parametrize("text", TEST_COUNTERS + ("2,1,0,1",))
+def test_the_order_is_the_encode_order_and_the_chained_head_buckets(text, get_complex):
+    k = get_complex(text)
+    order = k.ordered()
+    assert list(order) == sorted(k.simplices, key=WitnessStructure.encode)
+    assert [sigma for bucket in k.head_index().buckets for sigma in bucket] == list(order)
+    assert k.encodings() == {sigma: sigma.encode() for sigma in order}
+
+
+def test_build_retains_at_most_240_and_peaks_at_most_280_bytes_per_simplex():
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
         k = build(RoundCounter.parse("2,1,1,1"))
-        retained = tracemalloc.get_traced_memory()[0] - before
+        retained, peak = (m - before for m in tracemalloc.get_traced_memory())
     finally:
         tracemalloc.stop()
-    assert retained / len(k) <= 300
+    assert retained / len(k) <= 240
+    assert peak / len(k) <= 280
 
 
 def test_complex_accessors(get_complex):

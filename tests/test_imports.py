@@ -67,6 +67,18 @@ def test_a_skipped_phi_check_loads_no_subdivision():
     assert "snapcomplex.chromatic" not in loaded
 
 
+def test_the_topology_checks_load_no_strata():
+    loaded = _modules_after(
+        "import contextlib, io\n"
+        "from snapcomplex.cli import main\n"
+        "checks = 'purity,pseudomanifold,boundary,strong-connectivity,euler,homology'\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert main(['verify', '-r', '2,1,1,1', '--checks', checks]) == 0\n"
+    )
+    assert "snapcomplex.topology" in loaded
+    assert "snapcomplex.strata" not in loaded
+
+
 def test_every_public_name_resolves_from_the_root():
     names = snapcomplex.__all__
     assert len(set(names)) == len(names)

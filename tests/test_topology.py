@@ -3,6 +3,7 @@ from __future__ import annotations
 import pytest
 
 from snapcomplex import (
+    Complex,
     StratumRef,
     WitnessStructure,
     boundary,
@@ -13,6 +14,8 @@ from snapcomplex import (
     is_sphere_like,
     strong_connectivity,
 )
+
+from .conftest import TEST_COUNTERS
 
 
 def ws(*rows):
@@ -61,6 +64,21 @@ def test_euler_accepts_bare_simplex_collections(get_complex):
 def test_reduced_homology_vanishes(text, get_complex):
     betti = homology_z2(get_complex(text))
     assert all(b == 0 for b in betti.values())
+
+
+@pytest.mark.parametrize("text", TEST_COUNTERS + ("2,1,0,1",))
+def test_homology_from_the_covers_matches_the_ghosting_path(text, get_complex):
+    k = get_complex(text)
+    assert homology_z2(k) == homology_z2(frozenset(k.simplices))
+
+
+@pytest.mark.parametrize("text", TEST_COUNTERS + ("2,1,0,1",))
+def test_homology_rejects_a_complex_that_lacks_a_face(text, get_complex):
+    k = get_complex(text)
+    victim = next(sigma for sigma in k.ordered() if sigma.dim == 0)
+    covers = {sigma: k.lower_covers(sigma) for sigma in k.simplices if sigma != victim}
+    with pytest.raises(ValueError, match="not face-closed"):
+        homology_z2(Complex(k.counter, covers, k.facets))
 
 
 @pytest.mark.parametrize("text, sphere_dim", [("1,1", 0), ("2,2", 0), ("1,1,1", 1)])
