@@ -47,9 +47,10 @@ _LARGE_VARIANTS = {
 # 2,1,1,1 is larger, and only these six finish quickly on it; 2,1,0,1
 # has a passive process (a cone base) and a process with two rounds, and
 # pins the JSON and DOT writers on a counter with a passive process;
-# 1,0,0,1 has two passive processes, so two cone certificates; 0 is a
-# lone passive process, whose cone base is the complex over nothing;
-# 1,1,1,1,1 pins the three certification loops on five processes.
+# 1,0,0,1 has two passive processes, so two cone certificates, and pins
+# the collapse with two passive processes; 0 is a lone passive process,
+# whose cone base is the complex over nothing; 1,1,1,1,1 pins the three
+# certification loops and the largest collapse on five processes.
 _LARGE_CASES = {
     "2,1,1,1": (
         "build",
@@ -60,9 +61,9 @@ _LARGE_CASES = {
         "collapse-relative",
     ),
     "2,1,0,1": ("build", "export-dot", "verify-all", "collapse-full", "collapse-relative"),
-    "1,0,0,1": ("verify-all",),
+    "1,0,0,1": ("verify-all", "collapse-full", "collapse-relative"),
     "0": ("verify-all",),
-    "1,1,1,1,1": ("verify-certify",),
+    "1,1,1,1,1": ("verify-certify", "collapse-full", "collapse-relative"),
 }
 
 
