@@ -442,8 +442,8 @@ def _vertex_positions(k: Complex) -> dict[WitnessStructure, tuple[float, float]]
 
 
 def _svg(k: Complex) -> str:
-    if len(k.counter.support) > 3:
-        raise UsageError("svg export is limited to counters with support size <= 3")
+    """The complex drawn in the plane; the caller has checked that its
+    support has at most three processes."""
     positions = _vertex_positions(k)
     parts = [
         '<svg xmlns="http://www.w3.org/2000/svg" width="600" height="600" '
@@ -481,6 +481,8 @@ def _svg(k: Complex) -> str:
 
 def _cmd_export(args: argparse.Namespace) -> int:
     counter = _parse_counter(args.counter)
+    if args.format == "svg" and len(counter.support) > 3:
+        raise UsageError("svg export is limited to counters with support size <= 3")
     k = build(counter, max_simplices=args.max_simplices)
     if args.format == "json":
         _emit(_dump(k.to_json_obj(include_simplices=True)), args.out)

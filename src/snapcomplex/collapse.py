@@ -9,8 +9,12 @@ collapse of the whole complex replays that routine once per row-0 ghost
 set, from the top facets all the way down to the final vertex.  The same
 fact makes the removed part of a complex closed upward, so it holds every
 upper cover the residue reads, and each smaller complex the recursion
-visits is built only in that part (see
-:func:`~snapcomplex.complexes._sub_builder`).
+visits is made only in that part.  That part is not built anew: it is
+the γ or δ image of a class of the complex in hand (Kozlov,
+*Combinatorial Algebraic Topology*, ch. 11), so it is derived from that
+class once, and the same map, inverted, carries the smaller collapse's
+steps back (see :func:`_carried`).  A derived complex lives only until
+its own steps are known, and no smaller complex is ghosted or built.
 
 The residue left after the translated classes is matched greedily by a
 free-face worklist (Benedetti–Lutz, "Random discrete Morse theory",
@@ -34,21 +38,26 @@ from __future__ import annotations
 
 import heapq
 from collections import Counter as Multiset
-from dataclasses import dataclass, field
-from typing import Callable, Iterable
+from typing import Iterable, Iterator, NamedTuple
 
-from .complexes import Complex, _sub_builder
+from .complexes import Complex
 from .counters import RoundCounter
 from .errors import CollapseStalledError
-from .schedules import _subsets
-from .strata import _delta_inverse, _rho, _x_params
-from .witness import WitnessStructure, _filter_heads, _from_rows, _head, _mask_of
+from .schedules import _nonempty_subsets, _x_params
+from .witness import (
+    Masks,
+    WitnessStructure,
+    _delta,
+    _filter_heads,
+    _from_masks,
+    _from_rows,
+    _gamma,
+    _head,
+    _mask_of,
+)
 
-Builder = Callable[[RoundCounter], Complex]
 
-
-@dataclass(frozen=True)
-class CollapseStep:
+class CollapseStep(NamedTuple):
     """One elementary collapse: drop ``free`` together with ``cofacet``."""
 
     free: WitnessStructure
@@ -63,14 +72,40 @@ class CollapseStep:
         }
 
 
-@dataclass(frozen=True)
 class CollapseSequence:
-    """An ordered list of elementary collapses over one counter."""
+    """An ordered list of elementary collapses over one counter.  Two
+    sequences are equal when their four fields are."""
 
-    counter: RoundCounter
-    kind: str
-    steps: tuple[CollapseStep, ...]
-    pivot: int | None = None
+    __slots__ = ("counter", "kind", "steps", "pivot")
+
+    def __init__(
+        self,
+        counter: RoundCounter,
+        kind: str,
+        steps: tuple[CollapseStep, ...],
+        pivot: int | None = None,
+    ):
+        self.counter = counter
+        self.kind = kind
+        self.steps = steps
+        self.pivot = pivot
+
+    def _fields(self) -> tuple:
+        return (self.counter, self.kind, self.steps, self.pivot)
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not CollapseSequence:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        return (
+            f"CollapseSequence(counter={self.counter!r}, kind={self.kind!r}, "
+            f"steps=<{len(self.steps)} steps>, pivot={self.pivot!r})"
+        )
 
     def __len__(self) -> int:
         return len(self.steps)
@@ -95,30 +130,127 @@ class CollapseSequence:
         }
 
 
+# The steps of each smaller counter a collapse has visited; the pivot is
+# that of the one collapse the memo serves.
+Memo = dict[RoundCounter, tuple[CollapseStep, ...]]
+
+# Simplices of a complex paired with the masks of their images under one
+# γ or δ map.
+Part = list[tuple[WitnessStructure, Masks]]
+
+
 def _scan_label(sigma: WitnessStructure, pivot: int) -> str:
     """Stage tag for a residue pair, read off the free face's round-1 row."""
     _, _, w1, g1 = _head(sigma)
     return "stage2" if (w1 | g1) & ~(1 << pivot) else "stage3"
 
 
-def _ctrb_steps(
-    counter: RoundCounter,
-    pivot: int,
-    builder: Builder,
-    memo: dict[tuple[RoundCounter, int], tuple[CollapseStep, ...]],
-) -> tuple[CollapseStep, ...]:
-    key = (counter, pivot)
-    if key not in memo:
-        memo[key] = tuple(_compute_ctrb(counter, pivot, builder, memo))
-    return memo[key]
+def _derived(counter: RoundCounter, part: Part, parent: Complex) -> Complex:
+    """The complex of ``counter`` made of the images in ``part`` alone.
+
+    Each image is validated once.  Its lower covers are those of its
+    simplex in ``parent``, mapped and kept inside ``part``, in the same
+    order, and its facets are its top-dimensional members.  This is the
+    part of the complex of ``counter`` that a collapse removes when
+    ``part`` is the whole preimage of that part under an isomorphism from
+    a stratum of ``parent`` (see :func:`_carried`).
+    """
+    image = {sigma: _from_masks(m) for sigma, m in part}
+    lower = {
+        tau: tuple(t for t in map(image.get, parent.lower_covers(sigma)) if t is not None)
+        for sigma, tau in image.items()
+    }
+    top = len(counter.support) - 1
+    return Complex(counter, lower, [tau for tau in lower if tau.dim == top])
 
 
-def _compute_ctrb(
+def _carried(
     counter: RoundCounter,
     pivot: int,
-    builder: Builder,
-    memo: dict[tuple[RoundCounter, int], tuple[CollapseStep, ...]],
+    part: Part,
+    parent: Complex,
+    stage: str,
+    memo: Memo,
 ) -> list[CollapseStep]:
+    """The collapse of ``counter`` towards ``pivot``, carried into ``parent``.
+
+    ``part`` pairs each simplex of ``parent`` with the masks of its image
+    under γ or δ, and the images are exactly the part of the complex of
+    ``counter`` that this collapse removes.  The first visit of
+    ``counter`` derives that part from ``parent`` and collapses it; every
+    visit takes the steps back to ``parent`` through the inverse of
+    ``part`` and tags them ``stage``.  The derived complex is dropped once
+    its steps are known.
+    """
+    steps = memo.get(counter)
+    if steps is None:
+        steps = memo[counter] = tuple(
+            _compute_ctrb(_derived(counter, part, parent), pivot, memo)
+        )
+    back = {m: sigma for sigma, m in part}
+    return [CollapseStep(back[step.free], back[step.cofacet], stage) for step in steps]
+
+
+def _round_one_classes(complex_: Complex, pivot: int) -> dict[Masks, list[WitnessStructure]]:
+    """The simplices of ``complex_`` that a collapse towards ``pivot``
+    removes and that have a round-1 row, by ``(G_0, W_1 ∪ G_1, G_1)``."""
+    bit = 1 << pivot
+    classes: dict[Masks, list[WitnessStructure]] = {}
+    for sigma in complex_.simplices:
+        if len(sigma) > 2 and not sigma[1] & ~bit:
+            classes.setdefault((sigma[1], sigma[2] | sigma[3], sigma[3]), []).append(sigma)
+    return classes
+
+
+def _restrictions(
+    counter: RoundCounter, pivot: int, classes: dict[Masks, list[WitnessStructure]]
+) -> Iterator[tuple[RoundCounter, Part]]:
+    """Each ``counter.restrict(S, A)``, ``A ⊊ S ⊆ active∖{pivot}``, in the
+    order stage one visits them, with its part: the simplices with
+    ``W_1 ∪ G_1 = S`` and ``G_1 = A`` among ``classes``, and their γ_{S,A}
+    images.  Those images are the part of the smaller complex that a
+    collapse towards ``pivot`` removes.  γ_{S,A} keeps the row-0 ghosts
+    outside ``A`` and adds the row-1 ghosts outside ``A``; unless row 1
+    covers exactly ``S``, these take in all of ``S∖A``, which misses the
+    pivot.  So the classes here are the members of ``X_{S,A}`` whose
+    images keep their row-0 ghosts inside ``{pivot}``."""
+    bit = 1 << pivot
+    pairs = sorted(
+        (sa for sa in _x_params(counter.active - {pivot}) if sa[1] != sa[0]),  # A ⊊ S
+        key=lambda sa: (len(sa[1]), sorted(sa[0]), sorted(sa[1])),
+    )
+    for sel, absorbed in pairs:
+        s_mask, a_mask = _mask_of(sel), _mask_of(absorbed)
+        part = [
+            (sigma, _gamma(sigma, s_mask, a_mask))
+            for g0 in (0, bit)
+            for sigma in classes.get((g0, s_mask, a_mask), ())
+        ]
+        yield counter.restrict(sel, absorbed), part
+
+
+def _deletions(complex_: Complex, pivot: int) -> Iterator[tuple[RoundCounter, Part]]:
+    """Each ``counter.delete(V)``, ``∅ ≠ V ⊆ supp∖{pivot}``, in the order of
+    the phases of :func:`collapse_all`, with its part: the simplices of
+    ``complex_`` whose row-0 ghosts are ``V`` or ``V ∪ {pivot}``, and
+    their δ_V images, which are the part of the smaller complex that a
+    collapse towards ``pivot`` removes."""
+    counter = complex_.counter
+    bit = 1 << pivot
+    phases: dict[int, list[WitnessStructure]] = {}
+    for sigma in complex_.simplices:
+        if sigma[1] & ~bit:
+            phases.setdefault(sigma[1] & ~bit, []).append(sigma)
+    for dropped in map(frozenset, _nonempty_subsets(sorted(counter.support - {pivot}))):
+        v = _mask_of(dropped)
+        yield counter.delete(dropped), [(sigma, _delta(sigma, v)) for sigma in phases.pop(v, ())]
+
+
+def _compute_ctrb(complex_: Complex, pivot: int, memo: Memo) -> list[CollapseStep]:
+    """The steps that remove from ``complex_`` every simplex whose row-0
+    ghosts lie in ``{pivot}``.  ``complex_`` need hold no more than those
+    simplices; ``memo`` holds the steps of the smaller counters visited."""
+    counter = complex_.counter
     support = counter.support
     if pivot not in support:
         raise ValueError(f"pivot {pivot} is outside the support of {counter.to_text()!r}")
@@ -131,37 +263,25 @@ def _compute_ctrb(
         top = _from_rows([(everyone, 0)])
         return [CollapseStep(free, top, "stage3")]
 
-    steps: list[CollapseStep] = []
+    classes = _round_one_classes(complex_, pivot)
 
     # Stage one: everything whose round-1 row avoids the pivot is removed
     # by translating the same collapse from a smaller complex.  Classes
     # are keyed by the exact round-1 row (witnesses S∖A, ghosts A); a
     # coface can only sit in a class with strictly fewer ghosts, so
     # running the pairs in order of |A| keeps every move legal.
-    pairs = sorted(
-        (sa for sa in _x_params(active - {pivot}) if sa[1] != sa[0]),  # A ⊊ S
-        key=lambda sa: (len(sa[1]), sorted(sa[0]), sorted(sa[1])),
-    )
-    for sel, absorbed in pairs:
-        sub_counter = counter.restrict(sel, absorbed)
-        s_mask, a_mask = _mask_of(sel), _mask_of(absorbed)
-        for step in _ctrb_steps(sub_counter, pivot, builder, memo):
-            steps.append(
-                CollapseStep(
-                    _rho(step.free, s_mask, a_mask),
-                    _rho(step.cofacet, s_mask, a_mask),
-                    "stage1",
-                )
-            )
+    steps: list[CollapseStep] = []
+    for sub_counter, part in _restrictions(counter, pivot, classes):
+        steps += _carried(sub_counter, pivot, part, complex_, "stage1", memo)
     removed = {s for step in steps for s in (step.free, step.cofacet)}
 
     # Stage two: the residue, where the pivot itself shows up in round 1.
-    complex_ = builder(counter)
-    pending = set(
-        _filter_heads(
-            complex_.simplices, lambda w0, g0, w1, g1: not g0 and (w1 | g1) & bit
-        )
-    )
+    pending = {
+        sigma
+        for (g0, row1, _), group in classes.items()
+        if not g0 and row1 & bit
+        for sigma in group
+    }
     if active == {pivot}:
         pending.add(_from_rows([(everyone ^ bit, bit)]))
 
@@ -215,14 +335,12 @@ def collapse_to_relative_boundary(complex_: Complex, pivot: int) -> CollapseSequ
     The survivors form the boundary minus the open star of the
     pivot-facing side: exactly the simplices with some other row-0
     ghost.  Raises :class:`CollapseStalledError` if the residue worklist
-    runs dry.  The smaller complexes it builds on the way are bounded by
-    ``complex_``, and each holds only the part that this collapse removes
-    (see :func:`~snapcomplex.complexes._sub_builder`).
+    runs dry.  Each smaller complex it visits on the way is derived from
+    the one in hand, and holds only the part that the collapse removes.
     """
     if pivot not in complex_.counter.support:
         raise ValueError(f"pivot {pivot} is outside the support")
-    memo: dict[tuple[RoundCounter, int], tuple[CollapseStep, ...]] = {}
-    steps = _ctrb_steps(complex_.counter, pivot, _sub_builder(complex_, pivot), memo)
+    steps = tuple(_compute_ctrb(complex_, pivot, {}))
     return CollapseSequence(
         counter=complex_.counter, kind="relative-boundary", steps=steps, pivot=pivot
     )
@@ -239,44 +357,31 @@ def relative_boundary_remainder(
 def collapse_all(complex_: Complex) -> CollapseSequence:
     """Collapse the whole complex, empty simplex included, to nothing.
 
-    Simplices are matched in phases by their row-0 ghost set minus the
-    pivot; each phase replays the relative-boundary collapse of the
-    complex with those ghosts deleted.  Phases run smallest ghost set
-    first, which keeps cofaces ahead of their faces.  The smaller
-    complexes it builds on the way are bounded by ``complex_`` and hold
-    only the part they lose, as in :func:`collapse_to_relative_boundary`.
+    Simplices are matched in phases by their row-0 ghost set ``V`` minus
+    the pivot; each phase replays the relative-boundary collapse of the
+    complex with ``V`` deleted, whose removed part is the δ_V image of the
+    phase.  Phases run smallest ghost set first, which keeps cofaces
+    ahead of their faces.  Each smaller complex it visits is derived from
+    the one in hand, as in :func:`collapse_to_relative_boundary`.
     """
     counter = complex_.counter
     support = counter.support
     if not support:
         raise ValueError("cannot collapse a complex over an empty counter")
     pivot = min(support)
-    builder = _sub_builder(complex_, pivot)
-    memo: dict[tuple[RoundCounter, int], tuple[CollapseStep, ...]] = {}
-    steps: list[CollapseStep] = []
-    for dropped in map(frozenset, _subsets(sorted(support - {pivot}))):
-        v = _mask_of(dropped)
-        for step in _ctrb_steps(counter.delete(dropped), pivot, builder, memo):
-            if dropped:
-                steps.append(
-                    CollapseStep(
-                        _delta_inverse(step.free, v),
-                        _delta_inverse(step.cofacet, v),
-                        "recursive",
-                    )
-                )
-            else:
-                steps.append(step)
+    memo: Memo = {}
+    steps = _compute_ctrb(complex_, pivot, memo)
+    for sub_counter, part in _deletions(complex_, pivot):
+        steps += _carried(sub_counter, pivot, part, complex_, "recursive", memo)
     return CollapseSequence(counter=counter, kind="full", steps=tuple(steps), pivot=pivot)
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     """Outcome of replaying a collapse sequence move by move."""
 
     ok: bool
     checked_steps: int
-    stage_counts: dict[str, int] = field(default_factory=dict)
+    stage_counts: dict[str, int]
     remainder: frozenset[WitnessStructure] = frozenset()
     violation: str | None = None
 

@@ -335,30 +335,24 @@ def build(r: RoundCounter, *, max_simplices: int | None = None) -> Complex:
     """
     if not r.support:
         raise ValueError("cannot build a complex over an empty support")
-    return _build(r, simplex_cap(max_simplices), _mask_of(r))
+    return _build(r, simplex_cap(max_simplices))
 
 
-def _build(r: RoundCounter, cap: int, ghosts: int) -> Complex:
-    """The simplices of the complex of ``r`` whose row-0 ghosts lie in the
-    mask ``ghosts``, with their lower covers inside that part.
+def _build(r: RoundCounter, cap: int) -> Complex:
+    """The complex of ``r``, built under ``cap``, as :func:`build` says.
 
-    A coface never has more row-0 ghosts than its faces, so that part is
-    closed upward, and the closure from the facets reaches all of it
-    through it alone; a face outside it is dropped before it is made.
     A face is looked up by its unvalidated masks, which equal and hash as
     the structure they make, so each stored simplex is made, and
     validated, once; equal faces reached from different cofaces share
     that instance.
     """
-    support = _mask_of(r)
     facet_list = list(facet_structures(r, max_schedules=cap))
     known: dict[WitnessStructure, WitnessStructure] = {f: f for f in facet_list}
-    stack = list(facet_list)
-    if not support & ~ghosts:
-        stack.append(_from_masks((0, support)))  # the empty simplex
-        known[stack[-1]] = stack[-1]
+    empty = _from_masks((0, _mask_of(r)))
+    known[empty] = empty
     if len(known) > cap:
         raise ComplexTooLargeError(cap)
+    stack = list(known)
     lower: dict[WitnessStructure, Covers] = {}
     while stack:
         sigma = stack.pop()
@@ -367,8 +361,6 @@ def _build(r: RoundCounter, cap: int, ghosts: int) -> Complex:
             face_m = _ghost(sigma, 1 << p)
             face = known.get(face_m)
             if face is None:
-                if face_m[1] & ~ghosts:
-                    continue
                 face = _from_masks(face_m)
                 known[face] = face
                 if len(known) > cap:
@@ -380,23 +372,19 @@ def _build(r: RoundCounter, cap: int, ghosts: int) -> Complex:
     return Complex(r, lower, facet_list)
 
 
-def _sub_builder(k: Complex, pivot: int | None = None) -> Callable[[RoundCounter], Complex]:
+def _sub_builder(k: Complex) -> Callable[[RoundCounter], Complex]:
     """A memoised builder of the complexes derived from ``k``.
 
-    Every counter the certifications and collapses recurse into is the
-    γ or δ image of a stratum of ``k`` (or of such an image), and those
-    maps are isomorphisms onto their image, so no derived complex has
-    more simplices than ``k``; nor do deleting and restricting processes
-    add rounds.  Each is built under the larger of ``len(k)`` and the
+    Every counter the certifications recurse into is the γ or δ image of
+    a stratum of ``k`` (or of such an image), and those maps are
+    isomorphisms onto their image, so no derived complex has more
+    simplices than ``k``; nor do deleting and restricting processes add
+    rounds.  Each is built whole under the larger of ``len(k)`` and the
     total rounds of ``k``, as the build budgets both, so the cap that
     admitted ``k`` governs them all.  (A counter with passive processes
-    can have more rounds than simplices: ``5,0`` has five and four.)
-
-    With a ``pivot``, a derived complex is built only in the part a
-    collapse towards ``pivot`` removes: the simplices whose row-0 ghosts
-    lie in ``{pivot}``, with every upper cover of theirs (that part is
-    closed upward) and the lower covers that stay inside it.  ``k``
-    itself is kept whole.
+    can have more rounds than simplices: ``5,0`` has five and four.)  The
+    collapses build none: they derive the part they remove from ``k``
+    (see :mod:`~snapcomplex.collapse`).
 
     Absorbing or deleting every process leaves the empty counter, which
     :func:`build` refuses.  Its complex is the complex over nothing: the
@@ -408,8 +396,7 @@ def _sub_builder(k: Complex, pivot: int | None = None) -> Callable[[RoundCounter
     def sub(counter: RoundCounter) -> Complex:
         if counter not in cache:
             if counter.support:
-                ghosts = _mask_of(counter) if pivot is None else 1 << pivot
-                cache[counter] = _build(counter, bound, ghosts)
+                cache[counter] = _build(counter, bound)
             else:
                 void = WitnessStructure([((), ())])
                 cache[counter] = Complex(counter, {void: ()}, [void])

@@ -8,7 +8,7 @@ machinery, which this module treats as the execution semantics.
 
 from __future__ import annotations
 
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from itertools import chain, combinations, islice, repeat
 
 from .counters import RoundCounter
@@ -33,6 +33,17 @@ def _subsets(items: Sequence) -> Iterator[tuple]:
 def _nonempty_subsets(items: Sequence) -> Iterator[tuple]:
     """:func:`_subsets` without the empty one."""
     return islice(_subsets(items), 1, None)
+
+
+def _x_params(procs: Iterable[int]) -> list[tuple[frozenset[int], frozenset[int]]]:
+    """Every parameter pair ``(S, A)`` of a stratum ``X_{S,A}`` with
+    ``A ⊆ S ⊆ procs``: by ``S``, then by ``A``, each in the order of
+    :func:`_subsets`.  ``(∅, ∅)`` comes first."""
+    return [
+        (frozenset(select), frozenset(absorbed))
+        for select in _subsets(sorted(procs))
+        for absorbed in _subsets(select)
+    ]
 
 
 def is_valid_schedule(s: Sequence[frozenset[int]], r: RoundCounter) -> bool:

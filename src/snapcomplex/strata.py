@@ -25,7 +25,10 @@ simplices behind distinct heads are disjoint and nonempty.  They also
 validate each process set once per parameter choice and hand masks to
 the private forms ``_gamma``, ``_rho`` and ``_delta`` of the maps.
 ``_gamma`` and ``_delta`` take a mask tuple (a structure is one) and
-return the image unvalidated.  A caller makes a structure of it, which
+return the image unvalidated; they live in :mod:`~snapcomplex.witness`,
+as :func:`~snapcomplex.schedules._x_params` lives in ``schedules``, so
+that the collapse engine, which uses them too, need not load this
+module.  A caller makes a structure of it, which
 validates it, at the step where it needs one; the commuting diagrams
 only validate their intermediates, and compute on mask tuples.
 """
@@ -39,7 +42,7 @@ from typing import Callable, Iterable, Iterator
 from .complexes import Complex, _certify_iso, _membership_test, _sub_builder
 from .counters import _check_pid
 from .errors import VerificationError
-from .schedules import _nonempty_subsets, _subsets
+from .schedules import _nonempty_subsets, _subsets, _x_params
 from .witness import (
     Masks,
     WitnessStructure,
@@ -47,6 +50,7 @@ from .witness import (
     _delta,
     _from_masks,
     _from_rows,
+    _gamma,
     _head,
     _mask_of,
     _splice,
@@ -68,17 +72,6 @@ _text = WitnessStructure.encode
 
 def _fmt_procs(values: Iterable[int]) -> str:
     return "{" + ",".join(str(p) for p in sorted(values)) + "}"
-
-
-def _x_params(procs: Iterable[int]) -> list[tuple[Procs, Procs]]:
-    """Every parameter pair ``(S, A)`` of a stratum ``X_{S,A}`` with
-    ``A ⊆ S ⊆ procs``: by ``S``, then by ``A``, each in the subset order
-    of :func:`~snapcomplex.schedules._subsets`.  ``(∅, ∅)`` comes first."""
-    return [
-        (frozenset(select), frozenset(absorbed))
-        for select in _subsets(sorted(procs))
-        for absorbed in _subsets(select)
-    ]
 
 
 @dataclass(frozen=True)
@@ -281,28 +274,6 @@ def gamma(
     if a & ~s:
         raise ValueError("absorbed set must lie inside the selected set")
     return _from_masks(_gamma(sigma, s, a))
-
-
-def _gamma(m: Masks, s: int, a: int) -> Masks:
-    """:func:`gamma` of the mask rows ``m``, with ``select`` and ``absorbed``
-    given as masks, ``a ⊆ s``; not yet validated."""
-    w0, g0, w1, g1 = _head(m)
-    if len(m) == 2:
-        if w0 & s:
-            raise ValueError(f"{_text(m)} is not in the stratum X_{_fmt_procs(_bits(s))}")
-        return _splice(m, 1, (w0, g0 & ~a))
-    if s & ~g1 == 0:
-        head_w, head_g, kept = w0 & ~s, g0 | s, [(w1, g1 & ~s)]
-    elif w1 | g1 == s:
-        head_w, head_g, kept = w0 & ~g1, g0 | g1, []
-    else:
-        raise ValueError(f"{_text(m)} is not in the stratum X_{_fmt_procs(_bits(s))}")
-    if a & ~head_g:
-        raise ValueError(
-            f"{_text(m)} is not in the stratum "
-            f"X_{{{_fmt_procs(_bits(s))},{_fmt_procs(_bits(a))}}}"
-        )
-    return _splice(m, 2, (head_w, head_g & ~a), *kept)
 
 
 def rho(

@@ -19,7 +19,11 @@ ids must be small integers: at most :data:`MAX_PROCESS_ID`.
 Each operation on the rows is written once, as a function of a mask tuple
 (a structure is one) that returns its result unvalidated: :func:`_head`
 reads the first two rows, :func:`_ghost` forgets processes, :func:`_splice`
-replaces the first rows and :func:`_delta` forgets row-0 ghosts.
+replaces the first rows, :func:`_delta` forgets row-0 ghosts and
+:func:`_gamma` peels off round one.  The last two are the mask forms of
+the stratum maps δ and γ; they live here, not in
+:mod:`~snapcomplex.strata`, so that a collapse, which derives smaller
+complexes through them, loads no more than this module.
 :func:`_from_masks` is the one constructor from masks, and it validates
 with :func:`_validated`: a caller wraps a result in it at the step where it
 needs a structure, or only validates it where a mask tuple will do, and a
@@ -367,6 +371,39 @@ def _delta(m: Masks, v: int) -> Masks:
             f"{_bits(v)} are not all row-0 ghosts of {WitnessStructure.encode(m)}"
         )
     return (w0, g0 & ~v) + m[2:]
+
+
+def _gamma(m: Masks, s: int, a: int) -> Masks:
+    """γ: ``m`` with round one peeled off for the processes of the mask
+    ``s``, and those of the mask ``a ⊆ s`` absorbed, not yet validated.
+
+    ``m`` must lie in the closure of the stratum ``X_{s,a}`` (see
+    :mod:`~snapcomplex.strata`, whose ``gamma`` is the validated map).  On
+    a one-row ``m`` the map removes ``a`` from the ghost row; otherwise
+    row 1 is consumed: ghosts of ``s`` fall back into row 0 and survivors
+    merge with row 0's witnesses."""
+    w0, g0, w1, g1 = _head(m)
+    if len(m) == 2:
+        if w0 & s:
+            raise ValueError(f"{WitnessStructure.encode(m)} is not in the stratum X_{_braced(s)}")
+        return _splice(m, 1, (w0, g0 & ~a))
+    if s & ~g1 == 0:
+        head_w, head_g, kept = w0 & ~s, g0 | s, [(w1, g1 & ~s)]
+    elif w1 | g1 == s:
+        head_w, head_g, kept = w0 & ~g1, g0 | g1, []
+    else:
+        raise ValueError(f"{WitnessStructure.encode(m)} is not in the stratum X_{_braced(s)}")
+    if a & ~head_g:
+        raise ValueError(
+            f"{WitnessStructure.encode(m)} is not in the stratum "
+            f"X_{{{_braced(s)},{_braced(a)}}}"
+        )
+    return _splice(m, 2, (head_w, head_g & ~a), *kept)
+
+
+def _braced(mask: int) -> str:
+    """The process ids of ``mask`` as a set literal, ``{0,2}``."""
+    return "{" + _TEXT[mask][1:-1] + "}"
 
 
 def ghost(sigma: WitnessStructure, hide: Iterable[int]) -> WitnessStructure:

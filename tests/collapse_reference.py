@@ -4,27 +4,27 @@ This is the residue loop the library used before the worklist: every
 elementary collapse re-sorts the whole pending set by ``(dim, encode())``
 and takes the first simplex with exactly one remaining upper cover, that
 cover still pending; failing that, it stalls.  Stage one and the phase loop
-of the full collapse are the library's, recursing through this module.
-Every smaller complex is built whole, by ``_sub_builder(complex_)``, so
-comparing the step sequences of :mod:`snapcomplex.collapse` with the ones
-here also checks the library's sub-builds of only the removed part.
+of the full collapse follow the library's, recursing through this module.
+Every smaller complex is built whole, by ``_sub_builder(complex_)``, and
+steps are translated back by ``rho`` and ``delta_inverse``, so comparing
+the step sequences of :mod:`snapcomplex.collapse` with the ones here also
+checks the library's derivation of only the removed part from the complex
+in hand, and its inverse maps.
 """
 
 from __future__ import annotations
 
 import itertools
+from typing import Callable
 
-from snapcomplex.collapse import (
-    Builder,
-    CollapseSequence,
-    CollapseStep,
-    _scan_label,
-)
+from snapcomplex.collapse import CollapseSequence, CollapseStep, _scan_label
 from snapcomplex.complexes import Complex, _sub_builder
 from snapcomplex.counters import RoundCounter
 from snapcomplex.errors import CollapseStalledError
 from snapcomplex.strata import delta_inverse, rho
 from snapcomplex.witness import WitnessStructure
+
+Builder = Callable[[RoundCounter], Complex]
 
 
 def _scan_order(sigma: WitnessStructure) -> tuple[int, str]:

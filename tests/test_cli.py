@@ -159,6 +159,20 @@ def test_export_svg_draws_small_supports_only(capsys):
     assert "svg" in err.lower() or "support" in err.lower()
 
 
+def test_svg_export_is_refused_before_the_build(monkeypatch):
+    # Under a cap of one simplex the build of 1,1,1,1 would exit 3; the
+    # support check comes first.
+    monkeypatch.setenv("SNAPCOMPLEX_MAX_SIMPLICES", "1")
+    proc = subprocess.run(
+        [sys.executable, "-m", "snapcomplex", "export", "-r", "1,1,1,1", "--format", "svg"],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert "svg export is limited" in proc.stderr
+
+
 def test_export_json_round_trips(capsys):
     code, out, _ = run(capsys, "export", "-r", "1,1", "--format", "json")
     assert code == 0

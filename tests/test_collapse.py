@@ -15,6 +15,7 @@ from snapcomplex import (
     relative_boundary_remainder,
     validate_collapse,
 )
+from snapcomplex import complexes
 from snapcomplex.collapse import _compute_ctrb
 
 from . import collapse_reference as reference
@@ -145,7 +146,7 @@ def _triples(steps):
     return [(step.free, step.cofacet, step.stage) for step in steps]
 
 
-@pytest.mark.parametrize("text", TEST_COUNTERS + ("2,1,1,1",))
+@pytest.mark.parametrize("text", TEST_COUNTERS + ("2,1,1,1", "2,1,0,1", "1,0,0,1"))
 def test_worklist_matches_the_rescan_reference(text, get_complex):
     k = get_complex(text)
     assert _triples(collapse_all(k).steps) == _triples(reference.collapse_all(k).steps)
@@ -153,6 +154,20 @@ def test_worklist_matches_the_rescan_reference(text, get_complex):
         assert _triples(collapse_to_relative_boundary(k, pivot).steps) == _triples(
             reference.collapse_to_relative_boundary(k, pivot).steps
         )
+
+
+@pytest.mark.parametrize("text", ("2,1,1", "2,1,0,1"))
+def test_a_collapse_builds_no_smaller_complex(text, get_complex, monkeypatch):
+    # Every smaller complex is derived from the one in hand.
+    k = get_complex(text)
+
+    def refuse(*args):
+        raise AssertionError("the collapse built a complex")
+
+    monkeypatch.setattr(complexes, "_build", refuse)
+    assert validate_collapse(k, collapse_all(k), expected_remainder=frozenset()).ok
+    for pivot in sorted(k.counter.support):
+        assert collapse_to_relative_boundary(k, pivot).steps
 
 
 def _doctored(k: Complex, extra: dict[WitnessStructure, tuple]) -> Complex:
@@ -164,6 +179,11 @@ def _doctored(k: Complex, extra: dict[WitnessStructure, tuple]) -> Complex:
 
 
 def _run(engine, doctored: Complex, pivot: int):
+    """Stall ``engine`` on ``doctored``: the library's engine is handed the
+    complex itself, the reference a builder that returns it."""
+    if engine is _compute_ctrb:
+        return engine(doctored, pivot, {})
+
     def builder(counter: RoundCounter) -> Complex:
         return doctored if counter == doctored.counter else build(counter)
 

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import tracemalloc
 
 import pytest
@@ -23,7 +24,7 @@ from snapcomplex import (
     verify_translation_maps,
 )
 
-from snapcomplex import complexes, witness
+from snapcomplex import collapse, complexes, witness
 from snapcomplex.errors import VerificationError
 
 from . import build_reference, gg_reference
@@ -234,17 +235,25 @@ def test_a_coface_never_has_more_row0_ghosts(text, get_complex):
 
 @pytest.mark.parametrize("text", CLOSURE_COUNTERS)
 def test_a_pivot_sub_build_is_the_part_a_collapse_removes(text, get_complex):
-    # The part with row-0 ghosts inside {pivot} is closed upward, so it
-    # keeps every upper cover; its lower covers are the full ones inside it.
+    # Each complex a collapse derives from k, by γ for a restriction of
+    # stage one or by δ for a deletion of a phase, is the part of the whole
+    # build of its counter whose row-0 ghosts lie in {pivot}: the same
+    # simplices, lower-cover tuples and facets, each image made once.
     k = get_complex(text)
     for pivot in sorted(k.counter.support):
-        part = complexes._build(k.counter, len(k), 1 << pivot)
-        assert part.simplices == {s for s in k.simplices if s.ghost_row(0) <= {pivot}}
-        assert part.facets == k.facets
-        for sigma in part.simplices:
-            assert set(part.upper_covers(sigma)) == set(k.upper_covers(sigma))
-            inside = tuple(f for f in k.lower_covers(sigma) if f in part.simplices)
-            assert part.lower_covers(sigma) == inside
+        classes = collapse._round_one_classes(k, pivot)
+        for counter, part in itertools.chain(
+            collapse._restrictions(k.counter, pivot, classes), collapse._deletions(k, pivot)
+        ):
+            derived = collapse._derived(counter, part, k)
+            whole = build(counter)
+            inside = {s for s in whole.simplices if s.ghost_row(0) <= {pivot}}
+            assert len(part) == len(derived)
+            assert derived.simplices == inside
+            assert derived.facets == whole.facets
+            for sigma in inside:
+                kept = tuple(f for f in whole.lower_covers(sigma) if f in inside)
+                assert derived.lower_covers(sigma) == kept
 
 
 @pytest.mark.parametrize("text", TEST_COUNTERS + ("2,1,0,1",))

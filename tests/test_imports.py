@@ -56,6 +56,27 @@ def test_construction_subcommands_load_only_the_construction(argv):
     assert "dataclasses" not in loaded
 
 
+def test_the_collapse_loads_only_the_collapse_engine():
+    loaded = _modules_after(
+        "import contextlib, io\n"
+        "from snapcomplex.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert main(['collapse', '-r', '2,1', '--full', '--validate']) == 0\n"
+    )
+    package = sorted(m for m in loaded if m.startswith("snapcomplex."))
+    assert package == [
+        "snapcomplex.cli",
+        "snapcomplex.collapse",
+        "snapcomplex.complexes",
+        "snapcomplex.counters",
+        "snapcomplex.errors",
+        "snapcomplex.schedules",
+        "snapcomplex.witness",
+    ]
+    assert "dataclasses" not in loaded
+    assert "inspect" not in loaded
+
+
 def test_a_skipped_phi_check_loads_no_subdivision():
     loaded = _modules_after(
         "import contextlib, io\n"
