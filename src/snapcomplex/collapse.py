@@ -90,16 +90,16 @@ class CollapseSequence:
         self.steps = steps
         self.pivot = pivot
 
-    def _fields(self) -> tuple:
+    def _key(self) -> tuple:
         return (self.counter, self.kind, self.steps, self.pivot)
 
     def __eq__(self, other: object) -> bool:
         if type(other) is not CollapseSequence:
             return NotImplemented
-        return self._fields() == other._fields()
+        return self._key() == other._key()
 
     def __hash__(self) -> int:
-        return hash(self._fields())
+        return hash(self._key())
 
     def __repr__(self) -> str:
         return (
