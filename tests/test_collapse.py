@@ -146,7 +146,9 @@ def _triples(steps):
     return [(step.free, step.cofacet, step.stage) for step in steps]
 
 
-@pytest.mark.parametrize("text", TEST_COUNTERS + ("2,1,1,1", "2,1,0,1", "1,0,0,1"))
+@pytest.mark.parametrize(
+    "text", TEST_COUNTERS + ("2,1,1,1", "2,1,0,1", "1,0,0,1", "0", "0,0", "0,1", "1,0")
+)
 def test_worklist_matches_the_rescan_reference(text, get_complex):
     k = get_complex(text)
     assert _triples(collapse_all(k).steps) == _triples(reference.collapse_all(k).steps)

@@ -50,7 +50,9 @@ _LARGE_VARIANTS = {
 # 1,0,0,1 has two passive processes, so two cone certificates, and pins
 # the collapse with two passive processes; 0 is a lone passive process,
 # whose cone base is the complex over nothing; 1,1,1,1,1 pins the three
-# certification loops and the largest collapse on five processes.
+# certification loops and the largest collapse on five processes.  The
+# collapses of 0 and 0,0 (all passive), 1,0 (only the pivot active) and
+# 0,1 (whose stage one visits 0,0) remove one-row simplices.
 _LARGE_CASES = {
     "2,1,1,1": (
         "build",
@@ -62,7 +64,10 @@ _LARGE_CASES = {
     ),
     "2,1,0,1": ("build", "export-dot", "verify-all", "collapse-full", "collapse-relative"),
     "1,0,0,1": ("verify-all", "collapse-full", "collapse-relative"),
-    "0": ("verify-all",),
+    "0": ("verify-all", "collapse-full", "collapse-relative"),
+    "0,0": ("collapse-full", "collapse-relative"),
+    "0,1": ("collapse-full", "collapse-relative"),
+    "1,0": ("collapse-full", "collapse-relative"),
     "1,1,1,1,1": ("verify-certify", "collapse-full", "collapse-relative"),
 }
 
