@@ -56,7 +56,6 @@ _EXPORTS = {
         "Schedule",
         "enumerate_schedules",
         "is_valid_schedule",
-        "schedule_count",
         "to_facet",
         "views",
     ),
@@ -68,12 +67,9 @@ _EXPORTS = {
         "delta",
         "delta_inverse",
         "gamma",
-        "in_stratum",
-        "incidence",
         "intersect_family",
         "intersect_pair",
         "intersect_refs",
-        "literal_members",
         "members",
         "nerve",
         "rho",

@@ -22,10 +22,12 @@ The certification modules (``chromatic``, ``collapse``, ``strata``,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
 from collections.abc import Callable, Sequence
+from typing import TYPE_CHECKING
 
 from .complexes import (
     Complex,
@@ -41,6 +43,9 @@ from .counters import RoundCounter
 from .errors import ComplexTooLargeError, VerificationError
 from .schedules import _views
 from .witness import WitnessStructure
+
+if TYPE_CHECKING:
+    from .topology import BoundaryReport
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
@@ -94,17 +99,22 @@ def _check_purity(k: Complex) -> dict:
     return {"status": "ok", "dimension": k.dim}
 
 
-def _check_pseudomanifold(k: Complex) -> dict:
+@functools.lru_cache(maxsize=1)
+def _boundary(k: Complex) -> BoundaryReport:
+    """``topology.boundary(k)``, computed once for the last complex asked:
+    the pseudomanifold, boundary and homology checks all read it."""
     from .topology import boundary
 
-    report = boundary(k)
+    return boundary(k)
+
+
+def _check_pseudomanifold(k: Complex) -> dict:
+    report = _boundary(k)
     return {"status": "ok", "ridges": report.ridge_count}
 
 
 def _check_boundary(k: Complex) -> dict:
-    from .topology import boundary
-
-    report = boundary(k)
+    report = _boundary(k)
     status = "ok" if report.ghost_rule_holds else "failed"
     return {
         "status": status,
@@ -128,7 +138,7 @@ def _check_euler(k: Complex) -> dict:
 
 
 def _check_homology(k: Complex) -> dict:
-    from .topology import boundary, homology_z2, is_sphere_like
+    from .topology import homology_z2, is_sphere_like
 
     betti = homology_z2(k)
     contractible = all(b == 0 for b in betti.values())
@@ -136,7 +146,7 @@ def _check_homology(k: Complex) -> dict:
         "status": "ok" if contractible else "failed",
         "reduced_betti": {str(d): b for d, b in sorted(betti.items())},
     }
-    rim = boundary(k).simplices
+    rim = _boundary(k).simplices
     if rim:
         sphere_dim = len(k.counter.support) - 2
         rim_betti = homology_z2(rim)
@@ -370,12 +380,11 @@ def _hasse_dot(k: Complex) -> str:
     # A stable sort by dimension of the encode order: (dim, encode()) order.
     ordered = sorted(k.ordered(), key=lambda s: s.dim)
     for sigma in ordered:
-        name = code[sigma].replace("\\", "\\\\").replace('"', '\\"')
+        name = code[sigma]
         lines.append(f'  "{name}" [label="dim {sigma.dim}: {name}"];')
     for sigma in ordered:
-        child = code[sigma].replace("\\", "\\\\").replace('"', '\\"')
-        for tau in sorted(code[face] for face in k.lower_covers(sigma)):
-            parent = tau.replace("\\", "\\\\").replace('"', '\\"')
+        child = code[sigma]
+        for parent in sorted(code[face] for face in k.lower_covers(sigma)):
             lines.append(f'  "{parent}" -> "{child}";')
     lines.append("}")
     return "\n".join(lines) + "\n"
@@ -470,10 +479,9 @@ def _svg(k: Complex) -> str:
     for vertex in (s for s in k.ordered() if s.dim == 0):
         x, y = positions[vertex]
         color = _PALETTE[next(iter(vertex.active_set)) % len(_PALETTE)]
-        title = vertex.encode().replace("&", "&amp;").replace("<", "&lt;")
         parts.append(
             f'  <circle cx="{fmt(x)}" cy="{fmt(y)}" r="6" fill="{color}">'
-            f"<title>{title}</title></circle>"
+            f"<title>{vertex.encode()}</title></circle>"
         )
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

@@ -16,9 +16,11 @@ class once, and the same map, inverted, carries the smaller collapse's
 steps back (see :func:`_carried`).  A derived complex lives only until
 its own steps are known, and no smaller complex is ghosted or built.
 
-The residue left after the translated classes is matched greedily by a
-free-face worklist (Benedetti–Lutz, "Random discrete Morse theory",
-2014): each pending simplex counts its upper covers not yet removed,
+The residue left after the translated classes holds the removed
+simplices whose round-1 row holds the pivot, and those with one row,
+which exist only when no process but the pivot is active.  It is matched
+greedily by a free-face worklist (Benedetti–Lutz, "Random discrete Morse
+theory", 2014): each pending simplex counts its upper covers not yet removed,
 and a simplex whose count reaches one is pushed onto a heap keyed by
 ``(dim, encode())``, which yields the least simplex whose one remaining
 cover is itself pending.  Counts only fall and the pending set only
@@ -50,7 +52,6 @@ from .witness import (
     _delta,
     _filter_heads,
     _from_masks,
-    _from_rows,
     _gamma,
     _head,
     _mask_of,
@@ -193,12 +194,16 @@ def _carried(
 
 def _round_one_classes(complex_: Complex, pivot: int) -> dict[Masks, list[WitnessStructure]]:
     """The simplices of ``complex_`` that a collapse towards ``pivot``
-    removes and that have a round-1 row, by ``(G_0, W_1 ∪ G_1, G_1)``."""
+    removes, by ``(G_0, W_1 ∪ G_1, G_1)``, a missing round-1 row read as
+    empty.  A simplex with one row is removed only when no process but
+    the pivot is active: such a simplex ghosts every active process, and
+    here it ghosts none but the pivot."""
     bit = 1 << pivot
     classes: dict[Masks, list[WitnessStructure]] = {}
     for sigma in complex_.simplices:
-        if len(sigma) > 2 and not sigma[1] & ~bit:
-            classes.setdefault((sigma[1], sigma[2] | sigma[3], sigma[3]), []).append(sigma)
+        if not sigma[1] & ~bit:
+            _, g0, w1, g1 = _head(sigma)
+            classes.setdefault((g0, w1 | g1, g1), []).append(sigma)
     return classes
 
 
@@ -251,39 +256,29 @@ def _compute_ctrb(complex_: Complex, pivot: int, memo: Memo) -> list[CollapseSte
     ghosts lie in ``{pivot}``.  ``complex_`` need hold no more than those
     simplices; ``memo`` holds the steps of the smaller counters visited."""
     counter = complex_.counter
-    support = counter.support
-    if pivot not in support:
+    if pivot not in counter.support:
         raise ValueError(f"pivot {pivot} is outside the support of {counter.to_text()!r}")
-    active = counter.active
-    everyone, bit = _mask_of(support), 1 << pivot
-
-    if not active:
-        # The complex is the full simplex on the (all-passive) support.
-        free = _from_rows([(everyone ^ bit, bit)])
-        top = _from_rows([(everyone, 0)])
-        return [CollapseStep(free, top, "stage3")]
-
+    bit = 1 << pivot
     classes = _round_one_classes(complex_, pivot)
 
-    # Stage one: everything whose round-1 row avoids the pivot is removed
-    # by translating the same collapse from a smaller complex.  Classes
-    # are keyed by the exact round-1 row (witnesses S∖A, ghosts A); a
-    # coface can only sit in a class with strictly fewer ghosts, so
+    # Stage one: every simplex with a round-1 row that avoids the pivot is
+    # removed by translating the same collapse from a smaller complex.
+    # Classes are keyed by the exact round-1 row (witnesses S∖A, ghosts
+    # A); a coface can only sit in a class with strictly fewer ghosts, so
     # running the pairs in order of |A| keeps every move legal.
     steps: list[CollapseStep] = []
     for sub_counter, part in _restrictions(counter, pivot, classes):
         steps += _carried(sub_counter, pivot, part, complex_, "stage1", memo)
     removed = {s for step in steps for s in (step.free, step.cofacet)}
 
-    # Stage two: the residue, where the pivot itself shows up in round 1.
+    # Stage two: the residue, where the pivot itself shows up in round 1,
+    # and the simplices with one row.
     pending = {
         sigma
         for (g0, row1, _), group in classes.items()
-        if not g0 and row1 & bit
+        if not row1 or (not g0 and row1 & bit)
         for sigma in group
     }
-    if active == {pivot}:
-        pending.add(_from_rows([(everyone ^ bit, bit)]))
 
     # Upper covers stand in for proper cofaces, as in validate_collapse.
     # live[σ] counts the upper covers of σ not yet removed; a simplex with

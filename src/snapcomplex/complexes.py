@@ -221,7 +221,11 @@ class Complex:
             for tau, covers in self._lower.items():
                 for face in covers:
                     upper[face].append(tau)
-            self._upper = {s: tuple(c) for s, c in upper.items()}
+            # Each list gives way to its tuple in place, so the table is
+            # never held twice.
+            for s, c in upper.items():
+                upper[s] = tuple(c)
+            self._upper = upper
         try:
             return self._upper[sigma]
         except KeyError:
@@ -376,10 +380,9 @@ def _sub_builder(k: Complex) -> Callable[[RoundCounter], Complex]:
     """A memoised builder of the complexes derived from ``k``.
 
     Every counter the certifications recurse into is the γ or δ image of
-    a stratum of ``k`` (or of such an image), and those maps are
-    isomorphisms onto their image, so no derived complex has more
-    simplices than ``k``; nor do deleting and restricting processes add
-    rounds.  Each is built whole under the larger of ``len(k)`` and the
+    a stratum of ``k``, and those maps are isomorphisms onto their image,
+    so no derived complex has more simplices than ``k``; nor do deleting
+    and restricting processes add rounds.  Each is built whole under the larger of ``len(k)`` and the
     total rounds of ``k``, as the build budgets both, so the cap that
     admitted ``k`` governs them all.  (A counter with passive processes
     can have more rounds than simplices: ``5,0`` has five and four.)  The

@@ -106,10 +106,6 @@ def enumerate_schedules(
         yield schedule
 
 
-def schedule_count(r: RoundCounter) -> int:
-    return sum(1 for _ in enumerate_schedules(r))
-
-
 def to_facet(s: Sequence[frozenset[int]], r: RoundCounter) -> WitnessStructure:
     """The facet indexed by a schedule: full support in row 0, one witness
     row per layer."""

@@ -14,10 +14,13 @@ The maps ``gamma`` (peel off round one), ``rho`` (its inverse) and
 over related counters; they act on witness structures alone and never
 need the ambient counter.
 
-Membership in a stratum depends on a simplex's head ``(W_0, G_0, W_1,
-G_1)`` alone, and a complex has far fewer heads than simplices (176 heads
+A stratum has one member set, :func:`members`: one-row simplices join
+the ``X``, ``Z`` and ``XBV`` strata whose dropped set they ghost, which
+closes those under faces, and ``Y`` and ``B`` strata are taken literally.
+Membership depends on a simplex's head ``(W_0, G_0, W_1, G_1)`` alone,
+and a complex has far fewer heads than simplices (176 heads
 for 1 194 simplices over ``2,1,1,1``).  So a member set is computed on the
-complex's head index: the stratum's test runs once per head, and the
+complex's head index: the stratum's one test runs once per head, and the
 result is an int bitset of head ids, kept on the index per stratum
 reference for the life of the complex.  The certifications below compare
 member sets as these bitsets, which is exact because the buckets of
@@ -162,27 +165,6 @@ class StratumRef:
         }
 
 
-def in_stratum(ref: StratumRef, sigma: WitnessStructure) -> bool:
-    """Literal membership: does ``sigma`` satisfy the stratum's conditions?
-
-    Rows past the last one read as empty, so a one-row simplex sits in
-    ``Z_S`` literally only for ``S = ∅``.
-    """
-    w1 = sigma.witness_row(1)
-    g1 = sigma.ghost_row(1)
-    g0 = sigma.ghost_row(0)
-    if ref.kind == "Z":
-        return ref.select <= g1
-    if ref.kind == "Y":
-        return (w1 | g1) == ref.select and ref.absorbed <= g1
-    if ref.kind == "B":
-        return ref.dropped <= g0
-    x_part = ref.absorbed <= g1 and ((w1 | g1) == ref.select or ref.select <= g1)
-    if ref.kind == "X":
-        return x_part
-    return x_part and ref.dropped <= g0  # XBV
-
-
 def classify_interior(sigma: WitnessStructure) -> StratumRef | None:
     """Name the stratum a simplex's first two rows pin it to.
 
@@ -196,21 +178,24 @@ def classify_interior(sigma: WitnessStructure) -> StratumRef | None:
     return StratumRef.xbv(select, sigma.ghost_row(1), sigma.ghost_row(0))
 
 
-def _head_test(ref: StratumRef, closed: bool) -> Callable[[int, int, int, int], bool]:
-    """:func:`in_stratum` on the mask rows 0 and 1, with the stratum's masks
-    made once.  ``closed`` also admits the one-row simplices that ghost
-    the dropped set, as :func:`members` does; a simplex of a complex is a
-    witness structure, so ``W_1`` reads empty only when it has one row."""
+def _head_test(ref: StratumRef) -> Callable[[int, int, int, int], bool]:
+    """Membership in the :func:`members` set of ``ref``: the stratum's
+    conditions (see the module docstring) on the mask rows 0 and 1, with
+    the stratum's masks made once.  A simplex of a complex is a witness
+    structure, so ``W_1`` reads empty only when it has one row; such a
+    simplex passes every test but a ``Y`` one once it ghosts the dropped
+    set."""
     select = _mask_of(ref.select)
     need_g0 = _mask_of(ref.dropped)
     need_g1 = select if ref.kind == "Z" else _mask_of(ref.absorbed)
+    one_row_joins = ref.kind != "Y"
     row1_fixed = ref.kind in ("X", "Y", "XBV")  # row 1 covers exactly ``select``,
     row1_ghosted = ref.kind in ("X", "XBV")  # ... or ghosts all of it
 
     def test(w0: int, g0: int, w1: int, g1: int) -> bool:
         if g0 & need_g0 != need_g0:
             return False
-        if closed and not w1:
+        if one_row_joins and not w1:
             return True
         if g1 & need_g1 != need_g1:
             return False
@@ -221,21 +206,17 @@ def _head_test(ref: StratumRef, closed: bool) -> Callable[[int, int, int, int], 
     return test
 
 
-def _member_bits(complex_: Complex, ref: StratumRef, closed: bool) -> int:
-    """The head bitset of the literal member set of ``ref``, or with
-    ``closed`` of its :func:`members` set, from the complex's head index."""
-    closed = closed and ref.kind not in ("Y", "B")
-    return complex_.head_index().select((ref, closed), lambda: _head_test(ref, closed))
-
-
-def literal_members(complex_: Complex, ref: StratumRef) -> frozenset[WitnessStructure]:
-    """All simplices of ``complex_`` literally inside the stratum."""
-    return frozenset(complex_.head_index().ordered(_member_bits(complex_, ref, closed=False)))
+def _member_bits(complex_: Complex, ref: StratumRef) -> int:
+    """The head bitset of the :func:`members` set of ``ref``, from the
+    complex's head index."""
+    return complex_.head_index().select(ref, lambda: _head_test(ref))
 
 
 def members(complex_: Complex, ref: StratumRef) -> frozenset[WitnessStructure]:
     """The member set of a stratum, by convention closed under faces.
 
+    It is the one member set a stratum has, tested on heads by
+    :func:`_head_test`.
     One-row simplices join every ``X``/``Z`` stratum (and ``XBV`` strata
     whose dropped set they already ghost); that convention is exactly
     what closes the literal member sets up under taking faces.  ``Y``
@@ -247,7 +228,7 @@ def members(complex_: Complex, ref: StratumRef) -> frozenset[WitnessStructure]:
 
 def _sorted_members(complex_: Complex, ref: StratumRef) -> list[WitnessStructure]:
     """:func:`members` in ``encode`` order, the order the checks visit."""
-    return complex_.head_index().ordered(_member_bits(complex_, ref, closed=True))
+    return complex_.head_index().ordered(_member_bits(complex_, ref))
 
 
 # ---------------------------------------------------------------------------
@@ -335,27 +316,14 @@ def _delta_inverse(tau: WitnessStructure, v: int) -> WitnessStructure:
 # ---------------------------------------------------------------------------
 
 
-def incidence(
-    select_inner: Iterable[int],
-    absorbed_inner: Iterable[int],
-    select_outer: Iterable[int],
-    absorbed_outer: Iterable[int],
-) -> bool:
+def _incidence(s: Procs, a: Procs, t: Procs, b: Procs) -> bool:
     """Is ``X_{S,A}`` contained in ``X_{T,B}``, by the symbolic criterion?
+    The sets are validated, with ``a ⊆ s`` and ``b ⊆ t``.
 
     Containment holds exactly when the selected sets agree and the
     outer absorbed set is smaller, or the outer selected set sits
     inside the inner absorbed set.
     """
-    s, a = _procs(select_inner), _procs(absorbed_inner)
-    t, b = _procs(select_outer), _procs(absorbed_outer)
-    if not a <= s or not b <= t:
-        raise ValueError("absorbed sets must lie inside their selected sets")
-    return _incidence(s, a, t, b)
-
-
-def _incidence(s: Procs, a: Procs, t: Procs, b: Procs) -> bool:
-    """:func:`incidence` on validated sets with ``a ⊆ s`` and ``b ⊆ t``."""
     return (s == t and b <= a) or t <= a
 
 
@@ -463,7 +431,7 @@ def nerve(complex_: Complex) -> NerveReport:
     """Compute the nerve of the cover ``{closure X_S : ∅ ≠ S ⊆ active}``."""
     active = sorted(complex_.counter.active)
     cover = [frozenset(s) for s in _nonempty_subsets(active)]
-    pieces = {s: _member_bits(complex_, StratumRef.x(s), closed=True) for s in cover}
+    pieces = {s: _member_bits(complex_, StratumRef.x(s)) for s in cover}
     # The heads whose bucket holds a simplex of dimension at least zero.
     live = 0
     for i, bucket in enumerate(complex_.head_index().buckets):
@@ -513,17 +481,15 @@ def verify_strata_calculus(complex_: Complex) -> dict[str, int]:
     sa_pairs = _x_params(active)
 
     x_refs = [StratumRef.x(s, a) for s, a in sa_pairs]
-    mem_x = {
-        (ref.select, ref.absorbed): _member_bits(complex_, ref, closed=True) for ref in x_refs
-    }
-    mem_z = {s: _member_bits(complex_, StratumRef.z(s), closed=True) for s in subsets}
+    mem_x = {(ref.select, ref.absorbed): _member_bits(complex_, ref) for ref in x_refs}
+    mem_z = {s: _member_bits(complex_, StratumRef.z(s)) for s in subsets}
     y_cache: dict[tuple[Procs, Procs], int] = {}
 
     def mem_y(s: Procs, a: Procs) -> int:
         if not a <= s:
             return 0
         if (s, a) not in y_cache:
-            y_cache[s, a] = _member_bits(complex_, StratumRef.y(s, a), closed=False)
+            y_cache[s, a] = _member_bits(complex_, StratumRef.y(s, a))
         return y_cache[s, a]
 
     def mem_ref(ref: StratumRef) -> int:
@@ -748,7 +714,7 @@ def _check_restriction_composition(complex_: Complex) -> Iterator[DiagramReport]
         for select in _nonempty_subsets(rest):
             s = frozenset(select)
             s_mask = _mask_of(s)
-            in_x_s = _head_test(StratumRef.x(s), closed=False)
+            in_x_s = _head_test(StratumRef.x(s))
             checked = 0
             for sigma in _sorted_members(complex_, StratumRef.x(s | a, a)):
                 mid = _validated(_gamma(sigma, a_mask, a_mask))
@@ -759,7 +725,7 @@ def _check_restriction_composition(complex_: Complex) -> Iterator[DiagramReport]
                         f"peeling {sorted(a)} leaves {_text(mid)}, "
                         f"not a simplex over {deleted.to_text()!r}",
                     )
-                if len(mid) != 2 and not in_x_s(*_head(mid)):
+                if not in_x_s(*_head(mid)):
                     raise _fail(
                         "restriction-composition",
                         sigma,

@@ -252,11 +252,6 @@ class WitnessStructure(tuple):
         return _SETS[self[0] | self[1]]
 
     @property
-    def ghost_union(self) -> frozenset[int]:
-        """Processes ghosted in some row."""
-        return _SETS[(self[0] | self[1]) & ~_active_mask(self)]
-
-    @property
     def active_set(self) -> frozenset[int]:
         """Processes never ghosted; these are the colors of the simplex."""
         return _SETS[_active_mask(self)]
@@ -273,10 +268,6 @@ class WitnessStructure(tuple):
     @property
     def classification(self) -> Classification:
         return _classify(self)
-
-    @property
-    def is_stable(self) -> bool:
-        return self.classification in (Classification.STABLE, Classification.WITNESS)
 
     is_witness = property(_is_witness)
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 
-from snapcomplex.witness import Row, WitnessStructure
+from snapcomplex.witness import Classification, Row, WitnessStructure
 
 
 @dataclass(frozen=True)
@@ -32,8 +32,13 @@ class TraceForm:
         return max(tr)
 
 
+def ghost_union(sigma: WitnessStructure) -> frozenset[int]:
+    """Processes ghosted in some row: the support less the active set."""
+    return sigma.support - sigma.active_set
+
+
 def to_trace_form(sigma: WitnessStructure) -> TraceForm:
-    return TraceForm(sigma.active_set, sigma.ghost_union, sigma.traces())
+    return TraceForm(sigma.active_set, ghost_union(sigma), sigma.traces())
 
 
 def from_trace_form(tf: TraceForm) -> WitnessStructure:
@@ -73,7 +78,7 @@ def canonical_form(sigma: WitnessStructure) -> WitnessStructure:
     Requires a stable prestructure; the result is a witness structure and
     the operation is the identity on witness structures.
     """
-    if not sigma.is_stable:
+    if sigma.classification not in (Classification.STABLE, Classification.WITNESS):
         raise ValueError("canonical form is defined for stable prestructures only")
     keep = [i for i in range(1, sigma.t + 1) if sigma.witness_row(i)]
     rows: list[Row] = [sigma.rows[0]]
@@ -100,7 +105,7 @@ def stabilize(sigma: WitnessStructure, hide: Iterable[int]) -> WitnessStructure:
         raise ValueError(
             f"cannot ghost {sorted(hide - sigma.active_set)}: not active in the structure"
         )
-    absorbed = hide | sigma.ghost_union
+    absorbed = hide | ghost_union(sigma)
     cut = max(
         (i for i in range(sigma.t + 1) if not sigma.witness_row(i) <= absorbed),
         default=0,
@@ -109,7 +114,7 @@ def stabilize(sigma: WitnessStructure, hide: Iterable[int]) -> WitnessStructure:
     return from_trace_form(
         TraceForm(
             active=sigma.active_set - hide,
-            ghost=sigma.ghost_union | hide,
+            ghost=ghost_union(sigma) | hide,
             traces={p: frozenset(i for i in tr if i <= cut) for p, tr in traces.items()},
         )
     )

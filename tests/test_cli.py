@@ -7,9 +7,11 @@ import sys
 
 import pytest
 
-from snapcomplex import chromatic, cli
-from snapcomplex.cli import main
+from snapcomplex import chromatic, cli, topology
+from snapcomplex.cli import CHECK_ORDER, main
 from snapcomplex.complexes import DEFAULT_SIMPLEX_CAP
+
+from .conftest import TEST_COUNTERS
 
 
 def run(capsys, *argv: str) -> tuple[int, str, str]:
@@ -159,6 +161,13 @@ def test_export_svg_draws_small_supports_only(capsys):
     assert "svg" in err.lower() or "support" in err.lower()
 
 
+@pytest.mark.parametrize("text", TEST_COUNTERS + ("2,1,0,1",))
+def test_encodings_need_no_escaping_in_dot_or_svg(text, get_complex):
+    # The DOT and SVG writers quote encodings, and put them in markup, as they are.
+    alphabet = set("[],0123456789")
+    assert all(set(sigma.encode()) <= alphabet for sigma in get_complex(text).simplices)
+
+
 def test_svg_export_is_refused_before_the_build(monkeypatch):
     # Under a cap of one simplex the build of 1,1,1,1 would exit 3; the
     # support check comes first.
@@ -255,6 +264,22 @@ def test_phi_check_reuses_the_built_complex(capsys, monkeypatch):
     assert code == 0, err
     assert json.loads(out)["checks"]["phi"]["status"] == "ok"
     assert built == ["1,1,1,1"]
+
+
+def test_verify_computes_the_boundary_once(capsys, monkeypatch):
+    # The pseudomanifold, boundary and homology checks share one boundary.
+    calls = []
+    real = topology.boundary
+
+    def counting(k):
+        calls.append(k.counter.to_text())
+        return real(k)
+
+    monkeypatch.setattr(topology, "boundary", counting)
+    code, out, err = run(capsys, "verify", "-r", "2,1,0,1", "--checks", ",".join(CHECK_ORDER))
+    assert code == 0, err
+    assert json.loads(out)["ok"]
+    assert calls == ["2,1,0,1"]
 
 
 def _swap_two_edges(keys, key) -> dict:

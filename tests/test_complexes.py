@@ -286,6 +286,17 @@ def test_build_retains_at_most_240_and_peaks_at_most_280_bytes_per_simplex():
     assert peak / len(k) <= 280
 
 
+def test_first_upper_covers_call_peaks_at_most_160_bytes_per_simplex():
+    k = build(RoundCounter.parse("2,1,1,1"))
+    tracemalloc.start()
+    try:
+        k.upper_covers(k.empty_simplex)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / len(k) <= 160
+
+
 def test_complex_accessors(get_complex):
     k = get_complex("2,1")
     assert k.counter == RoundCounter.parse("2,1")

@@ -9,7 +9,6 @@ from snapcomplex import (
     build,
     enumerate_schedules,
     is_valid_schedule,
-    schedule_count,
     to_facet,
     views,
 )
@@ -55,13 +54,12 @@ def test_schedule_count_matches_layered_oracle(text):
     r = RoundCounter.parse(text)
     schedules = list(enumerate_schedules(r))
     assert len(schedules) == len(set(schedules)) == layered_sequence_count(dict(r))
-    assert schedule_count(r) == len(schedules)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_all_ones_count_is_the_fubini_number(n):
     r = RoundCounter({p: 1 for p in range(n)})
-    assert schedule_count(r) == fubini(n)
+    assert sum(1 for _ in enumerate_schedules(r)) == fubini(n)
 
 
 def test_validity():

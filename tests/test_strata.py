@@ -15,12 +15,9 @@ from snapcomplex import (
     delta,
     delta_inverse,
     gamma,
-    in_stratum,
-    incidence,
     intersect_family,
     intersect_pair,
     intersect_refs,
-    literal_members,
     members,
     membership,
     nerve,
@@ -32,8 +29,10 @@ from snapcomplex import (
 from snapcomplex import counters, strata, witness
 from snapcomplex.complexes import HeadIndex
 from snapcomplex.errors import VerificationError
-from snapcomplex.strata import _head_test, _member_bits, _x_params
+from snapcomplex.strata import _head_test, _incidence, _member_bits, _x_params
 from snapcomplex.witness import _filter_heads, _head
+
+from .strata_reference import in_stratum
 
 
 def ws(*rows):
@@ -75,7 +74,7 @@ def test_one_row_simplices_sit_outside_the_literal_strata():
 
 def test_members_adds_the_passive_side_to_literal_x(get_complex):
     k = get_complex("1,1")
-    literal = literal_members(k, StratumRef.x({0, 1}, {1}))
+    literal = {s for s in k.simplices if in_stratum(StratumRef.x({0, 1}, {1}), s)}
     assert literal == {C0}
     assert members(k, StratumRef.x({0, 1}, {1})) == {C0, EMPTY}
 
@@ -100,20 +99,14 @@ def test_mask_scans_match_the_frozenset_predicate(get_complex):
     index = k.head_index()
     one_row = {s: s.ghost_row(0) for s in k.simplices if s.t == 0}
     for ref in _every_ref(k.counter):
-        literal = frozenset(s for s in k.simplices if in_stratum(ref, s))
-        assert literal_members(k, ref) == literal, ref
-        closed = literal
+        expected = frozenset(s for s in k.simplices if in_stratum(ref, s))
         if ref.kind in ("X", "Z", "XBV"):
-            closed |= {s for s, g0 in one_row.items() if ref.dropped <= g0}
-        assert members(k, ref) == closed, ref
+            expected |= {s for s, g0 in one_row.items() if ref.dropped <= g0}
+        assert members(k, ref) == expected, ref
         # The per-simplex mask scan, and the head bitsets expanded back.
-        for flag, expected in ((False, literal), (True, closed)):
-            scan = _filter_heads(
-                k.simplices, _head_test(ref, closed=flag and ref.kind not in ("Y", "B"))
-            )
-            assert scan == expected, ref
-            listed = index.ordered(_member_bits(k, ref, closed=flag))
-            assert listed == sorted(expected, key=WitnessStructure.encode), ref
+        assert _filter_heads(k.simplices, _head_test(ref)) == expected, ref
+        listed = index.ordered(_member_bits(k, ref))
+        assert listed == sorted(expected, key=WitnessStructure.encode), ref
 
 
 @pytest.mark.parametrize("text", ["1,1", "2,1", "1,0,1", "1,1,1,1", "2,1,1,1"])
@@ -170,11 +163,15 @@ def test_delta_round_trip(get_complex):
     assert delta(A0, {1}) == ws(({0}, ()), ({0}, ()))
 
 
+def _fs(*items):
+    return frozenset(items)
+
+
 def test_incidence_criterion():
-    assert incidence({0, 1}, {1}, {1}, ())  # T inside A
-    assert incidence({0}, {0}, {0}, ())  # same selection, smaller absorption
-    assert not incidence({0}, (), {0}, {0})
-    assert not incidence({0}, (), {1}, ())
+    assert _incidence(_fs(0, 1), _fs(1), _fs(1), _fs())  # T inside A
+    assert _incidence(_fs(0), _fs(0), _fs(0), _fs())  # same selection, smaller absorption
+    assert not _incidence(_fs(0), _fs(), _fs(0), _fs(0))
+    assert not _incidence(_fs(0), _fs(), _fs(1), _fs())
 
 
 def test_incidence_has_the_known_blind_spot(get_complex):
@@ -182,7 +179,7 @@ def test_incidence_has_the_known_blind_spot(get_complex):
     # "not contained" although the containment does hold setwise; the
     # calculus verifier counts these blind spots exactly.
     k = get_complex("1,1")
-    assert not incidence({0}, {0}, {0, 1}, ())
+    assert not _incidence(_fs(0), _fs(0), _fs(0, 1), _fs())
     assert members(k, StratumRef.x({0}, {0})) <= members(k, StratumRef.x({0, 1}))
 
 
@@ -365,9 +362,9 @@ def test_calculus_tests_each_head_once_per_stratum(monkeypatch):
     refs = set()
     calls = 0
 
-    def counting(ref, closed):
-        refs.add((ref, closed))
-        test = _head_test(ref, closed)
+    def counting(ref):
+        refs.add(ref)
+        test = _head_test(ref)
 
         def counted(*head):
             nonlocal calls

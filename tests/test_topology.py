@@ -10,12 +10,12 @@ from snapcomplex import (
     classify_interior,
     euler,
     homology_z2,
-    in_stratum,
     is_sphere_like,
     strong_connectivity,
 )
 
 from .conftest import TEST_COUNTERS
+from .strata_reference import in_stratum
 
 
 def ws(*rows):

@@ -138,7 +138,6 @@ def test_head_reads_a_missing_row_one_as_empty():
 
 def test_basic_accessors():
     assert A0.support == {0, 1}
-    assert A0.ghost_union == {1}
     assert A0.active_set == {0}
     assert A0.dim == 0
     assert A0.t == 1
