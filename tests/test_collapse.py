@@ -147,7 +147,9 @@ def _triples(steps):
 
 
 @pytest.mark.parametrize(
-    "text", TEST_COUNTERS + ("2,1,1,1", "2,1,0,1", "1,0,0,1", "0", "0,0", "0,1", "1,0")
+    "text",
+    TEST_COUNTERS
+    + ("2,1,1,1", "2,1,0,1", "1,0,0,1", "2,2,1", "1,0,1,1", "0", "0,0", "0,1", "1,0"),
 )
 def test_worklist_matches_the_rescan_reference(text, get_complex):
     k = get_complex(text)
@@ -237,3 +239,104 @@ def test_full_collapse_reads_each_cover_list_a_bounded_number_of_times(
     monkeypatch.setattr(Complex, "upper_covers", counting)
     collapse_all(k)
     assert calls <= 2 * len(k)
+
+
+# The whole report of each kind of validator failure, on 1,1.  The full
+# collapse there is FULL_11: four steps, listed as (free, cofacet, stage).
+FULL_11 = (
+    ("[[[1],[0]],[[1],[]]]", "[[[0,1],[]],[[1],[]],[[0],[]]]", "stage1"),
+    ("[[[0,1],[]],[[0],[1]]]", "[[[0,1],[]],[[0,1],[]]]", "stage2"),
+    ("[[[0,1],[]],[[1],[0]]]", "[[[0,1],[]],[[0],[]],[[1],[]]]", "stage2"),
+    ("[[[],[0,1]]]", "[[[0],[1]],[[0],[]]]", "recursive"),
+)
+
+
+def _step(free, cofacet, stage="stage3"):
+    return CollapseStep(WitnessStructure.decode(free), WitnessStructure.decode(cofacet), stage)
+
+
+def _report(k, steps, expected=frozenset()):
+    sequence = CollapseSequence(counter=k.counter, kind="full", steps=tuple(steps))
+    return validate_collapse(k, sequence, expected_remainder=expected)
+
+
+def _codes(simplices):
+    return sorted(sigma.encode() for sigma in simplices)
+
+
+def test_the_full_collapse_of_1_1_is_pinned(get_complex):
+    assert [
+        (s.free.encode(), s.cofacet.encode(), s.stage)
+        for s in collapse_all(get_complex("1,1")).steps
+    ] == list(FULL_11)
+
+
+def test_a_free_face_not_present_keeps_its_whole_report(get_complex):
+    k = get_complex("1,1")
+    first = _step(*FULL_11[0])
+    report = _report(k, [first, first])
+    assert report.ok is False
+    assert report.checked_steps == 1
+    assert report.stage_counts == {"stage1": 1}
+    assert report.remainder == set(k.simplices) - {first.free, first.cofacet}
+    assert report.violation == "step 1: free face [[[1],[0]],[[1],[]]] is not present"
+
+
+def test_a_cofacet_not_present_keeps_its_whole_report(get_complex):
+    k = get_complex("1,1")
+    first = _step(*FULL_11[0])
+    report = _report(k, [first, _step(FULL_11[1][0], FULL_11[0][1], "stage2")])
+    assert report.ok is False
+    assert report.checked_steps == 1
+    assert report.stage_counts == {"stage1": 1}
+    assert report.remainder == set(k.simplices) - {first.free, first.cofacet}
+    assert report.violation == (
+        "step 1: cofacet [[[0,1],[]],[[1],[]],[[0],[]]] is not present"
+    )
+
+
+def test_a_free_face_with_two_remaining_cofaces_keeps_its_whole_report(get_complex):
+    k = get_complex("1,1")
+    report = _report(k, [_step("[[[0,1],[]],[[1],[0]]]", "[[[0,1],[]],[[0,1],[]]]")], None)
+    assert report.ok is False
+    assert report.checked_steps == 0
+    assert report.stage_counts == {}
+    assert report.remainder == k.simplices
+    assert report.violation == (
+        "step 0: [[[0,1],[]],[[1],[0]]] has 2 remaining cofaces, "
+        "expected exactly [[[0,1],[]],[[0,1],[]]]"
+    )
+
+
+def test_a_cofacet_that_is_not_maximal_keeps_its_whole_report(get_complex):
+    # A bare chain empty < vertex < edge.
+    k = get_complex("1,1")
+    empty, vertex, edge = (
+        WitnessStructure.decode(code)
+        for code in ("[[[],[0,1]]]", "[[[0,1],[]],[[0],[1]]]", "[[[0,1],[]],[[0,1],[]]]")
+    )
+    chain = Complex(k.counter, {empty: (), vertex: (empty,), edge: (vertex,)}, ())
+    report = _report(chain, [_step("[[[],[0,1]]]", "[[[0,1],[]],[[0],[1]]]")], None)
+    assert report.ok is False
+    assert report.checked_steps == 0
+    assert report.stage_counts == {}
+    assert _codes(report.remainder) == [
+        "[[[0,1],[]],[[0,1],[]]]",
+        "[[[0,1],[]],[[0],[1]]]",
+        "[[[],[0,1]]]",
+    ]
+    assert report.violation == "step 0: cofacet [[[0,1],[]],[[0],[1]]] is not maximal"
+
+
+def test_a_remainder_mismatch_keeps_its_whole_report(get_complex):
+    k = get_complex("1,1")
+    report = validate_collapse(
+        k, collapse_to_relative_boundary(k, 0), expected_remainder=frozenset()
+    )
+    assert report.ok is False
+    assert report.checked_steps == 3
+    assert report.stage_counts == {"stage1": 1, "stage2": 2}
+    assert _codes(report.remainder) == ["[[[0],[1]],[[0],[]]]", "[[[],[0,1]]]"]
+    assert report.violation == (
+        "remainder mismatch: unexpected ['[[[0],[1]],[[0],[]]]', '[[[],[0,1]]]'], missing []"
+    )
