@@ -138,5 +138,5 @@ def phi_iso(source: int | Complex) -> PhiReport:
         return [by_vertices.get(verts - {v}) for v in verts]
 
     image = {cs: table_map(cs, n) for cs in oracle}
-    _certify_iso(oracle, lower, image, target.simplices, target.lower_covers, "φ")
+    _certify_iso(oracle, lower, image, target.simplices, target._face_reader(), "φ")
     return PhiReport(n=n, simplices=len(oracle), f_vector=chromatic_f_vector(oracle))

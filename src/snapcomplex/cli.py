@@ -45,6 +45,7 @@ from .schedules import _views
 from .witness import WitnessStructure
 
 if TYPE_CHECKING:
+    from .collapse import CollapseStep
     from .topology import BoundaryReport
 
 EXIT_OK = 0
@@ -353,25 +354,43 @@ def _cmd_collapse(args: argparse.Namespace) -> int:
     counter = _parse_counter(args.counter)
     if args.full and args.pivot is not None:
         raise UsageError("--pivot applies to the relative-boundary collapse only")
+    if args.pivot is not None and args.pivot not in counter.support:
+        raise UsageError(f"pivot {args.pivot} is outside the support")
     k = build(counter, max_simplices=args.max_simplices)
     if args.full:
         sequence = collapse_all(k)
         expected = frozenset()
     else:
         pivot = args.pivot if args.pivot is not None else min(counter.support)
-        if pivot not in counter.support:
-            raise UsageError(f"pivot {pivot} is outside the support")
         sequence = collapse_to_relative_boundary(k, pivot)
         expected = relative_boundary_remainder(k, pivot)
-    payload = sequence.to_json_obj()
+    payload = sequence._summary_json()
+    status = EXIT_OK
     if args.validate:
         report = validate_collapse(k, sequence, expected_remainder=expected)
         payload["validation"] = report.to_json_obj()
-        if not report.ok:
-            _emit(_dump(payload), args.out)
-            return EXIT_FAILURE
-    _emit(_dump(payload), args.out)
-    return EXIT_OK
+        status = EXIT_OK if report.ok else EXIT_FAILURE
+    _emit(_collapse_report(payload, sequence.steps), args.out)
+    return status
+
+
+_STEP = '\n    {{\n      "cofacet": "{}",\n      "free": "{}",\n      "stage": "{}"\n    }}'
+
+
+def _collapse_report(payload: dict, steps: Sequence[CollapseStep]) -> str:
+    """``_dump`` of ``payload`` with ``steps`` as its ``"steps"`` list, the
+    same bytes as ``_dump`` of the sequence's ``to_json_obj()`` with
+    ``payload``'s other keys.  Each step is written from the encodings of
+    its two simplices, which need no escaping, so the list is not handed to
+    the JSON encoder."""
+    text = _dump({**payload, "steps": []})
+    if not steps:
+        return text
+    body = ",".join(
+        _STEP.format(step.cofacet.encode(), step.free.encode(), step.stage) for step in steps
+    )
+    # A key's quotes are never escaped, so this is the one key "steps".
+    return text.replace('"steps": []', f'"steps": [{body}\n  ]', 1)
 
 
 def _hasse_dot(k: Complex) -> str:
@@ -382,9 +401,10 @@ def _hasse_dot(k: Complex) -> str:
     for sigma in ordered:
         name = code[sigma]
         lines.append(f'  "{name}" [label="dim {sigma.dim}: {name}"];')
+    faces = k._face_reader()
     for sigma in ordered:
         child = code[sigma]
-        for parent in sorted(code[face] for face in k.lower_covers(sigma)):
+        for parent in sorted([code[face] for face in faces(sigma)]):
             lines.append(f'  "{parent}" -> "{child}";')
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -13,8 +13,16 @@ visits is made only in that part.  That part is not built anew: it is
 the γ or δ image of a class of the complex in hand (Kozlov,
 *Combinatorial Algebraic Topology*, ch. 11), so it is derived from that
 class once, and the same map, inverted, carries the smaller collapse's
-steps back (see :func:`_carried`).  A derived complex lives only until
-its own steps are known, and no smaller complex is ghosted or built.
+steps back (see :func:`_carried`).
+
+The engine runs on simplex numbers end to end.  The complex in hand is
+read through its numbering (:class:`~snapcomplex.complexes.Complex`),
+and a derived part is numbered by its own list: the validated masks of
+its images and their cover rows, with no structure made for it.  A
+derived part lives only until its own steps are known; the memo keeps
+those steps as mask pairs, which the inverse map takes back to the
+numbers of the complex in hand.  :class:`CollapseStep` and
+:class:`CollapseSequence` are made once, at the end.
 
 The residue left after the translated classes holds the removed
 simplices whose round-1 row holds the pivot, and those with one row,
@@ -22,8 +30,9 @@ which exist only when no process but the pivot is active.  It is matched
 greedily by a free-face worklist (Benedetti–Lutz, "Random discrete Morse
 theory", 2014): each pending simplex counts its upper covers not yet removed,
 and a simplex whose count reaches one is pushed onto a heap keyed by
-``(dim, encode())``, which yields the least simplex whose one remaining
-cover is itself pending.  Counts only fall and the pending set only
+``(dim, encode(), number)``, which yields the least simplex whose one
+remaining cover is itself pending; the number only carries the simplex,
+since encodings differ.  Counts only fall and the pending set only
 shrinks, so an entry that has gone stale stays stale and is dropped when
 it surfaces.  The first live entry is then the pair a full scan of the
 residue in that order would pick, and each step costs O(log n)
@@ -33,14 +42,15 @@ keep, or one a later phase removes.  When the heap runs dry with
 simplices pending, the collapse raises :class:`CollapseStalledError`.
 
 Every sequence produced here can be replayed and checked move by move
-with :func:`validate_collapse`.
+with :func:`validate_collapse`, which replays it on the numbers too.
 """
 
 from __future__ import annotations
 
 import heapq
+import itertools
 from collections import Counter as Multiset
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .complexes import Complex
 from .counters import RoundCounter
@@ -49,12 +59,13 @@ from .schedules import _nonempty_subsets, _x_params
 from .witness import (
     Masks,
     WitnessStructure,
+    _active_mask,
     _delta,
     _filter_heads,
-    _from_masks,
     _gamma,
     _head,
     _mask_of,
+    _validated,
 )
 
 
@@ -122,96 +133,129 @@ class CollapseSequence:
         return sum(1 for step in self.steps if step.stage == "greedy-fallback")
 
     def to_json_obj(self) -> dict:
+        return {**self._summary_json(), "steps": [step.to_json_obj() for step in self.steps]}
+
+    def _summary_json(self) -> dict:
+        """:meth:`to_json_obj` without its ``"steps"``."""
         return {
             "counter": self.counter.to_json_obj(),
             "kind": self.kind,
             "pivot": self.pivot,
             "stage_counts": self.stage_counts,
-            "steps": [step.to_json_obj() for step in self.steps],
         }
 
 
-# The steps of each smaller counter a collapse has visited; the pivot is
-# that of the one collapse the memo serves.
-Memo = dict[RoundCounter, tuple[CollapseStep, ...]]
+class _Part(NamedTuple):
+    """A numbered complex that a collapse works on: the masks of each
+    simplex by number, and the lower covers of each as a row of numbers.
+    It is a whole :class:`Complex`, or the part of a smaller complex that
+    a collapse removes, derived from a class of its parent."""
 
-# Simplices of a complex paired with the masks of their images under one
-# γ or δ map.
-Part = list[tuple[WitnessStructure, Masks]]
+    counter: RoundCounter
+    masks: Sequence[Masks]
+    lower: Sequence[Sequence[int]]
 
 
-def _scan_label(sigma: WitnessStructure, pivot: int) -> str:
+# A step by numbers: (free, cofacet, stage).
+Step = tuple[int, int, str]
+
+# The steps of each smaller counter a collapse has visited, as mask pairs
+# (free, cofacet); the pivot is that of the one collapse the memo serves.
+Memo = dict[RoundCounter, tuple[tuple[Masks, Masks], ...]]
+
+# Simplex numbers of a part paired with the masks of their images under
+# one γ or δ map.
+Pairs = list[tuple[int, Masks]]
+
+
+def _whole(complex_: Complex) -> _Part:
+    """``complex_`` as a part, in its own numbering."""
+    masks = complex_._simplices[: len(complex_)]
+    return _Part(complex_.counter, masks, complex_._lower)
+
+
+def _sequence(
+    complex_: Complex, kind: str, steps: list[Step], pivot: int
+) -> CollapseSequence:
+    """The sequence of the numbered ``steps`` on ``complex_``."""
+    simplices = complex_._simplices
+    return CollapseSequence(
+        counter=complex_.counter,
+        kind=kind,
+        steps=tuple(CollapseStep(simplices[f], simplices[c], stage) for f, c, stage in steps),
+        pivot=pivot,
+    )
+
+
+def _scan_label(sigma: Masks, pivot: int) -> str:
     """Stage tag for a residue pair, read off the free face's round-1 row."""
     _, _, w1, g1 = _head(sigma)
     return "stage2" if (w1 | g1) & ~(1 << pivot) else "stage3"
 
 
-def _derived(counter: RoundCounter, part: Part, parent: Complex) -> Complex:
-    """The complex of ``counter`` made of the images in ``part`` alone.
+def _derived(counter: RoundCounter, pairs: Pairs, parent: _Part) -> _Part:
+    """The part of the complex of ``counter`` made of the images in
+    ``pairs``, numbered in their order.
 
     Each image is validated once.  Its lower covers are those of its
-    simplex in ``parent``, mapped and kept inside ``part``, in the same
-    order, and its facets are its top-dimensional members.  This is the
-    part of the complex of ``counter`` that a collapse removes when
-    ``part`` is the whole preimage of that part under an isomorphism from
-    a stratum of ``parent`` (see :func:`_carried`).
+    simplex in ``parent``, mapped and kept inside ``pairs``, in the same
+    order.  This is the part of the complex of ``counter`` that a collapse
+    removes when ``pairs`` is the whole preimage of that part under an
+    isomorphism from a stratum of ``parent`` (see :func:`_carried`).
     """
-    image = {sigma: _from_masks(m) for sigma, m in part}
-    lower = {
-        tau: tuple(t for t in map(image.get, parent.lower_covers(sigma)) if t is not None)
-        for sigma, tau in image.items()
-    }
-    top = len(counter.support) - 1
-    return Complex(counter, lower, [tau for tau in lower if tau.dim == top])
+    local = {i: n for n, (i, _) in enumerate(pairs)}
+    find, parent_lower = local.get, parent.lower
+    lower = [
+        [n for n in map(find, parent_lower[i]) if n is not None] for i, _ in pairs
+    ]
+    return _Part(counter, [_validated(m) for _, m in pairs], lower)
 
 
 def _carried(
-    counter: RoundCounter,
-    pivot: int,
-    part: Part,
-    parent: Complex,
-    stage: str,
-    memo: Memo,
-) -> list[CollapseStep]:
+    counter: RoundCounter, pivot: int, pairs: Pairs, parent: _Part, memo: Memo
+) -> list[tuple[int, int]]:
     """The collapse of ``counter`` towards ``pivot``, carried into ``parent``.
 
-    ``part`` pairs each simplex of ``parent`` with the masks of its image
+    ``pairs`` pairs simplices of ``parent`` with the masks of their images
     under γ or δ, and the images are exactly the part of the complex of
     ``counter`` that this collapse removes.  The first visit of
-    ``counter`` derives that part from ``parent`` and collapses it; every
-    visit takes the steps back to ``parent`` through the inverse of
-    ``part`` and tags them ``stage``.  The derived complex is dropped once
-    its steps are known.
+    ``counter`` derives that part from ``parent``, collapses it and keeps
+    its steps as mask pairs; every visit takes them back to ``parent``'s
+    numbers through the inverse of ``pairs``.  The derived part is dropped
+    once its steps are known.
     """
     steps = memo.get(counter)
     if steps is None:
+        part = _derived(counter, pairs, parent)
+        masks = part.masks
         steps = memo[counter] = tuple(
-            _compute_ctrb(_derived(counter, part, parent), pivot, memo)
+            (masks[f], masks[c]) for f, c, _ in _compute_ctrb(part, pivot, memo)
         )
-    back = {m: sigma for sigma, m in part}
-    return [CollapseStep(back[step.free], back[step.cofacet], stage) for step in steps]
+    back = {m: i for i, m in pairs}
+    return [(back[f], back[c]) for f, c in steps]
 
 
-def _round_one_classes(complex_: Complex, pivot: int) -> dict[Masks, list[WitnessStructure]]:
-    """The simplices of ``complex_`` that a collapse towards ``pivot``
+def _round_one_classes(masks: Sequence[Masks], pivot: int) -> dict[Masks, list[int]]:
+    """The numbers of the simplices that a collapse towards ``pivot``
     removes, by ``(G_0, W_1 ∪ G_1, G_1)``, a missing round-1 row read as
     empty.  A simplex with one row is removed only when no process but
     the pivot is active: such a simplex ghosts every active process, and
     here it ghosts none but the pivot."""
     bit = 1 << pivot
-    classes: dict[Masks, list[WitnessStructure]] = {}
-    for sigma in complex_.simplices:
-        if not sigma[1] & ~bit:
-            _, g0, w1, g1 = _head(sigma)
-            classes.setdefault((g0, w1 | g1, g1), []).append(sigma)
+    classes: dict[Masks, list[int]] = {}
+    for i, sigma in enumerate(masks):
+        g0 = sigma[1]
+        if not g0 & ~bit:
+            key = (g0, sigma[2] | sigma[3], sigma[3]) if len(sigma) > 2 else (g0, 0, 0)
+            classes.setdefault(key, []).append(i)
     return classes
 
 
 def _restrictions(
-    counter: RoundCounter, pivot: int, classes: dict[Masks, list[WitnessStructure]]
-) -> Iterator[tuple[RoundCounter, Part]]:
+    part: _Part, pivot: int, classes: dict[Masks, list[int]]
+) -> Iterator[tuple[RoundCounter, Pairs]]:
     """Each ``counter.restrict(S, A)``, ``A ⊊ S ⊆ active∖{pivot}``, in the
-    order stage one visits them, with its part: the simplices with
+    order stage one visits them, with its pairs: the simplices with
     ``W_1 ∪ G_1 = S`` and ``G_1 = A`` among ``classes``, and their γ_{S,A}
     images.  Those images are the part of the smaller complex that a
     collapse towards ``pivot`` removes.  γ_{S,A} keeps the row-0 ghosts
@@ -219,6 +263,7 @@ def _restrictions(
     covers exactly ``S``, these take in all of ``S∖A``, which misses the
     pivot.  So the classes here are the members of ``X_{S,A}`` whose
     images keep their row-0 ghosts inside ``{pivot}``."""
+    counter, masks = part.counter, part.masks
     bit = 1 << pivot
     pairs = sorted(
         (sa for sa in _x_params(counter.active - {pivot}) if sa[1] != sa[0]),  # A ⊊ S
@@ -226,99 +271,109 @@ def _restrictions(
     )
     for sel, absorbed in pairs:
         s_mask, a_mask = _mask_of(sel), _mask_of(absorbed)
-        part = [
-            (sigma, _gamma(sigma, s_mask, a_mask))
+        chosen = [
+            (i, _gamma(masks[i], s_mask, a_mask))
             for g0 in (0, bit)
-            for sigma in classes.get((g0, s_mask, a_mask), ())
+            for i in classes.get((g0, s_mask, a_mask), ())
         ]
-        yield counter.restrict(sel, absorbed), part
+        yield counter.restrict(sel, absorbed), chosen
 
 
-def _deletions(complex_: Complex, pivot: int) -> Iterator[tuple[RoundCounter, Part]]:
+def _deletions(part: _Part, pivot: int) -> Iterator[tuple[RoundCounter, Pairs]]:
     """Each ``counter.delete(V)``, ``∅ ≠ V ⊆ supp∖{pivot}``, in the order of
-    the phases of :func:`collapse_all`, with its part: the simplices of
-    ``complex_`` whose row-0 ghosts are ``V`` or ``V ∪ {pivot}``, and
-    their δ_V images, which are the part of the smaller complex that a
-    collapse towards ``pivot`` removes."""
-    counter = complex_.counter
+    the phases of :func:`collapse_all`, with its pairs: the simplices of
+    ``part`` whose row-0 ghosts are ``V`` or ``V ∪ {pivot}``, and their
+    δ_V images, which are the part of the smaller complex that a collapse
+    towards ``pivot`` removes."""
+    counter = part.counter
     bit = 1 << pivot
-    phases: dict[int, list[WitnessStructure]] = {}
-    for sigma in complex_.simplices:
+    phases: dict[int, list[int]] = {}
+    for i, sigma in enumerate(part.masks):
         if sigma[1] & ~bit:
-            phases.setdefault(sigma[1] & ~bit, []).append(sigma)
+            phases.setdefault(sigma[1] & ~bit, []).append(i)
+    masks = part.masks
     for dropped in map(frozenset, _nonempty_subsets(sorted(counter.support - {pivot}))):
         v = _mask_of(dropped)
-        yield counter.delete(dropped), [(sigma, _delta(sigma, v)) for sigma in phases.pop(v, ())]
+        yield counter.delete(dropped), [(i, _delta(masks[i], v)) for i in phases.pop(v, ())]
 
 
-def _compute_ctrb(complex_: Complex, pivot: int, memo: Memo) -> list[CollapseStep]:
-    """The steps that remove from ``complex_`` every simplex whose row-0
-    ghosts lie in ``{pivot}``.  ``complex_`` need hold no more than those
+def _compute_ctrb(part: _Part, pivot: int, memo: Memo) -> list[Step]:
+    """The steps, by number, that remove from ``part`` every simplex whose
+    row-0 ghosts lie in ``{pivot}``.  ``part`` need hold no more than those
     simplices; ``memo`` holds the steps of the smaller counters visited."""
-    counter = complex_.counter
+    counter = part.counter
     if pivot not in counter.support:
         raise ValueError(f"pivot {pivot} is outside the support of {counter.to_text()!r}")
     bit = 1 << pivot
-    classes = _round_one_classes(complex_, pivot)
+    masks, lower = part.masks, part.lower
+    classes = _round_one_classes(masks, pivot)
 
     # Stage one: every simplex with a round-1 row that avoids the pivot is
     # removed by translating the same collapse from a smaller complex.
     # Classes are keyed by the exact round-1 row (witnesses S∖A, ghosts
     # A); a coface can only sit in a class with strictly fewer ghosts, so
     # running the pairs in order of |A| keeps every move legal.
-    steps: list[CollapseStep] = []
-    for sub_counter, part in _restrictions(counter, pivot, classes):
-        steps += _carried(sub_counter, pivot, part, complex_, "stage1", memo)
-    removed = {s for step in steps for s in (step.free, step.cofacet)}
+    steps: list[Step] = []
+    for sub_counter, pairs in _restrictions(part, pivot, classes):
+        steps += [(f, c, "stage1") for f, c in _carried(sub_counter, pivot, pairs, part, memo)]
 
     # Stage two: the residue, where the pivot itself shows up in round 1,
     # and the simplices with one row.
-    pending = {
-        sigma
+    residue = [
+        i
         for (g0, row1, _), group in classes.items()
         if not row1 or (not g0 and row1 & bit)
-        for sigma in group
-    }
+        for i in group
+    ]
+    pending = bytearray(len(masks))
+    for i in residue:
+        pending[i] = 1
 
     # Upper covers stand in for proper cofaces, as in validate_collapse.
-    # live[σ] counts the upper covers of σ not yet removed; a simplex with
-    # exactly one is offered to the heap, keyed by (dim, encode()).
-    live: dict[WitnessStructure, int] = {}
-    heap: list[tuple[int, str, WitnessStructure]] = []
+    # The removed part is closed upward, so every upper cover of a residue
+    # simplex not yet removed is in the residue, and the residue's lower
+    # rows list them all.  live[i] counts them, and other[i] is the XOR
+    # of their numbers: the one left when live[i] is 1.  A simplex with
+    # exactly one is offered to the heap, keyed by (dim, encode(), number).
+    live = dict.fromkeys(residue, 0)
+    other = dict.fromkeys(residue, 0)
+    for t in residue:
+        for face in lower[t]:
+            if pending[face]:
+                live[face] += 1
+                other[face] ^= t
+    heap: list[tuple[int, str, int]] = []
 
-    def offer(sigma: WitnessStructure) -> None:
-        heapq.heappush(heap, (sigma.dim, sigma.encode(), sigma))
+    def offer(i: int) -> None:
+        m = masks[i]
+        heapq.heappush(heap, (_active_mask(m).bit_count(), WitnessStructure.encode(m), i))
 
-    for sigma in pending:
-        live[sigma] = sum(1 for t in complex_.upper_covers(sigma) if t not in removed)
-        if live[sigma] == 1:
-            offer(sigma)
+    for i in residue:
+        if live[i] == 1:
+            offer(i)
 
-    def free_coface(sigma: WitnessStructure) -> WitnessStructure:
-        return next(t for t in complex_.upper_covers(sigma) if t not in removed)
-
-    while pending:
-        chosen: CollapseStep | None = None
+    left = len(residue)
+    while left:
+        chosen: tuple[int, int] | None = None
         # A stale entry stays stale (see the module docstring), so every
         # entry popped is either used or dropped for good.
         while heap and chosen is None:
-            sigma = heapq.heappop(heap)[2]
-            if sigma in pending and live[sigma] == 1:
-                coface = free_coface(sigma)
-                if coface in pending:
-                    chosen = CollapseStep(sigma, coface, _scan_label(sigma, pivot))
+            i = heapq.heappop(heap)[2]
+            if pending[i] and live[i] == 1:
+                chosen = (i, other[i])
         if chosen is None:
             raise CollapseStalledError(
                 f"collapse stalled over {counter.to_text()!r} with "
-                f"{len(pending)} simplices unmatched"
+                f"{left} simplices unmatched"
             )
-        steps.append(chosen)
-        for gone in (chosen.free, chosen.cofacet):
-            pending.discard(gone)
-            removed.add(gone)
-            for face in complex_.lower_covers(gone):
-                if face in pending:
+        steps.append((*chosen, _scan_label(masks[chosen[0]], pivot)))
+        for gone in chosen:
+            pending[gone] = 0
+            left -= 1
+            for face in lower[gone]:
+                if pending[face]:
                     live[face] -= 1
+                    other[face] ^= gone
                     if live[face] == 1:
                         offer(face)
     return steps
@@ -335,10 +390,8 @@ def collapse_to_relative_boundary(complex_: Complex, pivot: int) -> CollapseSequ
     """
     if pivot not in complex_.counter.support:
         raise ValueError(f"pivot {pivot} is outside the support")
-    steps = tuple(_compute_ctrb(complex_, pivot, {}))
-    return CollapseSequence(
-        counter=complex_.counter, kind="relative-boundary", steps=steps, pivot=pivot
-    )
+    steps = _compute_ctrb(_whole(complex_), pivot, {})
+    return _sequence(complex_, "relative-boundary", steps, pivot)
 
 
 def relative_boundary_remainder(
@@ -359,16 +412,16 @@ def collapse_all(complex_: Complex) -> CollapseSequence:
     ahead of their faces.  Each smaller complex it visits is derived from
     the one in hand, as in :func:`collapse_to_relative_boundary`.
     """
-    counter = complex_.counter
-    support = counter.support
+    support = complex_.counter.support
     if not support:
         raise ValueError("cannot collapse a complex over an empty counter")
     pivot = min(support)
     memo: Memo = {}
-    steps = _compute_ctrb(complex_, pivot, memo)
-    for sub_counter, part in _deletions(complex_, pivot):
-        steps += _carried(sub_counter, pivot, part, complex_, "recursive", memo)
-    return CollapseSequence(counter=counter, kind="full", steps=tuple(steps), pivot=pivot)
+    whole = _whole(complex_)
+    steps = _compute_ctrb(whole, pivot, memo)
+    for sub_counter, pairs in _deletions(whole, pivot):
+        steps += [(f, c, "recursive") for f, c in _carried(sub_counter, pivot, pairs, whole, memo)]
+    return _sequence(complex_, "full", steps, pivot)
 
 
 class ValidationReport(NamedTuple):
@@ -406,55 +459,69 @@ def validate_collapse(
     removes a free pair, so it stays closed under faces.  Then "one
     remaining proper coface" is "one remaining upper cover" (which is
     one dimension up by definition), and "maximal" is "no remaining
-    upper cover".
+    upper cover".  The replay runs on simplex numbers and reads only the
+    lower covers: it keeps each simplex's count of remaining upper covers,
+    and the cofacet's lower covers say whether it covers the free face.
     """
-    remaining = set(complex_.simplices)
+    simplices, number, lower = complex_._simplices, complex_._number, complex_._lower
+    # Numbers past the simplices name covers outside the complex.
+    remaining = bytearray(len(simplices))
+    remaining[: len(number)] = b"\x01" * len(number)
+    # live[i]: the remaining upper covers of simplex i.
+    live = [0] * len(simplices)
+    for face in lower.flat:
+        live[face] += 1
     counts: Multiset[str] = Multiset()
+
+    def rest() -> frozenset[WitnessStructure]:
+        return frozenset(itertools.compress(simplices, remaining))
 
     def failure(index: int, message: str) -> ValidationReport:
         return ValidationReport(
             ok=False,
             checked_steps=index,
             stage_counts=dict(counts),
-            remainder=frozenset(remaining),
+            remainder=rest(),
             violation=f"step {index}: {message}",
         )
 
     for index, step in enumerate(sequence.steps):
-        free, cofacet = step.free, step.cofacet
-        if free not in remaining:
-            return failure(index, f"free face {free.encode()} is not present")
-        if cofacet not in remaining:
-            return failure(index, f"cofacet {cofacet.encode()} is not present")
-        live = [t for t in complex_.upper_covers(free) if t in remaining]
-        if live != [cofacet]:
+        free, cofacet = number.get(step.free), number.get(step.cofacet)
+        if free is None or not remaining[free]:
+            return failure(index, f"free face {step.free.encode()} is not present")
+        if cofacet is None or not remaining[cofacet]:
+            return failure(index, f"cofacet {step.cofacet.encode()} is not present")
+        faces = lower[cofacet]
+        if live[free] != 1 or free not in faces:
             return failure(
                 index,
-                f"{free.encode()} has {len(live)} remaining cofaces, "
-                f"expected exactly {cofacet.encode()}",
+                f"{step.free.encode()} has {live[free]} remaining cofaces, "
+                f"expected exactly {step.cofacet.encode()}",
             )
-        if any(t in remaining for t in complex_.upper_covers(cofacet)):
-            return failure(index, f"cofacet {cofacet.encode()} is not maximal")
-        remaining.discard(free)
-        remaining.discard(cofacet)
+        if live[cofacet]:
+            return failure(index, f"cofacet {step.cofacet.encode()} is not maximal")
+        remaining[free] = remaining[cofacet] = 0
+        for face in itertools.chain(lower[free], faces):
+            live[face] -= 1
         counts[step.stage] += 1
 
+    survivors = rest()
     if expected_remainder is not None:
         expected = frozenset(expected_remainder)
-        if frozenset(remaining) != expected:
-            extra = sorted(s.encode() for s in remaining - expected)[:3]
-            missing = sorted(s.encode() for s in expected - remaining)[:3]
+        if survivors != expected:
+            extra = sorted(s.encode() for s in survivors - expected)[:3]
+            missing = sorted(s.encode() for s in expected - survivors)[:3]
             return ValidationReport(
                 ok=False,
                 checked_steps=len(sequence.steps),
                 stage_counts=dict(counts),
-                remainder=frozenset(remaining),
+                remainder=survivors,
                 violation=f"remainder mismatch: unexpected {extra}, missing {missing}",
             )
     return ValidationReport(
         ok=True,
         checked_steps=len(sequence.steps),
         stage_counts=dict(counts),
-        remainder=frozenset(remaining),
+        remainder=survivors,
         violation=None,
     )

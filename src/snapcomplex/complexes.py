@@ -3,10 +3,11 @@
 Simplices are witness structures; facets correspond to layered schedules
 and every face arises by ghosting a subset of the active processes.  The
 complex is built as the ghosting closure of its facets, plus the explicit
-empty simplex, and is immutable once built.  The build keeps what it
-computes on the way: each simplex's codimension-1 faces ``ghost(σ,{p})``.
-That cover relation is the whole face poset, its keys are the simplex set,
-and the complex sorts them by ``encode`` once.  Stratum queries read only
+empty simplex, and is immutable once built.  The build numbers the
+simplices ``0..N-1`` as it finds them and keeps what it computes on the
+way: each simplex's codimension-1 faces ``ghost(σ,{p})``, as a row of
+numbers.  Those rows are the whole face poset, and the complex sorts its
+simplices by ``encode`` once, on first use.  Stratum queries read only
 the first two rows of a simplex, its *head*; :class:`HeadIndex` groups that
 order by head so that such a query tests each head once.
 """
@@ -15,6 +16,7 @@ from __future__ import annotations
 
 import itertools
 import os
+from array import array
 from collections.abc import Callable, Collection, Iterable, Iterator, Mapping, Set
 from operator import itemgetter
 
@@ -31,6 +33,7 @@ from .witness import (
     _ghost,
     _head,
     _is_witness,
+    _lower_faces,
     _mask_of,
     _pairs,
     _validated,
@@ -136,20 +139,70 @@ def _reach(
     return seen
 
 
+class Rows:
+    """Rows of simplex numbers, stored flat: row ``i`` is
+    ``flat[start[i]:start[i + 1]]``, four bytes a number."""
+
+    __slots__ = ("flat", "start")
+
+    def __init__(self) -> None:
+        self.flat = array("i")
+        self.start = array("i", [0])
+
+    def __len__(self) -> int:
+        return len(self.start) - 1
+
+    def __getitem__(self, i: int) -> array:
+        start = self.start
+        return self.flat[start[i] : start[i + 1]]
+
+    def close_row(self) -> None:
+        """End the row being appended to ``flat``."""
+        self.start.append(len(self.flat))
+
+    def inverted(self, size: int) -> Rows:
+        """``size`` rows: row ``j`` lists, ascending, each ``i`` whose row
+        holds ``j``."""
+        start = array("i", [0]) * (size + 1)
+        for j in self.flat:
+            start[j + 1] += 1
+        for j in range(size):
+            start[j + 1] += start[j]
+        fill = array("i", start)
+        flat = array("i", [0]) * len(self.flat)
+        for i in range(len(self)):
+            for j in self[i]:
+                flat[fill[j]] = i
+                fill[j] += 1
+        out = Rows.__new__(Rows)
+        out.flat, out.start = flat, start
+        return out
+
+
 class Complex:
     """The immediate snapshot complex of a round counter.
 
-    Stores the cover relation of its face poset: each simplex (the empty
-    simplex included) maps to the tuple of its codimension-1 faces.  That
-    mapping is the one simplex store: :attr:`simplices` is a read-only set
-    view of its keys, not a frozenset.  The upper covers are that mapping inverted, once, on
-    first use.  Faces and cofaces are walks down and up the covers; all
+    The one simplex store numbers the simplices ``0..N-1`` (the empty
+    simplex included) and keeps one :class:`WitnessStructure` per number.
+    The face relation is stored as numbers: row ``i`` of the lower covers
+    lists the codimension-1 faces of simplex ``i``, and the upper covers
+    are those rows inverted, once, on first use.  The structure-facing
+    queries map between structures and numbers at the edge:
+    :attr:`simplices` is a read-only set view of the numbering's keys, not
+    a frozenset; faces and cofaces are walks down and up the covers; all
     queries are pure.  The ``encode`` order (:meth:`ordered`) and the head
     index (:meth:`head_index`) are likewise made once, on first use; the
     index keeps the head bitsets of the strata queried so far.
+
+    ``Complex(counter, lower_covers, facets)`` numbers the keys of
+    ``lower_covers`` in their order.  A cover outside those keys is
+    numbered past them, so that :meth:`lower_covers` still names it, but
+    it is no simplex of the complex.
     """
 
-    __slots__ = ("_counter", "_lower", "_facets", "_order", "_upper", "_heads")
+    __slots__ = (
+        "_counter", "_simplices", "_number", "_lower", "_facets", "_order", "_upper", "_heads"
+    )
 
     def __init__(
         self,
@@ -157,11 +210,33 @@ class Complex:
         lower_covers: Mapping[WitnessStructure, Covers],
         facet_set: Iterable[WitnessStructure],
     ):
+        number = {sigma: i for i, sigma in enumerate(lower_covers)}
+        outside: dict[WitnessStructure, int] = {}
+        rows = Rows()
+        for covers in lower_covers.values():
+            for face in covers:
+                j = number.get(face)
+                if j is None:
+                    j = outside.setdefault(face, len(number) + len(outside))
+                rows.flat.append(j)
+            rows.close_row()
+        self._numbered(counter, [*number, *outside], number, rows, facet_set)
+
+    def _numbered(
+        self,
+        counter: RoundCounter,
+        simplices: list[WitnessStructure],
+        number: dict[WitnessStructure, int],
+        lower: Rows,
+        facet_set: Iterable[WitnessStructure],
+    ) -> None:
         self._counter = counter
-        self._lower = dict(lower_covers)
+        self._simplices = simplices
+        self._number = number
+        self._lower = lower
         self._facets = frozenset(facet_set)
         self._order: tuple[WitnessStructure, ...] | None = None
-        self._upper: dict[WitnessStructure, Covers] | None = None
+        self._upper: Rows | None = None
         self._heads: HeadIndex | None = None
 
     @property
@@ -170,8 +245,8 @@ class Complex:
 
     @property
     def simplices(self) -> Set[WitnessStructure]:
-        """The simplex set, as a read-only view of the cover mapping's keys."""
-        return self._lower.keys()
+        """The simplex set, as a read-only view of the numbering's keys."""
+        return self._number.keys()
 
     @property
     def facets(self) -> frozenset[WitnessStructure]:
@@ -186,50 +261,60 @@ class Complex:
         return len(self._counter.support) - 1
 
     def __contains__(self, sigma: object) -> bool:
-        return sigma in self._lower
+        return sigma in self._number
 
     def __len__(self) -> int:
-        return len(self._lower)
+        return len(self._number)
 
     def __repr__(self) -> str:
         return (
             f"<Complex of {self._counter.to_text()!r}: "
-            f"{len(self._lower)} simplices, {len(self._facets)} facets>"
+            f"{len(self._number)} simplices, {len(self._facets)} facets>"
         )
 
     def f_vector(self) -> tuple[int, ...]:
         """Simplex counts by dimension, the empty simplex excluded."""
         counts = [0] * (self.dim + 1)
-        for sigma in self._lower:
+        for sigma in self._number:
             if not sigma.is_empty:
                 counts[sigma.dim] += 1
         return tuple(counts)
 
-    def lower_covers(self, sigma: WitnessStructure) -> Covers:
-        """The codimension-1 faces ``ghost(σ,{p})``, ``p`` in sorted active order."""
+    def _upper_rows(self) -> Rows:
+        """The upper covers by number: the lower rows inverted, on first use."""
+        if self._upper is None:
+            self._upper = self._lower.inverted(len(self._simplices))
+        return self._upper
+
+    def _covers(self, rows: Rows, sigma: WitnessStructure) -> Covers:
+        """Row ``sigma`` of ``rows``, as structures."""
         try:
-            return self._lower[sigma]
+            i = self._number[sigma]
         except KeyError:
             raise ValueError("simplex is not part of this complex") from None
+        start = rows.start
+        return tuple(map(self._simplices.__getitem__, rows.flat[start[i] : start[i + 1]]))
+
+    def _face_reader(self) -> Callable[[WitnessStructure], Iterator[WitnessStructure]]:
+        """:meth:`lower_covers` as an iterator, with its lookups bound once,
+        for callers that read the covers of many simplices of the complex.
+        A simplex outside the complex is a :class:`KeyError`."""
+        number, flat, start = self._number, self._lower.flat, self._lower.start
+        simplex = self._simplices.__getitem__
+
+        def faces(sigma: WitnessStructure) -> Iterator[WitnessStructure]:
+            i = number[sigma]
+            return map(simplex, flat[start[i] : start[i + 1]])
+
+        return faces
+
+    def lower_covers(self, sigma: WitnessStructure) -> Covers:
+        """The codimension-1 faces ``ghost(σ,{p})``, ``p`` in sorted active order."""
+        return self._covers(self._lower, sigma)
 
     def upper_covers(self, sigma: WitnessStructure) -> Covers:
         """The simplices having ``sigma`` as a codimension-1 face."""
-        if self._upper is None:
-            upper: dict[WitnessStructure, list[WitnessStructure]] = {
-                s: [] for s in self._lower
-            }
-            for tau, covers in self._lower.items():
-                for face in covers:
-                    upper[face].append(tau)
-            # Each list gives way to its tuple in place, so the table is
-            # never held twice.
-            for s, c in upper.items():
-                upper[s] = tuple(c)
-            self._upper = upper
-        try:
-            return self._upper[sigma]
-        except KeyError:
-            raise ValueError("simplex is not part of this complex") from None
+        return self._covers(self._upper_rows(), sigma)
 
     def ordered(self) -> tuple[WitnessStructure, ...]:
         """The simplices in ``encode`` order, sorted once, on first use."""
@@ -238,9 +323,9 @@ class Complex:
         return self._order
 
     def encodings(self) -> dict[WitnessStructure, str]:
-        """Each simplex's ``encode()``; a first call also sorts
-        :meth:`ordered` on these strings, so none is encoded twice."""
-        code = {sigma: sigma.encode() for sigma in self._lower}
+        """Each simplex's ``encode()``, in number order; a first call also
+        sorts :meth:`ordered` on these strings, so none is encoded twice."""
+        code = {sigma: sigma.encode() for sigma in self._number}
         if self._order is None:
             self._order = tuple(sorted(code, key=code.__getitem__))
         return code
@@ -257,7 +342,7 @@ class Complex:
 
     def vertices(self, sigma: WitnessStructure) -> frozenset[WitnessStructure]:
         """The ``dim+1`` vertices: one per active color."""
-        if sigma not in self._lower:
+        if sigma not in self._number:
             raise ValueError("simplex is not part of this complex")
         return frozenset(_views(sigma).values())
 
@@ -276,13 +361,14 @@ class Complex:
             "facets": sorted(code[f] for f in self._facets),
         }
         if include_simplices:
+            codes, number, lower = list(code.values()), self._number, self._lower
             obj["simplices"] = [
                 {
-                    "id": code[sigma],
+                    "id": codes[i],
                     "dim": sigma.dim,
-                    "faces": sorted(code[tau] for tau in self._lower[sigma]),
+                    "faces": sorted([codes[j] for j in lower[i]]),
                 }
-                for sigma in self._order
+                for sigma, i in zip(self._order, map(number.__getitem__, self._order))
             ]
         return obj
 
@@ -345,35 +431,42 @@ def build(r: RoundCounter, *, max_simplices: int | None = None) -> Complex:
 def _build(r: RoundCounter, cap: int) -> Complex:
     """The complex of ``r``, built under ``cap``, as :func:`build` says.
 
-    A face is looked up by its unvalidated masks, which equal and hash as
-    the structure they make, so each stored simplex is made, and
-    validated, once; equal faces reached from different cofaces share
-    that instance.
+    Simplices are numbered as they are found and closed in that order, so
+    each row of lower covers is appended as its simplex comes up.  A face
+    is looked up by its unvalidated masks, which equal and hash as the
+    structure they make, so each stored simplex is made, and validated,
+    once; equal faces reached from different cofaces share its number.
+    The lookup dict is the complex's numbering.  (Keyed by exact mask
+    tuples it would look up faster, but the tuples it dropped at the end
+    would stay in CPython's tuple free list: on ``2,1,1,1`` that retains
+    about 285 B per simplex, against about 210.)
     """
     facet_list = list(facet_structures(r, max_schedules=cap))
-    known: dict[WitnessStructure, WitnessStructure] = {f: f for f in facet_list}
-    empty = _from_masks((0, _mask_of(r)))
-    known[empty] = empty
-    if len(known) > cap:
+    known: dict[WitnessStructure, int] = {}
+    found: list[WitnessStructure] = []
+    for sigma in [*facet_list, _from_masks((0, _mask_of(r)))]:
+        if known.setdefault(sigma, len(found)) == len(found):
+            found.append(sigma)
+    if len(found) > cap:
         raise ComplexTooLargeError(cap)
-    stack = list(known)
-    lower: dict[WitnessStructure, Covers] = {}
-    while stack:
-        sigma = stack.pop()
-        covers = []
-        for p in _bits(_active_mask(sigma)):
-            face_m = _ghost(sigma, 1 << p)
-            face = known.get(face_m)
-            if face is None:
-                face = _from_masks(face_m)
-                known[face] = face
-                if len(known) > cap:
+    lower = Rows()
+    record, close, look_up = lower.flat.append, lower.start.append, known.get
+    n = len(found)
+    for sigma in found:  # ``found`` grows as the walk goes
+        for face in _lower_faces(sigma):
+            j = look_up(face)
+            if j is None:
+                if n == cap:
                     raise ComplexTooLargeError(cap)
-                stack.append(face)
-            covers.append(face)
-        lower[sigma] = tuple(covers)
-    del known
-    return Complex(r, lower, facet_list)
+                j, face = n, _from_masks(face)
+                found.append(face)
+                known[face] = j
+                n += 1
+            record(j)
+        close(len(lower.flat))
+    k = Complex.__new__(Complex)
+    k._numbered(r, found, known, lower, facet_list)
+    return k
 
 
 def _sub_builder(k: Complex) -> Callable[[RoundCounter], Complex]:
@@ -500,7 +593,7 @@ class ConeSplit:
         covers (face, False) for each such face."""
         if self.pairing[self.apex_vertex] != (self.base.empty_simplex, True):
             raise VerificationError("apex vertex does not map to the apex of the join")
-        base_lower = self.base.lower_covers
+        base_lower = self.base._face_reader()
 
         def join_lower(pair: tuple[WitnessStructure, bool]) -> list:
             tau, flag = pair
@@ -509,7 +602,9 @@ class ConeSplit:
 
         join = {(tau, flag) for tau in self.base.simplices for flag in (False, True)}
         whole, label = self.complex, f"cone pairing at apex {self.apex}"
-        _certify_iso(whole.simplices, whole.lower_covers, self.pairing, join, join_lower, label)
+        _certify_iso(
+            whole.simplices, whole._face_reader(), self.pairing, join, join_lower, label
+        )
         return {
             "apex_process": self.apex,
             "simplices": len(self.pairing),
@@ -583,7 +678,7 @@ def verify_ghost_composition(k: Complex) -> int:
 
     Each simplex's ``2^(d+1)`` faces ``ghost(σ,U)`` are ghosted, and
     validated, once, and kept in a face table as the row of their numbers
-    in ``encode`` order, indexed by ``U``.  Ghosting is a pure function of
+    in the complex's numbering, indexed by ``U``.  Ghosting is a pure function of
     the masks, so for a face ``τ = ghost(σ,S)`` of the complex whose active
     set is that of ``σ`` less ``S``, ``ghost(τ,T)`` is entry ``T`` of
     ``τ``'s own row: the instances of one ``S`` hold together exactly when
@@ -594,12 +689,11 @@ def verify_ghost_composition(k: Complex) -> int:
     number of instances checked; raises :class:`VerificationError` at the
     first disagreement, in ``encode`` order of the simplices.
     """
-    order = k.ordered()
-    number = {sigma: i for i, sigma in enumerate(order)}
-    actives = [_active_mask(sigma) for sigma in order]
+    simplices, number = k._simplices, k._number
+    actives = [_active_mask(sigma) for sigma in simplices]
     hides: dict[int, list[int]] = {}
-    # rows[i]: the face row of order[i]; () where the table cannot serve it.
-    rows: list[tuple[int, ...] | None] = [None] * len(order)
+    # rows[i]: the face row of simplex i; () where the table cannot serve it.
+    rows: list[tuple[int, ...] | None] = [None] * len(simplices)
 
     def row(i: int) -> tuple[int, ...]:
         if rows[i] is None:
@@ -608,7 +702,7 @@ def verify_ghost_composition(k: Complex) -> int:
                 hides[active] = _hidden_masks(active)
             faces = []
             for h in hides[active]:
-                j = number.get(_validated(_ghost(order[i], h)))
+                j = number.get(_validated(_ghost(simplices[i], h)))
                 if j is None or actives[j] != active & ~h:
                     faces = []
                     break
@@ -618,7 +712,8 @@ def verify_ghost_composition(k: Complex) -> int:
 
     plans: dict[int, list[tuple[int, Callable[[tuple], tuple]]]] = {}
     checked = 0
-    for i, sigma in enumerate(order):
+    for sigma in k.ordered():
+        i = number[sigma]
         n = actives[i].bit_count()
         if n not in plans:
             plans[n] = _composition_plan(n)

@@ -120,7 +120,22 @@ class RoundCounter(Mapping[int, int]):
             raise ValueError(
                 f"cannot drop {sorted(drop - self.support)}: outside the support"
             )
-        return self.execute(step).delete(drop)
+        bad = step - self.active
+        if bad:
+            raise ValueError(
+                f"cannot execute {sorted(bad)}: not active in {self.to_text()!r}"
+            )
+        return RoundCounter._of(
+            {p: c - (p in step) for p, c in self._entries.items() if p not in drop}
+        )
+
+    @classmethod
+    def _of(cls, entries: dict[int, int]) -> "RoundCounter":
+        """The counter of ``entries``, already checked and sorted."""
+        out = cls.__new__(cls)
+        out._entries = entries
+        out._hash = hash(tuple(entries.items()))
+        return out
 
     # -- textual and JSON syntax -------------------------------------------------
 

@@ -623,6 +623,7 @@ def verify_translation_maps(complex_: Complex) -> dict[str, int]:
     """
     counter = complex_.counter
     target_for = _sub_builder(complex_)
+    faces = complex_._face_reader()
 
     gamma_strata = 0
     rho_roundtrips = 0
@@ -633,9 +634,7 @@ def verify_translation_maps(complex_: Complex) -> dict[str, int]:
         domain = _sorted_members(complex_, StratumRef.x(s, a))
         target = target_for(counter.restrict(s, a))
         image = {sigma: _from_masks(_gamma(sigma, s_mask, a_mask)) for sigma in domain}
-        _certify_iso(
-            domain, complex_.lower_covers, image, target.simplices, target.lower_covers, label
-        )
+        _certify_iso(domain, faces, image, target.simplices, target._face_reader(), label)
         gamma_strata += 1
         if a:
             continue
@@ -660,9 +659,7 @@ def verify_translation_maps(complex_: Complex) -> dict[str, int]:
         domain = _sorted_members(complex_, StratumRef.b(v))
         target = target_for(counter.delete(v))
         image = {sigma: _from_masks(_delta(sigma, v_mask)) for sigma in domain}
-        _certify_iso(
-            domain, complex_.lower_covers, image, target.simplices, target.lower_covers, label
-        )
+        _certify_iso(domain, faces, image, target.simplices, target._face_reader(), label)
         for sigma in domain:
             if _delta_inverse(image[sigma], v_mask) != sigma:
                 raise VerificationError(f"{label} round trip fails on {sigma.encode()}")

@@ -118,7 +118,7 @@ def homology_z2(source: Complex | Iterable[WitnessStructure]) -> dict[int, int]:
     a bare collection's simplices are ghosted into their faces.
     """
     if isinstance(source, Complex):
-        order, lower = source.ordered(), source.lower_covers
+        order, lower = source.ordered(), source._face_reader()
     else:
         order, lower = sorted(frozenset(source), key=WitnessStructure.encode), _lower_faces
     if not order:
@@ -137,7 +137,8 @@ def homology_z2(source: Complex | Iterable[WitnessStructure]) -> dict[int, int]:
                 row = index.get(d - 1, {}).get(face)
                 if row is None:
                     raise ValueError(
-                        f"collection is not face-closed: {face.encode()} is missing"
+                        f"collection is not face-closed: "
+                        f"{WitnessStructure.encode(face)} is missing"
                     )
                 mask |= 1 << row
             columns.append(mask)

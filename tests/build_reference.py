@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from snapcomplex.complexes import Complex, Covers, facet_structures
 from snapcomplex.counters import RoundCounter
-from snapcomplex.witness import WitnessStructure, _lower_faces
+from snapcomplex.witness import WitnessStructure, _active_mask, _bits, _from_masks, _ghost
 
 
 def build(r: RoundCounter) -> Complex:
@@ -29,5 +29,7 @@ def build(r: RoundCounter) -> Complex:
     lower: dict[WitnessStructure, Covers] = {}
     while stack:
         sigma = stack.pop()
-        lower[sigma] = tuple(admit(face) for face in _lower_faces(sigma))
+        lower[sigma] = tuple(
+            admit(_from_masks(_ghost(sigma, 1 << p))) for p in _bits(_active_mask(sigma))
+        )
     return Complex(r, lower, facet_list)

@@ -447,3 +447,13 @@ def test_exhausted_memory_is_reported_on_one_line(megabytes, monkeypatch):
     )
     assert (proc.returncode, proc.stdout) == (3, "")
     assert proc.stderr == '{"error": "memory exhausted"}\n'
+
+
+def test_a_pivot_outside_the_support_is_refused_before_the_build(capsys):
+    # Under a cap of one simplex the build of 1,1,1 would exit 3; the pivot
+    # check comes first.
+    code, out, err = run(
+        capsys, "collapse", "-r", "1,1,1", "--pivot", "7", "--max-simplices", "1"
+    )
+    assert (code, out) == (2, "")
+    assert "pivot 7 is outside the support" in err

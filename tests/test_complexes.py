@@ -235,25 +235,27 @@ def test_a_coface_never_has_more_row0_ghosts(text, get_complex):
 
 @pytest.mark.parametrize("text", CLOSURE_COUNTERS)
 def test_a_pivot_sub_build_is_the_part_a_collapse_removes(text, get_complex):
-    # Each complex a collapse derives from k, by γ for a restriction of
-    # stage one or by δ for a deletion of a phase, is the part of the whole
-    # build of its counter whose row-0 ghosts lie in {pivot}: the same
-    # simplices, lower-cover tuples and facets, each image made once.
+    # Each part a collapse derives from k, by γ for a restriction of stage
+    # one or by δ for a deletion of a phase, is the part of the whole build
+    # of its counter whose row-0 ghosts lie in {pivot}: the same simplices,
+    # lower-cover rows and facets, each image made once.
     k = get_complex(text)
+    whole_k = collapse._whole(k)
     for pivot in sorted(k.counter.support):
-        classes = collapse._round_one_classes(k, pivot)
-        for counter, part in itertools.chain(
-            collapse._restrictions(k.counter, pivot, classes), collapse._deletions(k, pivot)
+        classes = collapse._round_one_classes(whole_k.masks, pivot)
+        for counter, pairs in itertools.chain(
+            collapse._restrictions(whole_k, pivot, classes), collapse._deletions(whole_k, pivot)
         ):
-            derived = collapse._derived(counter, part, k)
+            derived = collapse._derived(counter, pairs, whole_k)
+            masks = [witness._from_masks(m) for m in derived.masks]
             whole = build(counter)
             inside = {s for s in whole.simplices if s.ghost_row(0) <= {pivot}}
-            assert len(part) == len(derived)
-            assert derived.simplices == inside
-            assert derived.facets == whole.facets
-            for sigma in inside:
+            assert len(pairs) == len(masks) == len(set(masks))
+            assert set(masks) == inside
+            assert {s for s in masks if s.dim == len(counter.support) - 1} == whole.facets
+            for n, sigma in enumerate(masks):
                 kept = tuple(f for f in whole.lower_covers(sigma) if f in inside)
-                assert derived.lower_covers(sigma) == kept
+                assert tuple(masks[j] for j in derived.lower[n]) == kept
 
 
 @pytest.mark.parametrize("text", TEST_COUNTERS + ("2,1,0,1",))

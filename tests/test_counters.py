@@ -94,3 +94,25 @@ def test_execute_full_active_step_drops_cardinality(r):
     stepped = r.execute(r.active)
     assert stepped.cardinality == r.cardinality - len(r.active)
     assert stepped.support == r.support
+
+
+def _outcome(make):
+    try:
+        counter = make()
+    except ValueError as exc:
+        return ("raises", str(exc))
+    return ("counter", counter, dict(counter), counter.to_text(), hash(counter))
+
+
+procs = st.frozensets(st.integers(min_value=0, max_value=11), max_size=6)
+
+
+@given(counters, procs, procs)
+def test_restrict_is_execute_then_delete(r, step, drop):
+    # One counter, made once, equal to the two-step form, errors included;
+    # a drop outside the support is refused first.
+    if drop <= r.support:
+        expected = _outcome(lambda: r.execute(step).delete(drop))
+    else:
+        expected = ("raises", f"cannot drop {sorted(drop - r.support)}: outside the support")
+    assert _outcome(lambda: r.restrict(step, drop)) == expected

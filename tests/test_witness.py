@@ -20,7 +20,9 @@ from snapcomplex import (
 from snapcomplex.witness import (
     MAX_PROCESS_ID,
     _filter_heads,
+    _ghost,
     _head,
+    _lower_faces,
     _structure_violation,
 )
 
@@ -345,3 +347,12 @@ def witness_and_hide(draw):
 def test_ghost_matches_the_trace_form_reference_on_random_structures(case):
     sigma, hide = case
     assert ghost(sigma, hide) == ghost_reference.ghost(sigma, hide)
+
+
+@pytest.mark.parametrize("text", TEST_COUNTERS + ("2,1,1,1", "2,1,0,1"))
+def test_lower_faces_is_ghost_by_each_active_process(text, get_complex):
+    # The all-faces kernel against the one-face ghost, p ascending.
+    for sigma in get_complex(text).simplices:
+        assert _lower_faces(sigma) == [
+            _ghost(sigma, 1 << p) for p in sorted(sigma.active_set)
+        ]
