@@ -169,7 +169,8 @@ Pairs = list[tuple[int, Masks]]
 
 
 def _whole(complex_: Complex) -> _Part:
-    """``complex_`` as a part, in its own numbering."""
+    """``complex_`` as a part, in its own numbering; numbers past its
+    simplices name covers outside it, which no collapse removes."""
     masks = complex_._simplices[: len(complex_)]
     return _Part(complex_.counter, masks, complex_._lower)
 

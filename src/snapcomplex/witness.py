@@ -18,9 +18,8 @@ ids must be small integers: at most :data:`MAX_PROCESS_ID`.
 
 Each operation on the rows is written once, as a function of a mask tuple
 (a structure is one) that returns its result unvalidated: :func:`_head`
-reads the first two rows, :func:`_ghost` forgets processes (its walk is
-repeated once, in :func:`_lower_faces`, which forgets each active process
-in turn, as the build's kernel), :func:`_splice`
+reads the first two rows, :func:`_ghost` forgets processes (and
+:func:`_lower_faces` each active process in turn), :func:`_splice`
 replaces the first rows, :func:`_delta` forgets row-0 ghosts and
 :func:`_gamma` peels off round one.  The last two are the mask forms of
 the stratum maps δ and γ; they live here, not in
@@ -420,13 +419,12 @@ def _lower_faces(m: Masks) -> list[Masks]:
     """The codimension-1 faces ``_ghost(m, 1 << p)``, ``p`` ascending over
     the active processes, not yet validated.
 
-    The one all-faces kernel: the active and passive masks are made once
-    for all the faces.  A face whose cut is
-    the last row, in a structure whose rows past the first all have
-    witnesses, moves ``p`` from its last witness row to that row's ghosts,
-    and drops the row if that empties it, merging its ghosts into the next
-    row's; that is the walk of :func:`_ghost` in that case, done by
-    slicing.  Any other face takes the walk."""
+    The all-faces kernel of a build, with the active and passive masks made
+    once.  When the last row keeps a witness besides ``p`` and every row
+    past the first has witnesses, the walk of :func:`_ghost` only moves
+    ``p`` from its last witness row into that row's ghosts, dropping the
+    row if that empties it and merging its ghosts into the next row's; that
+    is done here by slicing.  Any other face takes the walk."""
     m = m[:]
     last = len(m) - 2
     active = _active_mask(m)
@@ -437,33 +435,16 @@ def _lower_faces(m: Masks) -> list[Masks]:
     while rest:
         hide = rest & -rest
         rest ^= hide
-        if witnessed and (not last or m[last] & ~(hide | passive)):
-            r = last
-            while r and not m[r] & hide:
-                r -= 2
-            if m[r] != hide or not r:
-                faces.append(m[:r] + (m[r] ^ hide, m[r + 1] | hide) + m[r + 2 :])
-            else:
-                faces.append(m[:r] + (m[r + 2], m[r + 1] | hide | m[r + 3]) + m[r + 4 :])
+        if not witnessed or last and not m[last] & ~(hide | passive):
+            faces.append(_ghost(m, hide))
             continue
-        cut = last
-        while cut and not m[cut] & ~(hide | passive):
-            cut -= 2
-        pending = hide
-        for g in m[cut + 3 :: 2]:
-            pending |= g
-        out: list[int] = []
-        for i in range(cut, 0, -2):
-            w = m[i]
-            moved = w & pending
-            pending ^= moved
-            if w ^ moved:
-                out += (m[i + 1] | moved, w ^ moved)
-            else:
-                out[-2] |= m[i + 1] | moved
-        out += (m[1] | pending, m[0] & ~pending)
-        out.reverse()
-        faces.append(tuple(out))
+        r = last
+        while r and not m[r] & hide:
+            r -= 2
+        if m[r] != hide or not r:
+            faces.append(m[:r] + (m[r] ^ hide, m[r + 1] | hide) + m[r + 2 :])
+        else:
+            faces.append(m[:r] + (m[r + 2], m[r + 1] | hide | m[r + 3]) + m[r + 4 :])
     return faces
 
 
