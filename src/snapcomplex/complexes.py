@@ -439,7 +439,8 @@ def _build(r: RoundCounter, cap: int) -> Complex:
     The lookup dict is the complex's numbering.  (Keyed by exact mask
     tuples it would look up faster, but the tuples it dropped at the end
     would stay in CPython's tuple free list: on ``2,1,1,1`` that retains
-    about 285 B per simplex, against about 210.)
+    about 285 B per simplex, against about 215, in tracemalloc under
+    CPython 3.11.)
     """
     facet_list = list(facet_structures(r, max_schedules=cap))
     known: dict[WitnessStructure, int] = {}
@@ -678,10 +679,10 @@ def verify_ghost_composition(k: Complex) -> int:
 
     Each simplex's ``2^(d+1)`` faces ``ghost(σ,U)`` are ghosted, and
     validated, once, and kept in a face table as the row of their numbers
-    in the complex's numbering, indexed by ``U``.  Ghosting is a pure function of
-    the masks, so for a face ``τ = ghost(σ,S)`` of the complex whose active
-    set is that of ``σ`` less ``S``, ``ghost(τ,T)`` is entry ``T`` of
-    ``τ``'s own row: the instances of one ``S`` hold together exactly when
+    in the complex's numbering, indexed by ``U``.  Ghosting is a pure
+    function of the masks, so for a face ``τ = ghost(σ,S)`` of the complex
+    whose active set is that of ``σ`` less ``S``, ``ghost(τ,T)`` is entry
+    ``T`` of ``τ``'s own row: the instances of one ``S`` hold together exactly when
     ``τ``'s row equals the entries ``S ∪ T`` of ``σ``'s.  A simplex that
     cannot be checked so, having a face outside the complex or of another
     active set, or that fails, is checked again instance by instance,

@@ -108,7 +108,7 @@ procs = st.frozensets(st.integers(min_value=0, max_value=11), max_size=6)
 
 
 @given(counters, procs, procs)
-def test_restrict_is_execute_then_delete(r, step, drop):
+def test_restrict_matches_execute_then_delete_on_any_sets(r, step, drop):
     # One counter, made once, equal to the two-step form, errors included;
     # a drop outside the support is refused first.
     if drop <= r.support:
