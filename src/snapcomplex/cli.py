@@ -139,7 +139,7 @@ def _check_euler(k: Complex) -> dict:
 
 
 def _check_homology(k: Complex) -> dict:
-    from .topology import homology_z2, is_sphere_like
+    from .topology import _homology_in, homology_z2, is_sphere_like
 
     betti = homology_z2(k)
     contractible = all(b == 0 for b in betti.values())
@@ -150,7 +150,7 @@ def _check_homology(k: Complex) -> dict:
     rim = _boundary(k).simplices
     if rim:
         sphere_dim = len(k.counter.support) - 2
-        rim_betti = homology_z2(rim)
+        rim_betti = _homology_in(k, set(map(k._number.__getitem__, rim)))
         detail["boundary_reduced_betti"] = {
             str(d): b for d, b in sorted(rim_betti.items())
         }

@@ -61,7 +61,6 @@ from .witness import (
     WitnessStructure,
     _active_mask,
     _delta,
-    _filter_heads,
     _gamma,
     _head,
     _mask_of,
@@ -400,7 +399,7 @@ def relative_boundary_remainder(
 ) -> frozenset[WitnessStructure]:
     """The simplices :func:`collapse_to_relative_boundary` must leave behind."""
     others = ~(1 << pivot)
-    return _filter_heads(complex_.simplices, lambda w0, g0, w1, g1: g0 & others)
+    return frozenset(sigma for sigma in complex_.simplices if sigma[1] & others)
 
 
 def collapse_all(complex_: Complex) -> CollapseSequence:

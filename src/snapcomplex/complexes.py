@@ -124,21 +124,6 @@ def _membership_test(r: RoundCounter) -> Callable[[Masks], bool]:
 Covers = tuple[WitnessStructure, ...]
 
 
-def _reach(
-    starts: Iterable[WitnessStructure],
-    step: Callable[[WitnessStructure], Covers],
-) -> set[WitnessStructure]:
-    """Everything reachable from ``starts`` by repeated ``step``, starts included."""
-    seen = set(starts)
-    stack = list(seen)
-    while stack:
-        for nxt in step(stack.pop()):
-            if nxt not in seen:
-                seen.add(nxt)
-                stack.append(nxt)
-    return seen
-
-
 class Rows:
     """Rows of simplex numbers, stored flat: row ``i`` is
     ``flat[start[i]:start[i + 1]]``, four bytes a number."""
@@ -155,10 +140,6 @@ class Rows:
     def __getitem__(self, i: int) -> array:
         start = self.start
         return self.flat[start[i] : start[i + 1]]
-
-    def close_row(self) -> None:
-        """End the row being appended to ``flat``."""
-        self.start.append(len(self.flat))
 
     def inverted(self, size: int) -> Rows:
         """``size`` rows: row ``j`` lists, ascending, each ``i`` whose row
@@ -179,6 +160,41 @@ class Rows:
         return out
 
 
+def _reach(rows: Rows, starts: Iterable[int]) -> set[int]:
+    """Every number reachable from ``starts`` down ``rows``, starts
+    included.  A number past the last row has no row to read."""
+    flat, start, end = rows.flat, rows.start, len(rows)
+    seen = set(starts)
+    stack = list(seen)
+    while stack:
+        i = stack.pop()
+        if i < end:
+            for j in flat[start[i] : start[i + 1]]:
+                if j not in seen:
+                    seen.add(j)
+                    stack.append(j)
+    return seen
+
+
+def _numbering(
+    keys: Iterable[Masks], lower_covers: Iterable[Iterable[Masks]]
+) -> tuple[list[Masks], dict[Masks, int], Rows]:
+    """Number ``keys`` in their order, and each cover outside them past
+    the keys: the numbered list, the keys' numbering, and the rows of the
+    cover numbers, one per entry of ``lower_covers``."""
+    number = {sigma: i for i, sigma in enumerate(keys)}
+    outside: dict[Masks, int] = {}
+    rows = Rows()
+    for covers in lower_covers:
+        for face in covers:
+            j = number.get(face)
+            if j is None:
+                j = outside.setdefault(face, len(number) + len(outside))
+            rows.flat.append(j)
+        rows.start.append(len(rows.flat))
+    return [*number, *outside], number, rows
+
+
 class Complex:
     """The immediate snapshot complex of a round counter.
 
@@ -186,18 +202,20 @@ class Complex:
     simplex included) and keeps one :class:`WitnessStructure` per number.
     The face relation is stored as numbers: row ``i`` of the lower covers
     lists the codimension-1 faces of simplex ``i``, and the upper covers
-    are those rows inverted, once, on first use.  The structure-facing
-    queries map between structures and numbers at the edge:
-    :attr:`simplices` is a read-only set view of the numbering's keys, not
-    a frozenset; faces and cofaces are walks down and up the covers; all
-    queries are pure.  The ``encode`` order (:meth:`ordered`) and the head
-    index (:meth:`head_index`) are likewise made once, on first use; the
-    index keeps the head bitsets of the strata queried so far.
+    are those rows inverted, once, on first use.  Every walk of the face
+    poset runs on those rows (:func:`_reach`), and a subcomplex is a set
+    of numbers.  The structure-facing queries map between structures and
+    numbers at the edge: :attr:`simplices` is a read-only set view of the
+    numbering's keys, not a frozenset; all queries are pure.  The
+    ``encode`` order (:meth:`ordered`) and the head index
+    (:meth:`head_index`) are likewise made once, on first use; the index
+    keeps the head bitsets of the strata queried so far.
 
     ``Complex(counter, lower_covers, facets)`` numbers the keys of
     ``lower_covers`` in their order.  A cover outside those keys is
     numbered past them, so that :meth:`lower_covers` still names it, but
-    it is no simplex of the complex.
+    it is no simplex of the complex and has no row: a walk that meets it
+    raises a :class:`VerificationError` naming it.
     """
 
     __slots__ = (
@@ -210,17 +228,7 @@ class Complex:
         lower_covers: Mapping[WitnessStructure, Covers],
         facet_set: Iterable[WitnessStructure],
     ):
-        number = {sigma: i for i, sigma in enumerate(lower_covers)}
-        outside: dict[WitnessStructure, int] = {}
-        rows = Rows()
-        for covers in lower_covers.values():
-            for face in covers:
-                j = number.get(face)
-                if j is None:
-                    j = outside.setdefault(face, len(number) + len(outside))
-                rows.flat.append(j)
-            rows.close_row()
-        self._numbered(counter, [*number, *outside], number, rows, facet_set)
+        self._numbered(counter, *_numbering(lower_covers, lower_covers.values()), facet_set)
 
     def _numbered(
         self,
@@ -286,14 +294,22 @@ class Complex:
             self._upper = self._lower.inverted(len(self._simplices))
         return self._upper
 
-    def _covers(self, rows: Rows, sigma: WitnessStructure) -> Covers:
-        """Row ``sigma`` of ``rows``, as structures."""
+    def _index(self, sigma: WitnessStructure) -> int:
+        """The number of ``sigma``; :class:`ValueError` if it is no simplex
+        of the complex."""
         try:
-            i = self._number[sigma]
+            return self._number[sigma]
         except KeyError:
             raise ValueError("simplex is not part of this complex") from None
-        start = rows.start
-        return tuple(map(self._simplices.__getitem__, rows.flat[start[i] : start[i + 1]]))
+
+    def _inside(self, numbers: set[int]) -> set[int]:
+        """``numbers``, checked to name simplices of the complex: a cover
+        outside it is a :class:`VerificationError` naming that face."""
+        n = len(self._number)
+        if max(numbers, default=-1) >= n:
+            stray = min(WitnessStructure.encode(self._simplices[j]) for j in numbers if j >= n)
+            raise VerificationError(f"face {stray} is a cover outside the complex")
+        return numbers
 
     def _face_reader(self) -> Callable[[WitnessStructure], Iterator[WitnessStructure]]:
         """:meth:`lower_covers` as an iterator, with its lookups bound once,
@@ -310,11 +326,11 @@ class Complex:
 
     def lower_covers(self, sigma: WitnessStructure) -> Covers:
         """The codimension-1 faces ``ghost(σ,{p})``, ``p`` in sorted active order."""
-        return self._covers(self._lower, sigma)
+        return tuple(map(self._simplices.__getitem__, self._lower[self._index(sigma)]))
 
     def upper_covers(self, sigma: WitnessStructure) -> Covers:
         """The simplices having ``sigma`` as a codimension-1 face."""
-        return self._covers(self._upper_rows(), sigma)
+        return tuple(map(self._simplices.__getitem__, self._upper_rows()[self._index(sigma)]))
 
     def ordered(self) -> tuple[WitnessStructure, ...]:
         """The simplices in ``encode`` order, sorted once, on first use."""
@@ -338,17 +354,19 @@ class Complex:
 
     def faces(self, sigma: WitnessStructure) -> frozenset[WitnessStructure]:
         """Every face of ``sigma`` (including itself and the empty simplex)."""
-        return frozenset(_reach((sigma,), self.lower_covers))
+        below = self._inside(_reach(self._lower, (self._index(sigma),)))
+        return frozenset(map(self._simplices.__getitem__, below))
 
     def vertices(self, sigma: WitnessStructure) -> frozenset[WitnessStructure]:
         """The ``dim+1`` vertices: one per active color."""
-        if sigma not in self._number:
-            raise ValueError("simplex is not part of this complex")
+        self._index(sigma)
         return frozenset(_views(sigma).values())
 
     def proper_cofaces(self, sigma: WitnessStructure) -> frozenset[WitnessStructure]:
         """All simplices strictly containing ``sigma``."""
-        return frozenset(_reach((sigma,), self.upper_covers) - {sigma})
+        i = self._index(sigma)
+        above = _reach(self._upper_rows(), (i,)) - {i}
+        return frozenset(map(self._simplices.__getitem__, above))
 
     def to_json_obj(self, *, include_simplices: bool = False) -> dict:
         if include_simplices:
@@ -511,11 +529,10 @@ def check_purity(k: Complex) -> None:
             raise VerificationError(
                 f"facet {facet.encode()} has dimension {facet.dim}, expected {top}"
             )
-    covered = _reach(k.facets, k.lower_covers)
-    if covered != k.simplices:
-        missing = k.simplices - covered
+    covered = k._inside(_reach(k._lower, map(k._index, k.facets)))
+    if len(covered) != len(k):
         raise VerificationError(
-            f"{len(missing)} simplices are not faces of any facet"
+            f"{len(k) - len(covered)} simplices are not faces of any facet"
         )
 
 

@@ -1,14 +1,19 @@
-"""Global shape of a snapshot complex: boundary, connectivity, homology."""
+"""Global shape of a snapshot complex: boundary, connectivity, homology.
+
+Each walks the complex's rows of simplex numbers, and a subcomplex is a
+set of those numbers; structures appear only in results and errors.
+"""
 
 from __future__ import annotations
 
 from collections import Counter as Multiset
+from collections.abc import Container, Sequence
 from dataclasses import dataclass
 from typing import Iterable
 
-from .complexes import Complex, _reach
+from .complexes import Complex, Rows, _numbering, _reach
 from .errors import VerificationError
-from .witness import WitnessStructure, _filter_heads, _lower_faces
+from .witness import WitnessStructure, _lower_faces
 
 
 @dataclass(frozen=True)
@@ -42,47 +47,47 @@ def boundary(complex_: Complex) -> BoundaryReport:
     Every ridge (codimension-1 face of a facet) must lie in one or two
     facets; anything else raises :class:`VerificationError`.
     """
-    degrees: Multiset[WitnessStructure] = Multiset()
-    for facet in complex_.facets:
-        degrees.update(complex_.lower_covers(facet))
-    bad = {ridge: d for ridge, d in degrees.items() if d not in (1, 2)}
+    lower, simplex = complex_._lower, complex_._simplices.__getitem__
+    degrees: Multiset[int] = Multiset()
+    for facet in map(complex_._index, complex_.facets):
+        degrees.update(lower[facet])
+    bad = {simplex(ridge).encode(): d for ridge, d in degrees.items() if d not in (1, 2)}
     if bad:
-        worst = min(bad, key=lambda s: s.encode())
+        worst = min(bad)
         raise VerificationError(
-            f"ridge {worst.encode()} lies in {bad[worst]} facets; "
+            f"ridge {worst} lies in {bad[worst]} facets; "
             "the complex is not a pseudomanifold with boundary"
         )
-    rim = frozenset(ridge for ridge, d in degrees.items() if d == 1)
-    closure = frozenset(_reach(rim, complex_.lower_covers))
-    expected = _filter_heads(complex_.simplices, lambda w0, g0, w1, g1: g0)
+    rim = {ridge for ridge, d in degrees.items() if d == 1}
+    closure = complex_._inside(_reach(lower, rim))
+    ghosted = {i for sigma, i in complex_._number.items() if sigma[1]}
     return BoundaryReport(
         top_dim=complex_.dim,
         ridge_count=len(degrees),
-        boundary_ridges=rim,
-        simplices=closure,
-        ghost_rule_holds=closure == expected,
+        boundary_ridges=frozenset(map(simplex, rim)),
+        simplices=frozenset(map(simplex, closure)),
+        ghost_rule_holds=closure == ghosted,
     )
 
 
 def strong_connectivity(complex_: Complex) -> bool:
     """Can any facet reach any other through shared ridges?"""
-    facets = list(complex_.facets)
+    facets = list(map(complex_._index, complex_.facets))
     if len(facets) <= 1:
         return True
-    owners: dict[WitnessStructure, list[int]] = {}
-    for i, facet in enumerate(facets):
-        for ridge in complex_.lower_covers(facet):
-            owners.setdefault(ridge, []).append(i)
-    neighbours: dict[int, set[int]] = {i: set() for i in range(len(facets))}
-    for shared in owners.values():
-        for i in shared:
-            neighbours[i].update(j for j in shared if j != i)
-    seen = {0}
-    stack = [0]
+    lower = complex_._lower
+    owners: dict[int, list[int]] = {}
+    for facet in facets:
+        for ridge in lower[facet]:
+            owners.setdefault(ridge, []).append(facet)
+    seen = {facets[0]}
+    stack = [facets[0]]
     while stack:
-        for j in neighbours[stack.pop()] - seen:
-            seen.add(j)
-            stack.append(j)
+        for ridge in lower[stack.pop()]:
+            for facet in owners[ridge]:
+                if facet not in seen:
+                    seen.add(facet)
+                    stack.append(facet)
     return len(seen) == len(facets)
 
 
@@ -114,31 +119,50 @@ def homology_z2(source: Complex | Iterable[WitnessStructure]) -> dict[int, int]:
     The empty simplex acts as the lone generator in dimension -1, so a
     single point reports all zeros and the bare empty simplex reports
     ``{-1: 1}``.  Raises :class:`ValueError` if the collection is not
-    closed under faces.  A complex's columns are read off its lower covers;
-    a bare collection's simplices are ghosted into their faces.
+    closed under faces.  A complex's columns are read off its rows; a bare
+    collection's simplices are ghosted into their faces.
     """
     if isinstance(source, Complex):
-        order, lower = source.ordered(), source._face_reader()
-    else:
-        order, lower = sorted(frozenset(source), key=WitnessStructure.encode), _lower_faces
-    if not order:
+        return _homology_in(source, range(len(source)))
+    order = sorted(frozenset(source), key=WitnessStructure.encode)
+    simplices, _, rows = _numbering(order, map(_lower_faces, order))
+    return _betti(range(len(order)), rows, simplices)
+
+
+def _homology_in(k: Complex, members: Container[int]) -> dict[int, int]:
+    """:func:`homology_z2` of the subcomplex of ``k`` whose simplices are
+    numbered ``members``."""
+    order = [i for i in map(k._number.__getitem__, k.ordered()) if i in members]
+    return _betti(order, k._lower, k._simplices)
+
+
+def _betti(
+    order: Iterable[int], rows: Rows, simplices: Sequence[WitnessStructure]
+) -> dict[int, int]:
+    """Reduced mod-2 Betti numbers of the simplices numbered ``order``,
+    given in ``encode`` order, which keeps the elimination short: row ``i``
+    of ``rows`` lists the faces of ``simplices[i]`` by number, and a face
+    outside ``order`` is a :class:`ValueError`."""
+    by_dim: dict[int, list[int]] = {}
+    for i in order:
+        by_dim.setdefault(simplices[i].dim, []).append(i)
+    if not by_dim:
         raise ValueError("need at least the empty simplex")
-    by_dim: dict[int, list[WitnessStructure]] = {}
-    for s in order:
-        by_dim.setdefault(s.dim, []).append(s)
     top = max(by_dim)
-    index = {d: {s: i for i, s in enumerate(members)} for d, members in by_dim.items()}
+    index = {d: {i: row for row, i in enumerate(members)} for d, members in by_dim.items()}
+    flat, start = rows.flat, rows.start
     ranks: dict[int, int] = {}
     for d in range(0, top + 1):
+        below = index.get(d - 1, {})
         columns = []
-        for s in by_dim.get(d, []):
+        for i in by_dim.get(d, []):
             mask = 0
-            for face in lower(s):
-                row = index.get(d - 1, {}).get(face)
+            for j in flat[start[i] : start[i + 1]]:
+                row = below.get(j)
                 if row is None:
                     raise ValueError(
                         f"collection is not face-closed: "
-                        f"{WitnessStructure.encode(face)} is missing"
+                        f"{WitnessStructure.encode(simplices[j])} is missing"
                     )
                 mask |= 1 << row
             columns.append(mask)

@@ -29,8 +29,7 @@ complexes through them, loads no more than this module.
 with :func:`_validated`: a caller wraps a result in it at the step where it
 needs a structure, or only validates it where a mask tuple will do, and a
 build looks a face up by its masks first, so that only a new face is
-validated.  :func:`_filter_heads` scans many structures by head, and
-:func:`ghost` is the validated face map.
+validated.  :func:`ghost` is the validated face map.
 
 Rows are addressed leniently: reading past the last row yields the empty
 set, which is the convention used throughout the stratification code.
@@ -337,13 +336,6 @@ def _from_rows(rows: Iterable[tuple[int, int]]) -> WitnessStructure:
 def _head(m: Masks) -> Masks:
     """``(W_0, G_0, W_1, G_1)`` of ``m``; a missing row 1 reads as empty."""
     return m[:4] if len(m) > 2 else m + (0, 0)
-
-
-def _filter_heads(
-    structures: Iterable[WitnessStructure], test: Callable[[int, int, int, int], object]
-) -> frozenset[WitnessStructure]:
-    """The structures whose :func:`_head` passes ``test``."""
-    return frozenset(sigma for sigma in structures if test(*_head(sigma)))
 
 
 def _splice(m: Masks, k: int, *head: tuple[int, int]) -> Masks:

@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from snapcomplex import chromatic, cli, topology
+from snapcomplex import Complex, chromatic, cli, topology, witness
 from snapcomplex.cli import CHECK_ORDER, main
 from snapcomplex.complexes import DEFAULT_SIMPLEX_CAP
 
@@ -280,6 +280,39 @@ def test_verify_computes_the_boundary_once(capsys, monkeypatch):
     assert code == 0, err
     assert json.loads(out)["ok"]
     assert calls == ["2,1,0,1"]
+
+
+def test_all_check_verify_makes_no_structure_tuple_of_covers(capsys, monkeypatch):
+    # The checks walk the complex's rows of numbers; the tuple-making
+    # cover queries are left to callers outside the package.
+    calls = []
+    for name in ("lower_covers", "upper_covers"):
+        real = getattr(Complex, name)
+
+        def counting(self, sigma, real=real, name=name):
+            calls.append(name)
+            return real(self, sigma)
+
+        monkeypatch.setattr(Complex, name, counting)
+    code, out, err = run(capsys, "verify", "-r", "2,1,1,1", "--checks", ",".join(CHECK_ORDER))
+    assert code == 0, err
+    assert json.loads(out)["ok"]
+    assert calls == []
+
+
+@pytest.mark.parametrize("text", ["1,1", "1,1,1", "2,1,0,1", "2,1,1,1"])
+def test_the_homology_check_ghosts_no_face(text, get_complex, monkeypatch):
+    # The rim's Betti numbers come from the rows of the built complex.
+    k = get_complex(text)
+
+    def refuse(*args):
+        raise AssertionError("ghosted a face")
+
+    for module, name in ((witness, "_lower_faces"), (witness, "_ghost"), (topology, "_lower_faces")):
+        monkeypatch.setattr(module, name, refuse)
+    detail = cli._check_homology(k)
+    assert detail["status"] == "ok"
+    assert "boundary_reduced_betti" in detail
 
 
 def _swap_two_edges(keys, key) -> dict:

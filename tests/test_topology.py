@@ -1,18 +1,23 @@
 from __future__ import annotations
 
+import re
+
 import pytest
 
 from snapcomplex import (
     Complex,
     StratumRef,
+    VerificationError,
     WitnessStructure,
     boundary,
+    check_purity,
     classify_interior,
     euler,
     homology_z2,
     is_sphere_like,
     strong_connectivity,
 )
+from snapcomplex.topology import _homology_in
 
 from .conftest import TEST_COUNTERS
 from .strata_reference import in_stratum
@@ -66,19 +71,81 @@ def test_reduced_homology_vanishes(text, get_complex):
     assert all(b == 0 for b in betti.values())
 
 
-@pytest.mark.parametrize("text", TEST_COUNTERS + ("2,1,0,1",))
+@pytest.mark.parametrize("text", TEST_COUNTERS + ("2,1,0,1", "1,1,1,1,1"))
 def test_homology_from_the_covers_matches_the_ghosting_path(text, get_complex):
     k = get_complex(text)
     assert homology_z2(k) == homology_z2(frozenset(k.simplices))
+    # The rim as a set of k's numbers, read off k's rows.
+    rim = boundary(k).simplices
+    assert _homology_in(k, {k._number[s] for s in rim}) == homology_z2(rim)
+
+
+def _doctored(k, facets, drop=()):
+    """``k`` through the mapping constructor, with ``facets`` and without
+    the simplices ``drop``, which stay named as covers."""
+    covers = {s: k.lower_covers(s) for s in k.simplices if s not in drop}
+    return Complex(k.counter, covers, facets)
 
 
 @pytest.mark.parametrize("text", TEST_COUNTERS + ("2,1,0,1",))
 def test_homology_rejects_a_complex_that_lacks_a_face(text, get_complex):
     k = get_complex(text)
     victim = next(sigma for sigma in k.ordered() if sigma.dim == 0)
-    covers = {sigma: k.lower_covers(sigma) for sigma in k.simplices if sigma != victim}
     with pytest.raises(ValueError, match="not face-closed"):
-        homology_z2(Complex(k.counter, covers, k.facets))
+        homology_z2(_doctored(k, k.facets, drop={victim}))
+
+
+def test_a_cover_outside_the_complex_is_named(get_complex):
+    k = get_complex("1,1,1")
+    ghosted = (s for s in k.simplices if s.dim == 0 and s.ghost_row(0))
+    victim = min(ghosted, key=WitnessStructure.encode)
+    doctored = _doctored(k, k.facets, drop={victim})
+    edge = next(s for s in doctored.simplices if victim in k.lower_covers(s))
+    named = re.escape(victim.encode())
+    for walk in (check_purity, boundary, lambda c: c.faces(edge)):
+        with pytest.raises(VerificationError, match=named):
+            walk(doctored)
+
+
+def test_purity_rejects_a_facet_below_top_dimension(get_complex):
+    k = get_complex("1,1,1")
+    edge = min(s for s in k.simplices if s.dim == 1)
+    with pytest.raises(VerificationError, match="facet .* has dimension 1, expected 2"):
+        check_purity(_doctored(k, k.facets | {edge}))
+
+
+def test_purity_rejects_a_simplex_below_no_facet(get_complex):
+    k = get_complex("1,1,1")
+    with pytest.raises(VerificationError, match="^1 simplices are not faces of any facet"):
+        check_purity(_doctored(k, k.facets - {min(k.facets)}))
+
+
+def test_boundary_rejects_a_ridge_in_three_facets(get_complex):
+    k = get_complex("1,1")
+    # A third edge on both vertices of an edge: its interior vertex now
+    # lies in three edges.
+    stranger = min(get_complex("2,1").facets)
+    covers = {s: k.lower_covers(s) for s in k.simplices}
+    covers[stranger] = k.lower_covers(min(k.facets))
+    with pytest.raises(VerificationError, match="lies in 3 facets"):
+        boundary(Complex(k.counter, covers, k.facets | {stranger}))
+
+
+def test_boundary_reports_a_broken_ghost_rule(get_complex):
+    # Without one facet, its interior ridges lie in one facet each, and the
+    # rim takes in simplices with no row-0 ghost.
+    k = get_complex("1,1,1")
+    report = boundary(_doctored(k, k.facets - {min(k.facets)}))
+    assert not report.ghost_rule_holds
+    assert any(not s.ghost_row(0) for s in report.simplices)
+
+
+def test_strong_connectivity_sees_two_groups_of_facets(get_complex):
+    k = get_complex("1,1,1")
+    first = min(k.facets)
+    apart = min(f for f in k.facets if not set(k.lower_covers(f)) & set(k.lower_covers(first)))
+    assert not strong_connectivity(_doctored(k, {first, apart}))
+    assert strong_connectivity(_doctored(k, k.facets))
 
 
 @pytest.mark.parametrize("text, sphere_dim", [("1,1", 0), ("2,2", 0), ("1,1,1", 1)])

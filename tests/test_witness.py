@@ -19,7 +19,6 @@ from snapcomplex import (
 )
 from snapcomplex.witness import (
     MAX_PROCESS_ID,
-    _filter_heads,
     _ghost,
     _head,
     _lower_faces,
@@ -133,9 +132,6 @@ def test_head_reads_a_missing_row_one_as_empty():
     one_row = ws(({0}, {1}))
     assert _head(one_row) == (0b01, 0b10, 0, 0)
     assert _head(ZERO_FIRST) == (0b11, 0, 0b01, 0)
-    heads = []
-    _filter_heads([one_row, C0], lambda *head: heads.append(head))
-    assert heads == [(0b01, 0b10, 0, 0), (0b11, 0, 0b01, 0b10)]
 
 
 def test_basic_accessors():
