@@ -308,7 +308,8 @@ def test_the_homology_check_ghosts_no_face(text, get_complex, monkeypatch):
     def refuse(*args):
         raise AssertionError("ghosted a face")
 
-    for module, name in ((witness, "_lower_faces"), (witness, "_ghost"), (topology, "_lower_faces")):
+    ghosting = ((witness, "_lower_faces"), (witness, "_ghost"), (topology, "_lower_faces"))
+    for module, name in ghosting:
         monkeypatch.setattr(module, name, refuse)
     detail = cli._check_homology(k)
     assert detail["status"] == "ok"
