@@ -353,7 +353,9 @@ def test_ghost_composition_ghosts_each_face_once(text, get_complex, monkeypatch)
     assert calls <= sum(2 ** (s.dim + 1) for s in k.simplices)
 
 
-@pytest.mark.parametrize("text", TEST_COUNTERS + ("2,1,0,1", "1,1,1,1,1"))
+@pytest.mark.parametrize(
+    "text", TEST_COUNTERS + ("2,1,0,1", "1,0,0,1", "2,1,1,1", "1,1,1,1,1")
+)
 def test_ghost_composition_matches_the_per_instance_reference(text, get_complex):
     k = get_complex(text)
     assert verify_ghost_composition(k) == gg_reference.verify_ghost_composition(k)
