@@ -10,7 +10,7 @@ all-ones complex can be certified as a genuine cross-check.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .counters import RoundCounter
 from .complexes import Complex, _certify_iso, build
@@ -21,8 +21,7 @@ from .witness import WitnessStructure
 DEFAULT_COLOR_BOUND = 3
 
 
-@dataclass(frozen=True)
-class ChromaticSimplex:
+class ChromaticSimplex(NamedTuple):
     """One simplex of the subdivision: ordered disjoint blocks with chosen
     survivors.  The empty tuple is the empty simplex."""
 
@@ -88,8 +87,7 @@ def table_map(cs: ChromaticSimplex, n: int) -> WitnessStructure:
     return WitnessStructure(rows)
 
 
-@dataclass(frozen=True)
-class PhiReport:
+class PhiReport(NamedTuple):
     """A certified φ: the subdivision of the ``n``-simplex, its simplex
     count (the empty simplex included) and its f-vector."""
 
@@ -137,6 +135,10 @@ def phi_iso(source: int | Complex) -> PhiReport:
         verts = vertices[cs]
         return [by_vertices.get(verts - {v}) for v in verts]
 
-    image = {cs: table_map(cs, n) for cs in oracle}
-    _certify_iso(oracle, lower, image, target.simplices, target._face_reader(), "φ")
+    image = {}
+    for cs in oracle:
+        tau = table_map(cs, n)
+        image[cs] = target._number.get(tau, tau)
+    rows = target._lower
+    _certify_iso(image, lower, len(target), rows.__getitem__, "φ", ChromaticSimplex.encode)
     return PhiReport(n=n, simplices=len(oracle), f_vector=chromatic_f_vector(oracle))

@@ -17,8 +17,8 @@ from __future__ import annotations
 import itertools
 import os
 from array import array
-from collections.abc import Callable, Collection, Iterable, Iterator, Mapping, Set
-from operator import itemgetter
+from collections.abc import Callable, Iterable, Iterator, Mapping, Set
+from operator import itemgetter, or_
 
 from .counters import RoundCounter
 from .errors import ComplexTooLargeError, VerificationError
@@ -31,11 +31,11 @@ from .witness import (
     _delta,
     _from_masks,
     _ghost,
+    _ghosts,
     _head,
-    _is_witness,
     _lower_faces,
     _mask_of,
-    _pairs,
+    _MaskTable,
     _validated,
 )
 
@@ -95,28 +95,31 @@ def membership(r: RoundCounter, sigma: WitnessStructure) -> bool:
 
 
 def _membership_test(r: RoundCounter) -> Callable[[Masks], bool]:
-    """:func:`membership` in ``r`` as a predicate on mask rows, with the
-    support mask and the processes of each row bound ``r(p)+1`` made once."""
+    """:func:`membership` in ``r`` as a predicate on mask rows.
+
+    It counts the rows of each process in a field of ``width`` bits of one
+    int: ``fields[row]`` has a 1 in the field of each process of the row.
+    Every row past the first holds a process, so a member has at most
+    ``most = Σ(r(p)+1) + 1`` rows, and a field holds that count below its
+    top bit.  Adding the top bits, then taking the bounds off, leaves a
+    top bit set exactly where a count reaches its bound, and likewise the
+    other way round."""
     support = _mask_of(r)
-    by_bound: dict[int, int] = {}
-    for p, count in r.items():
-        by_bound[count + 1] = by_bound.get(count + 1, 0) | 1 << p
-    top = max(by_bound, default=0) + 1
+    most = sum(r.values()) + len(r) + 1
+    width = most.bit_length() + 1
+    fields = _MaskTable(lambda mask: sum(1 << width * p for p in _bits(mask)))
+    tops = fields[support] << width - 1
+    bounds = sum(count + 1 << width * p for p, count in r.items())
 
     def test(m: Masks) -> bool:
-        if not _is_witness(m) or m[0] | m[1] != support:
+        if m[0] | m[1] != support or not all(m[2::2]) or len(m) > 2 * most:
             return False
-        # seen[k]: the processes that occur in at least k rows, k <= top.
-        seen = [support] + [0] * top
-        for w, g in _pairs(m):
-            row = w | g
-            for k in range(top, 0, -1):
-                seen[k] |= seen[k - 1] & row
-        active = _active_mask(m)
-        for bound, procs in by_bound.items():
-            if seen[bound + 1] & procs or active & procs & ~seen[bound]:
-                return False
-        return True
+        counts = sum(map(fields.__getitem__, map(or_, m[0::2], m[1::2])))
+        at_least = fields[_active_mask(m)] << width - 1
+        # No count above its bound, and an active process's count reaches it.
+        return (tops | bounds) - counts & tops == tops and (
+            (tops | counts) - bounds & at_least == at_least
+        )
 
     return test
 
@@ -243,7 +246,7 @@ class Complex:
         self._number = number
         self._lower = lower
         self._facets = frozenset(facet_set)
-        self._order: tuple[WitnessStructure, ...] | None = None
+        self._order: list[int] | None = None
         self._upper: Rows | None = None
         self._heads: HeadIndex | None = None
 
@@ -333,17 +336,22 @@ class Complex:
         return tuple(map(self._simplices.__getitem__, self._upper_rows()[self._index(sigma)]))
 
     def ordered(self) -> tuple[WitnessStructure, ...]:
-        """The simplices in ``encode`` order, sorted once, on first use."""
+        """The simplices in ``encode`` order."""
+        return tuple(map(self._simplices.__getitem__, self._encode_order()))
+
+    def _encode_order(self) -> list[int]:
+        """The simplex numbers in ``encode`` order, sorted once, on first use."""
         if self._order is None:
             self.encodings()
         return self._order
 
     def encodings(self) -> dict[WitnessStructure, str]:
         """Each simplex's ``encode()``, in number order; a first call also
-        sorts :meth:`ordered` on these strings, so none is encoded twice."""
+        sorts the ``encode`` order on these strings, so none is encoded twice."""
         code = {sigma: sigma.encode() for sigma in self._number}
         if self._order is None:
-            self._order = tuple(sorted(code, key=code.__getitem__))
+            codes = list(code.values())
+            self._order = sorted(range(len(codes)), key=codes.__getitem__)
         return code
 
     def head_index(self) -> HeadIndex:
@@ -379,14 +387,14 @@ class Complex:
             "facets": sorted(code[f] for f in self._facets),
         }
         if include_simplices:
-            codes, number, lower = list(code.values()), self._number, self._lower
+            codes, simplices, lower = list(code.values()), self._simplices, self._lower
             obj["simplices"] = [
                 {
                     "id": codes[i],
-                    "dim": sigma.dim,
+                    "dim": simplices[i].dim,
                     "faces": sorted([codes[j] for j in lower[i]]),
                 }
-                for sigma, i in zip(self._order, map(number.__getitem__, self._order))
+                for i in self._order
             ]
         return obj
 
@@ -398,6 +406,8 @@ class HeadIndex:
     buckets are nonempty and disjoint, so a union of buckets is named
     exactly by the int bitset of its head ids: equality, containment,
     intersection and union of such unions are those of their bitsets.
+    :mod:`~snapcomplex.strata` keeps the bitsets it computes in
+    ``_selected``, for the life of the complex.
     Heads are numbered, and buckets listed, in ``encode`` order, which is
     therefore the order of the buckets chained by ascending head id.
     The simplices come in that order: an encoding begins with the text of
@@ -411,23 +421,7 @@ class HeadIndex:
         runs = [(head, tuple(run)) for head, run in itertools.groupby(ordered, _head)]
         self.heads = tuple(head for head, _ in runs)
         self.buckets = tuple(bucket for _, bucket in runs)
-        self._selected: dict[object, int] = {}
-
-    def select(
-        self, key: object, make_test: Callable[[], Callable[[int, int, int, int], object]]
-    ) -> int:
-        """The bitset of the heads that pass ``make_test()``.  Each head is
-        tested once; the bitset is kept under ``key``, and a later call with
-        an equal key returns it without testing again."""
-        bits = self._selected.get(key)
-        if bits is None:
-            test = make_test()
-            bits = 0
-            for i, head in enumerate(self.heads):
-                if test(*head):
-                    bits |= 1 << i
-            self._selected[key] = bits
-        return bits
+        self._selected: dict[object, object] = {}
 
     def ordered(self, bits: int) -> list[WitnessStructure]:
         """The union of the buckets of the heads in ``bits``, in ``encode`` order."""
@@ -537,35 +531,37 @@ def check_purity(k: Complex) -> None:
 
 
 def _certify_iso(
-    domain: Collection,
-    lower: Callable[..., Iterable],
     image: Mapping,
-    target: Set,
-    target_lower: Callable[..., Iterable],
+    lower: Callable[..., Iterable],
+    size: int,
+    target_lower: Callable[[int], Iterable[int]],
     label: str,
+    word: Callable[..., str],
 ) -> None:
-    """Certify ``image`` as a simplicial isomorphism from ``domain`` onto
-    ``target``, each side given by its simplices and their lower covers.
+    """Certify ``image`` as a simplicial isomorphism from its keys onto a
+    target whose simplices are numbered ``0..size-1``, each side given by
+    its lower covers: ``lower`` of a key lists keys, and ``target_lower``
+    of a number lists numbers.  ``image`` maps each key to the number of
+    its image, or to a value that is no number where the image misses the
+    target.
 
     Raises :class:`VerificationError` naming ``label`` unless ``image`` is
-    a bijection onto ``target`` that carries each simplex's lower covers
+    a bijection onto the target that carries each simplex's lower covers
     onto its image's lower covers; a cover outside the domain fails, and
-    the error names the simplex by its ``encode()``.  Such a bijection
-    preserves the face relation both ways, and dimension too: on either
-    side only the empty simplex has no lower covers, so the claim follows
-    by induction.
+    the error names the simplex by ``word``.  Such a bijection preserves
+    the face relation both ways, and dimension too: on either side only
+    the empty simplex has no lower covers, so the claim follows by
+    induction.  Both sides are compared as numbers, and no structure is
+    hashed.
     """
     values = set(image.values())
-    if len(values) != len(domain):
+    if len(values) != len(image):
         raise VerificationError(f"{label} is not injective")
-    if values != target:
+    if values != set(range(size)):
         raise VerificationError(f"{label} is not onto the target complex")
-    for sigma in domain:
-        mapped = {image.get(face) for face in lower(sigma)}
-        if mapped != set(target_lower(image[sigma])):
-            raise VerificationError(
-                f"{label} breaks the face relation below {sigma.encode()}"
-            )
+    for key, j in image.items():
+        if set(map(image.get, lower(key))) != set(target_lower(j)):
+            raise VerificationError(f"{label} breaks the face relation below {word(key)}")
 
 
 # -- cone splitting over a passive process ------------------------------------
@@ -611,17 +607,22 @@ class ConeSplit:
         covers (face, False) for each such face."""
         if self.pairing[self.apex_vertex] != (self.base.empty_simplex, True):
             raise VerificationError("apex vertex does not map to the apex of the join")
-        base_lower = self.base._face_reader()
+        # (τ, flag) of the join is number 2·τ + flag, τ numbered in the base.
+        number, rows = self.base._number, self.base._lower
+        image = {}
+        for sigma, (tau, flag) in self.pairing.items():
+            j = number.get(tau)
+            image[sigma] = (tau, flag) if j is None else 2 * j + flag
 
-        def join_lower(pair: tuple[WitnessStructure, bool]) -> list:
-            tau, flag = pair
-            covers = [(face, flag) for face in base_lower(tau)]
-            return covers + [(tau, False)] if flag else covers
+        def join_lower(j: int) -> list[int]:
+            tau, flag = j >> 1, j & 1
+            covers = [2 * face + flag for face in rows[tau]]
+            return covers + [2 * tau] if flag else covers
 
-        join = {(tau, flag) for tau in self.base.simplices for flag in (False, True)}
         whole, label = self.complex, f"cone pairing at apex {self.apex}"
+        encode = WitnessStructure.encode
         _certify_iso(
-            whole.simplices, whole._face_reader(), self.pairing, join, join_lower, label
+            image, whole._face_reader(), 2 * len(self.base), join_lower, label, encode
         )
         return {
             "apex_process": self.apex,
@@ -668,23 +669,18 @@ def _hidden_masks(active: int) -> list[int]:
     return hide
 
 
-def _composition_plan(n: int) -> list[tuple[int, Callable[[tuple], tuple]]]:
-    """For a simplex with ``n`` colors: each position mask ``S``, with a
-    getter that picks out of the simplex's face row the faces
+def _composition_plan(n: int) -> Callable[[tuple], tuple]:
+    """For a simplex with ``n`` colors: a getter that picks out of the
+    simplex's face row, for each position mask ``S`` in turn, the faces
     ``ghost(σ,S∪T)``, ``T`` disjoint from ``S``, in the order of the face
     row of ``ghost(σ,S)``, whose position ``j`` is the ``j``-th color
     outside ``S``."""
-    plan = []
+    picks = []
     for s_part in range(1 << n):
         rest = [1 << i for i in range(n) if not s_part >> i & 1]
-        picks = []
         for j in range(1 << len(rest)):
             picks.append(s_part | sum(bit for b, bit in enumerate(rest) if j >> b & 1))
-        if len(picks) > 1:
-            plan.append((s_part, itemgetter(*picks)))
-        else:
-            plan.append((s_part, lambda row, u=picks[0]: (row[u],)))
-    return plan
+    return itemgetter(*picks) if len(picks) > 1 else lambda row: row[:1]
 
 
 def verify_ghost_composition(k: Complex) -> int:
@@ -694,54 +690,52 @@ def verify_ghost_composition(k: Complex) -> int:
     its active set, ``ghost(ghost(σ,S),T)`` must equal ``ghost(σ,S∪T)``,
     so a simplex of dimension ``d`` has ``3^(d+1)`` instances.
 
-    Each simplex's ``2^(d+1)`` faces ``ghost(σ,U)`` are ghosted, and
-    validated, once, and kept in a face table as the row of their numbers
-    in the complex's numbering, indexed by ``U``.  Ghosting is a pure
-    function of the masks, so for a face ``τ = ghost(σ,S)`` of the complex
-    whose active set is that of ``σ`` less ``S``, ``ghost(τ,T)`` is entry
-    ``T`` of ``τ``'s own row: the instances of one ``S`` hold together exactly when
-    ``τ``'s row equals the entries ``S ∪ T`` of ``σ``'s.  A simplex that
-    cannot be checked so, having a face outside the complex or of another
-    active set, or that fails, is checked again instance by instance,
-    ghosting every composed face anew, and that verdict stands.  Returns the
-    number of instances checked; raises :class:`VerificationError` at the
-    first disagreement, in ``encode`` order of the simplices.
+    Each simplex's ``2^(d+1)`` faces ``ghost(σ,U)`` are ghosted once, in
+    one call of :func:`~snapcomplex.witness._ghosts`, and looked up by
+    their masks among the simplices, and kept in a face table
+    as the row of their numbers, indexed by ``U``.  A face found there is a
+    stored simplex, which the build validated; a face that misses it is
+    validated by the check of its simplex one instance at a time, below.
+    Ghosting is a pure function of the masks, so for a face ``τ =
+    ghost(σ,S)`` of the complex whose active set is that of ``σ`` less
+    ``S``, ``ghost(τ,T)`` is entry ``T`` of ``τ``'s own row: the instances
+    of ``σ`` hold together exactly when the rows of its faces, chained in
+    the order of ``S``, equal the entries ``S ∪ T`` of ``σ``'s row.  A
+    simplex that cannot be checked so, having a face outside the complex
+    or of another active set, or that fails, is checked again instance by
+    instance, ghosting and validating every composed face anew, and that
+    verdict stands.  Returns the number of instances checked; raises
+    :class:`VerificationError` at the first disagreement, or the
+    :class:`ValueError` of a face that is no prestructure, in ``encode``
+    order of the simplices.
     """
-    simplices, number = k._simplices, k._number
-    actives = [_active_mask(sigma) for sigma in simplices]
-    hides: dict[int, list[int]] = {}
+    # Exact tuples as keys: a structure key compares slower with a face.
+    number = {tuple(sigma): i for sigma, i in k._number.items()}
+    actives = [_active_mask(sigma) for sigma in k._number]
+    hides: dict[int, tuple[list[int], list[int]]] = {}
     # rows[i]: the face row of simplex i; () where the table cannot serve it.
-    rows: list[tuple[int, ...] | None] = [None] * len(simplices)
-
-    def row(i: int) -> tuple[int, ...]:
-        if rows[i] is None:
-            active = actives[i]
-            if active not in hides:
-                hides[active] = _hidden_masks(active)
-            faces = []
-            for h in hides[active]:
-                j = number.get(_validated(_ghost(simplices[i], h)))
-                if j is None or actives[j] != active & ~h:
-                    faces = []
-                    break
-                faces.append(j)
-            rows[i] = tuple(faces)
-        return rows[i]
-
-    plans: dict[int, list[tuple[int, Callable[[tuple], tuple]]]] = {}
+    rows: list[tuple[int, ...]] = []
+    for sigma, active in zip(number, actives):
+        if active not in hides:
+            hide = _hidden_masks(active)
+            hides[active] = (hide, [active & ~h for h in hide])
+        hide, expected = hides[active]
+        try:
+            faces = list(map(number.get, _ghosts(sigma, hide)))
+        except ValueError:
+            faces = [None]
+        servable = None not in faces and list(map(actives.__getitem__, faces)) == expected
+        rows.append(tuple(faces) if servable else ())
+    plans: dict[int, Callable[[tuple], tuple]] = {}
     checked = 0
-    for sigma in k.ordered():
-        i = number[sigma]
+    for i in k._encode_order():
         n = actives[i].bit_count()
         if n not in plans:
             plans[n] = _composition_plan(n)
-        try:
-            own = row(i)
-            holds = bool(own) and all(row(own[s]) == pick(own) for s, pick in plans[n])
-        except ValueError:
-            holds = False
-        if not holds:
-            _check_composition_at(sigma, hides[actives[i]])
+        own = rows[i]
+        chained = itertools.chain.from_iterable(map(rows.__getitem__, own))
+        if not own or tuple(chained) != plans[n](own):
+            _check_composition_at(k._simplices[i], hides[actives[i]][0])
         checked += 3**n
     return checked
 
@@ -750,9 +744,9 @@ def _check_composition_at(sigma: WitnessStructure, hide: list[int]) -> None:
     """The instances of ``sigma``, one by one, in the order of
     :func:`_disjoint_pairs`; ``hide`` is :func:`_hidden_masks` of its
     active set."""
-    face = [_from_masks(_ghost(sigma, h)) for h in hide]
+    face = list(map(_from_masks, _ghosts(sigma, hide)))
     for s_part, t_part in _disjoint_pairs(len(hide).bit_length() - 1):
-        one = _from_masks(_ghost(face[s_part], hide[t_part]))
+        one = _from_masks(_ghosts(face[s_part], (hide[t_part],))[0])
         if one != face[s_part | t_part]:
             raise VerificationError(
                 f"ghosting {_bits(hide[s_part])} then {_bits(hide[t_part])} on "

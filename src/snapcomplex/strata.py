@@ -38,25 +38,25 @@ only validate their intermediates, and compute on mask tuples.
 
 from __future__ import annotations
 
+import functools
 import itertools
-from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .complexes import Complex, _certify_iso, _membership_test, _sub_builder
-from .counters import _check_pid
+from .counters import RoundCounter, _check_pid
 from .errors import VerificationError
 from .schedules import _nonempty_subsets, _subsets, _x_params
 from .witness import (
+    _SETS,
     Masks,
     WitnessStructure,
     _bits,
+    _braced,
     _delta,
     _from_masks,
-    _from_rows,
     _gamma,
     _head,
     _mask_of,
-    _splice,
     _validated,
 )
 
@@ -77,45 +77,56 @@ def _fmt_procs(values: Iterable[int]) -> str:
     return "{" + ",".join(str(p) for p in sorted(values)) + "}"
 
 
-@dataclass(frozen=True)
-class StratumRef:
-    """A symbolic name for one stratum; see the module docstring."""
-
+class _Stratum(NamedTuple):
     kind: str
     select: Procs = frozenset()
     absorbed: Procs = frozenset()
     dropped: Procs = frozenset()
 
-    def __post_init__(self) -> None:
-        if self.kind not in _KINDS:
-            raise ValueError(f"unknown stratum kind {self.kind!r}")
-        object.__setattr__(self, "select", _procs(self.select))
-        object.__setattr__(self, "absorbed", _procs(self.absorbed))
-        object.__setattr__(self, "dropped", _procs(self.dropped))
-        if self.kind in ("X", "Y", "XBV") and not self.absorbed <= self.select:
+
+class StratumRef(_Stratum):
+    """A symbolic name for one stratum; see the module docstring.
+
+    An immutable named tuple of ``kind``, ``select``, ``absorbed`` and
+    ``dropped``, whose process sets are checked when it is made."""
+
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        kind: str,
+        select: Iterable[int] = frozenset(),
+        absorbed: Iterable[int] = frozenset(),
+        dropped: Iterable[int] = frozenset(),
+    ) -> StratumRef:
+        if kind not in _KINDS:
+            raise ValueError(f"unknown stratum kind {kind!r}")
+        select, absorbed, dropped = _procs(select), _procs(absorbed), _procs(dropped)
+        if kind in ("X", "Y", "XBV") and not absorbed <= select:
             raise ValueError("absorbed set must lie inside the selected set")
-        if self.kind in ("Z", "B") and self.absorbed:
-            raise ValueError(f"{self.kind}-strata carry no absorbed set")
-        if self.kind in ("X", "Y", "Z") and self.dropped:
-            raise ValueError(f"{self.kind}-strata carry no dropped set")
-        if self.kind == "B" and self.select:
+        if kind in ("Z", "B") and absorbed:
+            raise ValueError(f"{kind}-strata carry no absorbed set")
+        if kind in ("X", "Y", "Z") and dropped:
+            raise ValueError(f"{kind}-strata carry no dropped set")
+        if kind == "B" and select:
             raise ValueError("B-strata carry no selected set")
+        return tuple.__new__(cls, (kind, select, absorbed, dropped))
 
     @classmethod
     def x(cls, select: Iterable[int], absorbed: Iterable[int] = ()) -> StratumRef:
-        return cls("X", frozenset(select), frozenset(absorbed))
+        return cls("X", select, absorbed)
 
     @classmethod
     def y(cls, select: Iterable[int], absorbed: Iterable[int] = ()) -> StratumRef:
-        return cls("Y", frozenset(select), frozenset(absorbed))
+        return cls("Y", select, absorbed)
 
     @classmethod
     def z(cls, select: Iterable[int]) -> StratumRef:
-        return cls("Z", frozenset(select))
+        return cls("Z", select)
 
     @classmethod
     def b(cls, dropped: Iterable[int]) -> StratumRef:
-        return cls("B", dropped=frozenset(dropped))
+        return cls("B", dropped=dropped)
 
     @classmethod
     def xbv(
@@ -124,7 +135,7 @@ class StratumRef:
         absorbed: Iterable[int] = (),
         dropped: Iterable[int] = (),
     ) -> StratumRef:
-        return cls("XBV", frozenset(select), frozenset(absorbed), frozenset(dropped))
+        return cls("XBV", select, absorbed, dropped)
 
     @classmethod
     def _of(
@@ -137,12 +148,7 @@ class StratumRef:
         """A reference made, without the checks, from process sets that are
         already validated and consistent: fields of other references, and
         unions of them."""
-        ref = object.__new__(cls)
-        object.__setattr__(ref, "kind", kind)
-        object.__setattr__(ref, "select", select)
-        object.__setattr__(ref, "absorbed", absorbed)
-        object.__setattr__(ref, "dropped", dropped)
-        return ref
+        return tuple.__new__(cls, (kind, select, absorbed, dropped))
 
     def __str__(self) -> str:
         if self.kind == "B":
@@ -207,9 +213,70 @@ def _head_test(ref: StratumRef) -> Callable[[int, int, int, int], bool]:
 
 
 def _member_bits(complex_: Complex, ref: StratumRef) -> int:
-    """The head bitset of the :func:`members` set of ``ref``, from the
-    complex's head index."""
-    return complex_.head_index().select(ref, lambda: _head_test(ref))
+    """The head bitset of the :func:`members` set of ``ref``: the heads of
+    the complex's head index that pass :func:`_head_test`, each tested
+    once; the bitset is kept on the index under ``ref``."""
+    index = complex_.head_index()
+    bits = index._selected.get(ref)
+    if bits is None:
+        test, bits = _head_test(ref), 0
+        for i, head in enumerate(index.heads):
+            if test(*head):
+                bits |= 1 << i
+        index._selected[ref] = bits
+    return bits
+
+
+def _submasks(mask: int) -> list[int]:
+    """Every submask of ``mask``, ``mask`` first and ``0`` last."""
+    out = [mask]
+    sub = mask
+    while sub:
+        sub = (sub - 1) & mask
+        out.append(sub)
+    return out
+
+
+def _tables(complex_: Complex) -> tuple[dict, dict, dict]:
+    """The head bitsets of the :func:`members` sets of every ``X_{S,A}``,
+    ``Y_{S,A}`` and ``Z_S`` with ``S`` in the active set, keyed by the
+    masks ``(S, A)``, ``(S, A)`` and ``S``; a ``Y`` that holds no head is
+    left out.  Made once per complex and kept on its head index.
+
+    The conditions of :func:`_head_test` are read the other way round:
+    for each head, the strata that hold it are listed.  A head with
+    ``W_1`` empty joins every ``X`` and ``Z``; otherwise, with ``U =
+    W_1 ∪ G_1``, it lies in ``X_{U,A}`` and ``Y_{U,A}`` for every ``A ⊆
+    G_1``, and in ``Z_S`` and ``X_{S,A}`` for every ``A ⊆ S ⊆ G_1``.
+    ``Y_{U,A}`` holds it whether ``W_1`` is empty or not."""
+    index = complex_.head_index()
+    tables = index._selected.get("tables")
+    if tables is None:
+        active = _mask_of(complex_.counter.active)
+        x: dict[tuple[int, int], int] = {}
+        y: dict[tuple[int, int], int] = {}
+        z: dict[int, int] = {}
+        one_row = 0
+        for i, (_, _, w1, g1) in enumerate(index.heads):
+            bit, u = 1 << i, w1 | g1
+            for a in _submasks(g1):
+                y[u, a] = y.get((u, a), 0) | bit
+            if not w1:
+                one_row |= bit
+                continue
+            if not u & ~active:
+                for a in _submasks(g1):
+                    x[u, a] = x.get((u, a), 0) | bit
+            for s in _submasks(g1 & active):
+                z[s] = z.get(s, 0) | bit
+                for a in _submasks(s):
+                    x[s, a] = x.get((s, a), 0) | bit
+        for s in _submasks(active):
+            z[s] = z.get(s, 0) | one_row
+            for a in _submasks(s):
+                x[s, a] = x.get((s, a), 0) | one_row
+        tables = index._selected["tables"] = (x, y, z)
+    return tables
 
 
 def members(complex_: Complex, ref: StratumRef) -> frozenset[WitnessStructure]:
@@ -227,7 +294,7 @@ def members(complex_: Complex, ref: StratumRef) -> frozenset[WitnessStructure]:
 
 
 def _sorted_members(complex_: Complex, ref: StratumRef) -> list[WitnessStructure]:
-    """:func:`members` in ``encode`` order, the order the checks visit."""
+    """:func:`members` in ``encode`` order."""
     return complex_.head_index().ordered(_member_bits(complex_, ref))
 
 
@@ -273,20 +340,21 @@ def rho(
     a = _mask_of(absorbed)
     if a & ~s:
         raise ValueError("absorbed set must lie inside the selected set")
-    return _rho(tau, s, a)
+    return _from_masks(_rho(tau, s, a))
 
 
-def _rho(tau: WitnessStructure, s: int, a: int) -> WitnessStructure:
-    """:func:`rho` with ``select`` and ``absorbed`` given as masks, ``a ⊆ s``."""
+def _rho(tau: Masks, s: int, a: int) -> Masks:
+    """:func:`rho` of the mask rows ``tau``, with ``select`` and
+    ``absorbed`` given as masks, ``a ⊆ s``, not yet validated."""
     v0, h0, w1, g1 = _head(tau)
     if a & (v0 | h0):
         raise ValueError("absorbed processes are still present in the simplex")
     h0 |= a
     if v0 & s:
-        return _from_masks(_splice(tau, 1, (v0 | (h0 & s), h0 & ~s), (v0 & s, h0 & s)))
-    if tau.t >= 1 and s & ~h0 == 0:
-        return _from_masks(_splice(tau, 2, (v0 | s, h0 & ~s), (w1, g1 | s)))
-    return _from_rows([(v0, h0)])
+        return (v0 | (h0 & s), h0 & ~s, v0 & s, h0 & s) + tau[2:]
+    if len(tau) > 2 and s & ~h0 == 0:
+        return (v0 | s, h0 & ~s, w1, g1 | s) + tau[4:]
+    return (v0, h0)
 
 
 def delta(sigma: WitnessStructure, dropped: Iterable[int]) -> WitnessStructure:
@@ -300,15 +368,16 @@ def delta(sigma: WitnessStructure, dropped: Iterable[int]) -> WitnessStructure:
 
 def delta_inverse(tau: WitnessStructure, dropped: Iterable[int]) -> WitnessStructure:
     """Reintroduce ``dropped`` as row-0 ghosts."""
-    return _delta_inverse(tau, _mask_of(dropped))
+    return _from_masks(_delta_inverse(tau, _mask_of(dropped)))
 
 
-def _delta_inverse(tau: WitnessStructure, v: int) -> WitnessStructure:
-    """:func:`delta_inverse` with ``dropped`` given as a mask."""
+def _delta_inverse(tau: Masks, v: int) -> Masks:
+    """:func:`delta_inverse` of the mask rows ``tau``, with ``dropped``
+    given as a mask, not yet validated."""
     w0, g0, _, _ = _head(tau)
     if v & (w0 | g0):
         raise ValueError("dropped processes are still present in the simplex")
-    return _from_masks(_splice(tau, 1, (w0, g0 | v)))
+    return (w0, g0 | v) + tau[2:]
 
 
 # ---------------------------------------------------------------------------
@@ -316,15 +385,47 @@ def _delta_inverse(tau: WitnessStructure, v: int) -> WitnessStructure:
 # ---------------------------------------------------------------------------
 
 
-def _incidence(s: Procs, a: Procs, t: Procs, b: Procs) -> bool:
-    """Is ``X_{S,A}`` contained in ``X_{T,B}``, by the symbolic criterion?
-    The sets are validated, with ``a ⊆ s`` and ``b ⊆ t``.
+def _incidence(s: int, a: int) -> set[tuple[int, int]]:
+    """Every ``(T, B)`` with ``X_{S,A}`` contained in ``X_{T,B}`` by the
+    symbolic criterion, as masks; the sets are masks, with ``a ⊆ s``.
 
     Containment holds exactly when the selected sets agree and the
     outer absorbed set is smaller, or the outer selected set sits
     inside the inner absorbed set.
     """
-    return (s == t and b <= a) or t <= a
+    inside = {(s, b) for b in _submasks(a)}
+    for t in _submasks(a):
+        inside.update((t, b) for b in _submasks(t))
+    return inside
+
+
+def _cap_x(s: int, a: int, t: int, b: int) -> tuple[str, int, int]:
+    """``X_{S,A} ∩ X_{T,B}`` in closed form, as ``(kind, select,
+    absorbed)`` masks; the sets are masks, with ``a ⊆ s`` and ``b ⊆ t``."""
+    if s == t:
+        return "X", s, a | b
+    if not s & ~t:
+        return "X", t, s | b
+    if not t & ~s:
+        return "X", s, t | a
+    return "Z", s | t, 0
+
+
+def _cap_family(selects: Iterable[int]) -> tuple[str, int, int]:
+    """The intersection of the ``X_S`` of a nonempty family of select
+    masks in closed form, as ``(kind, select, absorbed)`` masks: if one
+    selected set contains every other, the family collapses onto it with
+    the rest absorbed; otherwise the intersection degenerates to the
+    ``Z`` stratum of the union."""
+    distinct = set(selects)
+    union = rest = 0
+    for s in distinct:
+        union |= s
+    if union not in distinct:
+        return "Z", union, 0
+    for s in distinct - {union}:
+        rest |= s
+    return "X", union, rest
 
 
 def intersect_refs(first: StratumRef, second: StratumRef) -> StratumRef | None:
@@ -355,14 +456,10 @@ def intersect_refs(first: StratumRef, second: StratumRef) -> StratumRef | None:
         if z.select <= x.select:
             return make("X", x.select, x.absorbed | z.select)
         return make("Z", x.select | z.select)
-    # X/X, the symmetric core of the calculus.
-    if first.select == second.select:
-        return make("X", first.select, first.absorbed | second.absorbed)
-    if first.select < second.select:
-        return make("X", second.select, first.select | second.absorbed)
-    if second.select < first.select:
-        return make("X", first.select, second.select | first.absorbed)
-    return make("Z", first.select | second.select)
+    # X/X, the symmetric core of the calculus, which it certifies.
+    masks = map(_mask_of, (first.select, first.absorbed, second.select, second.absorbed))
+    kind, select, absorbed = _cap_x(*masks)
+    return make(kind, _SETS[select], _SETS[absorbed])
 
 
 def intersect_pair(
@@ -387,14 +484,11 @@ def intersect_family(selects: Iterable[Iterable[int]]) -> StratumRef:
     the ``Z`` stratum of the union, which is also what folding the
     family pairwise produces.
     """
-    distinct = {_procs(s) for s in selects}
+    distinct = {_mask_of(s) for s in selects}
     if not distinct:
         raise ValueError("cannot intersect an empty family")
-    tops = [s for s in distinct if all(t <= s for t in distinct)]
-    if tops:
-        top = tops[0]
-        return StratumRef._of("X", top, frozenset().union(*(distinct - {top})))
-    return StratumRef._of("Z", frozenset().union(*distinct))
+    kind, select, absorbed = _cap_family(distinct)
+    return StratumRef._of(kind, _SETS[select], _SETS[absorbed])
 
 
 # ---------------------------------------------------------------------------
@@ -402,8 +496,7 @@ def intersect_family(selects: Iterable[Iterable[int]]) -> StratumRef:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class NerveReport:
+class NerveReport(NamedTuple):
     """The nerve of the cover by closed ``X_S`` strata.
 
     ``spanning`` holds every set of cover elements whose members share a
@@ -474,139 +567,112 @@ def verify_strata_calculus(complex_: Complex) -> dict[str, int]:
     found must be exactly those; anything else raises.
 
     Member sets are compared as head bitsets (see the module docstring),
-    and each stratum reference is made once per parameter choice.
+    read from :func:`_tables`, and every loop runs on the masks of the
+    parameters: the closed forms are :func:`_incidence`, :func:`_cap_x`
+    and :func:`_cap_family`, which the public intersections also use.
     """
-    active = frozenset(complex_.counter.active)
-    subsets = [frozenset(s) for s in _subsets(sorted(active))]
-    sa_pairs = _x_params(active)
-
-    x_refs = [StratumRef.x(s, a) for s, a in sa_pairs]
-    mem_x = {(ref.select, ref.absorbed): _member_bits(complex_, ref) for ref in x_refs}
-    mem_z = {s: _member_bits(complex_, StratumRef.z(s)) for s in subsets}
-    y_cache: dict[tuple[Procs, Procs], int] = {}
-
-    def mem_y(s: Procs, a: Procs) -> int:
-        if not a <= s:
-            return 0
-        if (s, a) not in y_cache:
-            y_cache[s, a] = _member_bits(complex_, StratumRef.y(s, a))
-        return y_cache[s, a]
-
-    def mem_ref(ref: StratumRef) -> int:
-        if ref.kind == "Z":
-            return mem_x[ref.select, ref.select]
-        return mem_x[ref.select, ref.absorbed]
+    x, y, z = _tables(complex_)
+    active = complex_.counter.active
+    act = _mask_of(active)
+    subsets = [_mask_of(s) for s in _subsets(sorted(active))]
+    xs = [(s, a, x[s, a]) for s, a in (map(_mask_of, pair) for pair in _x_params(active))]
 
     # Containment criterion against setwise containment.
-    containments = 0
-    mismatches: set[tuple[Procs, Procs, Procs, Procs]] = set()
-    for s, a in sa_pairs:
-        inner = mem_x[s, a]
-        for t, b in sa_pairs:
-            claim = _incidence(s, a, t, b)
-            actual = not inner & ~mem_x[t, b]
-            if claim and not actual:
-                raise VerificationError(
-                    f"criterion asserts X_{_fmt_procs(s)},{_fmt_procs(a)} ⊆ "
-                    f"X_{_fmt_procs(t)},{_fmt_procs(b)} but the member sets disagree"
-                )
-            if actual and not claim:
-                mismatches.add((s, a, t, b))
-            containments += 1
-    predicted = {(s, s, active, b) for s, b in sa_pairs if len(active - s) == 1}
+    outside = [(t, b, ~outer) for t, b, outer in xs]
+    mismatches = set()
+    for s, a, inner in xs:
+        claimed = _incidence(s, a)
+        actual = {(t, b) for t, b, out in outside if not inner & out}
+        if not claimed <= actual:
+            t, b = next((t, b) for t, b, _ in xs if (t, b) in claimed - actual)
+            raise VerificationError(
+                f"criterion asserts X_{_braced(s)},{_braced(a)} ⊆ "
+                f"X_{_braced(t)},{_braced(b)} but the member sets disagree"
+            )
+        mismatches.update((s, a, t, b) for t, b in actual - claimed)
+    predicted = {(s, s, act, b) for s, b, _ in xs if (act & ~s).bit_count() == 1}
     if mismatches != predicted:
-        unexpected = sorted(
-            (sorted(s), sorted(a), sorted(t), sorted(b))
-            for s, a, t, b in mismatches ^ predicted
-        )
+        unexpected = sorted(tuple(map(_bits, pair)) for pair in mismatches ^ predicted)
         raise VerificationError(
             f"containment criterion defects are not the characterized ones: "
             f"{unexpected[:4]}"
         )
 
     # The three Y/Z intersection identities.
-    yz_identities = 0
     for s in subsets:
         for t in subsets:
-            if mem_z[s] & mem_z[t] != mem_z[s | t]:
-                raise VerificationError(
-                    f"Z_{_fmt_procs(s)} ∩ Z_{_fmt_procs(t)} ≠ Z of the union"
-                )
-            yz_identities += 1
-    for s, a in sa_pairs:
-        if not s:
-            continue
-        left = mem_y(s, a)
+            if z[s] & z[t] != z[s | t]:
+                raise VerificationError(f"Z_{_braced(s)} ∩ Z_{_braced(t)} ≠ Z of the union")
+    for s, a, _ in xs[1:]:  # every S ≠ ∅
+        left = y.get((s, a), 0)
         for t in subsets:
-            if left & mem_z[t] != mem_y(s, a | t):
+            if left & z[t] != y.get((s, a | t), 0):
                 raise VerificationError(
-                    f"Y_{_fmt_procs(s)},{_fmt_procs(a)} ∩ Z_{_fmt_procs(t)} "
-                    "is not the absorbed form"
+                    f"Y_{_braced(s)},{_braced(a)} ∩ Z_{_braced(t)} is not the absorbed form"
                 )
-            yz_identities += 1
-    for s, a in sa_pairs:
-        for t, b in sa_pairs:
-            expected = mem_y(s, a | b) if s == t else 0
-            if mem_y(s, a) & mem_y(t, b) != expected:
+    ys = [(t, b, y.get((t, b), 0)) for t, b, _ in xs]
+    same: dict[int, list[tuple[int, int, int]]] = {}
+    for t, b, bits in ys:
+        same.setdefault(t, []).append((t, b, bits))
+    # The Y of another select set: its pairs hold at once if Y_{S,A} meets none.
+    other = {s: 0 for s in same}
+    for t, _, bits in ys:
+        for s in other:
+            if s != t:
+                other[s] |= bits
+    for s, a, _ in xs:
+        left = y.get((s, a), 0)
+        for t, b, right in ys if left & other[s] else same[s]:
+            expected = y.get((s, a | b), 0) if s == t else 0
+            if left & right != expected:
                 raise VerificationError(
-                    f"Y_{_fmt_procs(s)},{_fmt_procs(a)} ∩ "
-                    f"Y_{_fmt_procs(t)},{_fmt_procs(b)} is off"
+                    f"Y_{_braced(s)},{_braced(a)} ∩ Y_{_braced(t)},{_braced(b)} is off"
                 )
-            yz_identities += 1
 
-    # Pairwise closed-form intersections.
-    pair_intersections = 0
-    for first in x_refs:
-        s, a = first.select, first.absorbed
-        for second in x_refs:
-            t, b = second.select, second.absorbed
-            ref = intersect_refs(first, second)
-            assert ref is not None  # every X/X pairing has a closed form
-            if mem_ref(ref) != mem_x[s, a] & mem_x[t, b]:
+    # Pairwise closed-form intersections; a Z_S result has the members of
+    # X_{S,S}.
+    cap = _cap_x
+    for s, a, first in xs:
+        for t, b, second in xs:
+            kind, select, absorbed = cap(s, a, t, b)
+            if x[select, select if kind == "Z" else absorbed] != first & second:
+                ref = StratumRef._of(kind, _SETS[select], _SETS[absorbed])
                 raise VerificationError(
-                    f"X_{_fmt_procs(s)},{_fmt_procs(a)} ∩ "
-                    f"X_{_fmt_procs(t)},{_fmt_procs(b)} ≠ members of {ref}"
+                    f"X_{_braced(s)},{_braced(a)} ∩ X_{_braced(t)},{_braced(b)} "
+                    f"≠ members of {ref}"
                 )
-            pair_intersections += 1
 
     # Families of up to three distinct covering strata.
     family_intersections = 0
-    nonempty = [s for s in subsets if s]
     for count in (1, 2, 3):
-        for family in itertools.combinations(nonempty, count):
-            ref = intersect_family(family)
-            expected = mem_x[family[0], frozenset()]
+        for family in itertools.combinations(subsets[1:], count):
+            kind, select, absorbed = _cap_family(family)
+            expected = x[family[0], 0]
             for s in family[1:]:
-                expected &= mem_x[s, frozenset()]
-            if mem_ref(ref) != expected:
+                expected &= x[s, 0]
+            if x[select, select if kind == "Z" else absorbed] != expected:
+                ref = StratumRef._of(kind, _SETS[select], _SETS[absorbed])
                 raise VerificationError(
-                    f"family intersection over "
-                    f"{[sorted(s) for s in family]} ≠ members of {ref}"
+                    f"family intersection over {list(map(_bits, family))} ≠ members of {ref}"
                 )
             family_intersections += 1
 
     # Z_A as the union of the proper enlargements X_{T,A}.
-    union_formulas = 0
-    for a in subsets:
-        if a == active:
-            continue
+    for a in subsets[:-1]:  # every A but the active set, which comes last
         union = 0
         for t in subsets:
-            if a < t:
-                union |= mem_x[t, a]
-        if mem_x[a, a] != union:
-            raise VerificationError(
-                f"Z_{_fmt_procs(a)} is not the union of its enlargements"
-            )
-        union_formulas += 1
+            if t != a and not a & ~t:
+                union |= x[t, a]
+        if x[a, a] != union:
+            raise VerificationError(f"Z_{_braced(a)} is not the union of its enlargements")
 
     return {
-        "containments": containments,
+        "containments": len(xs) ** 2,
         "known_containment_defects": len(predicted),
-        "yz_identities": yz_identities,
-        "pair_intersections": pair_intersections,
+        "yz_identities": len(subsets) ** 2 + (len(xs) - 1) * len(subsets) + len(xs) ** 2,
+        "pair_intersections": len(xs) ** 2,
         "family_intersections": family_intersections,
-        "union_formulas": union_formulas,
+        "union_formulas": len(subsets) - 1,
     }
 
 
@@ -620,49 +686,81 @@ def verify_translation_maps(complex_: Complex) -> dict[str, int]:
     members of ``B_V`` onto the complex of the shrunken counter, for
     every proper ``V ⊆ supp``.  The target
     complexes are built under the size of ``complex_``, which bounds them.
+
+    Each image is computed once and looked up in its target, by masks: a
+    hit is a simplex the build validated, and only a miss is validated,
+    so that one which is no prestructure raises the :class:`ValueError`
+    of making it a structure.  Images are then compared as simplex
+    numbers, and the inverses as masks.
     """
     counter = complex_.counter
     target_for = _sub_builder(complex_)
-    faces = complex_._face_reader()
+    simplices, rows, number = complex_._simplices, complex_._lower, complex_._number
+    x = _tables(complex_)[0]
+    # Each head's bucket is a run of the encode order of the numbers.
+    order = complex_._encode_order()
+    starts = list(itertools.accumulate(map(len, complex_.head_index().buckets), initial=0))
+
+    def members_of(bits: int) -> list[int]:
+        return [i for h in _bits(bits) for i in order[starts[h] : starts[h + 1]]]
+
+    def word(i: int) -> str:
+        return _text(simplices[i])
+
+    def certified(
+        domain: list[int], image: Callable[[Masks], Masks], target: Complex, label: str
+    ) -> dict:
+        """Each image's number in ``target``, or its masks for a miss,
+        certified by :func:`_certify_iso`."""
+        found = {}
+        for i in domain:
+            m = image(simplices[i])
+            j = target._number.get(m)
+            found[i] = _validated(m) if j is None else j
+        _certify_iso(found, rows.__getitem__, len(target), target._lower.__getitem__, label, word)
+        return found
 
     gamma_strata = 0
     rho_roundtrips = 0
     delta_strata = 0
-    for s, a in _x_params(counter.active):
-        s_mask, a_mask = _mask_of(s), _mask_of(a)
-        label = f"γ_{_fmt_procs(s)},{_fmt_procs(a)}"
-        domain = _sorted_members(complex_, StratumRef.x(s, a))
-        target = target_for(counter.restrict(s, a))
-        image = {sigma: _from_masks(_gamma(sigma, s_mask, a_mask)) for sigma in domain}
-        _certify_iso(domain, faces, image, target.simplices, target._face_reader(), label)
+    for select, absorbed in _x_params(counter.active):
+        s, a = _mask_of(select), _mask_of(absorbed)
+        label = f"γ_{_braced(s)},{_braced(a)}"
+        domain = members_of(x[s, a])
+        target = target_for(counter.restrict(select, absorbed))
+        found = certified(domain, lambda m: _gamma(m, s, a), target, label)
         gamma_strata += 1
         if a:
             continue
-        members_set = frozenset(domain)
-        for sigma in domain:
-            if _rho(image[sigma], s_mask, 0) != sigma:
+        for i in domain:
+            back = _rho(target._simplices[found[i]], s, 0)
+            if back != simplices[i]:
+                _validated(back)
                 raise VerificationError(
-                    f"ρ_{_fmt_procs(s)} does not undo {label} on {sigma.encode()}"
+                    f"ρ_{_braced(s)} does not undo {label} on {word(i)}"
                 )
-        for tau in target.ordered():
-            back = _rho(tau, s_mask, 0)
-            if back not in members_set or _validated(_gamma(back, s_mask, 0)) != tau:
+        members_set = set(domain)
+        for j in target._encode_order():
+            back = _rho(target._simplices[j], s, 0)
+            i = number.get(back)
+            if i not in members_set or found[i] != j:
+                _validated(back)
                 raise VerificationError(
-                    f"ρ_{_fmt_procs(s)} is not a right inverse on {tau.encode()}"
+                    f"ρ_{_braced(s)} is not a right inverse on {_text(target._simplices[j])}"
                 )
             rho_roundtrips += 1
     # Every V ⊆ supp but supp itself, which _subsets lists last.
     for dropped in list(_subsets(sorted(counter.support)))[:-1]:
-        v = frozenset(dropped)
-        v_mask = _mask_of(v)
-        label = f"δ_{_fmt_procs(v)}"
-        domain = _sorted_members(complex_, StratumRef.b(v))
-        target = target_for(counter.delete(v))
-        image = {sigma: _from_masks(_delta(sigma, v_mask)) for sigma in domain}
-        _certify_iso(domain, faces, image, target.simplices, target._face_reader(), label)
-        for sigma in domain:
-            if _delta_inverse(image[sigma], v_mask) != sigma:
-                raise VerificationError(f"{label} round trip fails on {sigma.encode()}")
+        v = _mask_of(dropped)
+        label = f"δ_{_braced(v)}"
+        domain = members_of(_member_bits(complex_, StratumRef.b(dropped)))
+        target = target_for(counter.delete(dropped))
+        found = certified(domain, lambda m: _delta(m, v), target, label)
+        for i in domain:
+            back = _delta_inverse(target._simplices[found[i]], v)
+            if back != simplices[i]:
+                _validated(back)
+                raise VerificationError(f"{label} round trip fails on {word(i)}")
         delta_strata += 1
     return {
         "gamma_strata": gamma_strata,
@@ -676,8 +774,7 @@ def verify_translation_maps(complex_: Complex) -> dict[str, int]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class DiagramReport:
+class DiagramReport(NamedTuple):
     """One verified parameter choice of one diagram."""
 
     diagram: str
@@ -698,134 +795,166 @@ def _fail(diagram: str, sigma: WitnessStructure, detail: str) -> VerificationErr
     return VerificationError(f"diagram {diagram} breaks at {sigma.encode()}: {detail}")
 
 
-def _check_restriction_composition(complex_: Complex) -> Iterator[DiagramReport]:
-    """Peeling ``S ∪ A`` while deleting ``A`` equals peeling ``A`` then ``S``."""
-    counter = complex_.counter
-    active = sorted(counter.active)
-    for absorbed in _nonempty_subsets(active):
-        a = frozenset(absorbed)
-        a_mask = _mask_of(a)
-        rest = [p for p in active if p not in a]
-        deleted = counter.delete(a)
-        in_deleted = _membership_test(deleted)
-        for select in _nonempty_subsets(rest):
-            s = frozenset(select)
-            s_mask = _mask_of(s)
-            in_x_s = _head_test(StratumRef.x(s))
-            checked = 0
-            for sigma in _sorted_members(complex_, StratumRef.x(s | a, a)):
-                mid = _validated(_gamma(sigma, a_mask, a_mask))
-                if not in_deleted(mid):
-                    raise _fail(
-                        "restriction-composition",
-                        sigma,
-                        f"peeling {sorted(a)} leaves {_text(mid)}, "
-                        f"not a simplex over {deleted.to_text()!r}",
-                    )
-                if not in_x_s(*_head(mid)):
-                    raise _fail(
-                        "restriction-composition",
-                        sigma,
-                        f"{_text(mid)} misses the stratum X_{_fmt_procs(s)}",
-                    )
-                two_step = _validated(_gamma(mid, s_mask, 0))
-                one_step = _gamma(sigma, s_mask | a_mask, a_mask)
-                if two_step != one_step:
-                    raise _fail(
-                        "restriction-composition",
-                        sigma,
-                        f"{_text(two_step)} != {_text(_validated(one_step))}",
-                    )
-                checked += 1
-            yield DiagramReport(
-                "restriction-composition",
-                {"select": sorted(s), "absorbed": sorted(a)},
-                checked,
-            )
+class _Diagrams:
+    """The three diagram checks of one complex, and what they compute
+    once between them.
 
+    A stratum's members are the buckets of the heads in its bitset
+    (``heads``), and the γ_{S,A} images of a bucket are computed once, the
+    first time an instance needs one (``peel``), since every simplex of a
+    bucket is in or out of ``X_{S,A}`` alike.  Each distinct mask tuple is
+    validated once (:meth:`ok`, which the loops inline), and tested once
+    for membership in each target counter (:meth:`member`): membership
+    stays the definitional :func:`~snapcomplex.complexes.membership`, read
+    from no complex.  Validation runs where each instance needs it, in the
+    instance order, so the first invalid mask raises as on structures.
+    """
 
-def _check_restriction_absorbs_drop(complex_: Complex) -> Iterator[DiagramReport]:
-    """Absorbing extra ghosts after peeling equals absorbing them during it.
-
-    The peel ``right`` absorbing all of ``A`` is made, and tested for
-    membership, once per simplex, on the first kept-absorbed subset (the
-    empty one); every ``left`` is compared with it."""
-    counter = complex_.counter
-    for s, a in _x_params(counter.active)[1:]:  # every S ≠ ∅
-        s_mask, a_mask = _mask_of(s), _mask_of(a)
-        shrunk = counter.restrict(s, a)
-        in_shrunk = _membership_test(shrunk)
-        stratum = _sorted_members(complex_, StratumRef.x(s, a))
-        peeled: list[Masks | None] = [None] * len(stratum)
-        for small in _subsets(sorted(a)):
-            b_mask = _mask_of(small)
-            for i, sigma in enumerate(stratum):
-                left = _delta(_validated(_gamma(sigma, s_mask, b_mask)), a_mask & ~b_mask)
-                right = peeled[i]
-                fresh = right is None
-                if fresh:
-                    _validated(left)
-                    right = peeled[i] = _validated(_gamma(sigma, s_mask, a_mask))
-                if left != right:
-                    raise _fail(
-                        "restriction-absorbs-drop",
-                        sigma,
-                        f"{_text(_validated(left))} != {_text(right)}",
-                    )
-                if fresh and not in_shrunk(right):
-                    raise _fail(
-                        "restriction-absorbs-drop",
-                        sigma,
-                        f"{_text(right)} is not a simplex over {shrunk.to_text()!r}",
-                    )
-            yield DiagramReport(
-                "restriction-absorbs-drop",
-                {"select": sorted(s), "absorbed": sorted(a), "kept_absorbed": list(small)},
-                len(stratum),
-            )
-
-
-def _check_drop_restriction_commute(complex_: Complex) -> Iterator[DiagramReport]:
-    """Forgetting row-0 ghosts commutes with peeling round one."""
-    counter = complex_.counter
-    # Row-0 ghost masks -> their subsets as masks, the empty one first.
-    drops: dict[int, list[int]] = {}
-    for s, a in _x_params(counter.active)[1:]:  # every S ≠ ∅
-        s_mask, a_mask = _mask_of(s), _mask_of(a)
-        # Dropped mask -> membership in the dropped-and-stepped counter.
-        in_target: dict[int, Callable[[Masks], bool]] = {}
-        checked = 0
-        for sigma in _sorted_members(complex_, StratumRef.x(s, a)):
-            loose = sigma[1] & ~s_mask  # the row-0 ghosts outside S
-            if loose not in drops:
-                drops[loose] = [sum(1 << p for p in v) for v in _subsets(_bits(loose))]
-            peeled = _validated(_gamma(sigma, s_mask, a_mask))
-            for v_mask in drops[loose]:
-                left = _validated(_delta(peeled, v_mask))
-                right = _gamma(_validated(_delta(sigma, v_mask)), s_mask, a_mask)
-                if left != right:
-                    raise _fail(
-                        "drop-restriction-commute",
-                        sigma,
-                        f"{_text(left)} != {_text(_validated(right))}",
-                    )
-                if v_mask not in in_target:
-                    in_target[v_mask] = _membership_test(
-                        counter.delete(_bits(v_mask)).restrict(s, a)
-                    )
-                if not in_target[v_mask](left):
-                    raise _fail(
-                        "drop-restriction-commute",
-                        sigma,
-                        f"{_text(left)} is not a simplex over the "
-                        "dropped-and-stepped counter",
-                    )
-                checked += 1
-        yield DiagramReport(
-            "drop-restriction-commute",
-            {"select": sorted(s), "absorbed": sorted(a)},
-            checked,
+    def __init__(self, complex_: Complex):
+        self.counter = complex_.counter
+        x = _tables(complex_)[0]
+        self.heads = functools.cache(lambda s, a: _bits(x[s, a]))
+        buckets = self.buckets = complex_.head_index().buckets
+        self.valid: set[Masks] = set()
+        self.tests: dict[RoundCounter, Callable[[Masks], bool]] = {}
+        self.peel = functools.cache(
+            lambda s, a, h: [_gamma(sigma, s, a) for sigma in buckets[h]]
         )
+
+    def ok(self, m: Masks) -> Masks:
+        """``m``, validated unless it was before."""
+        if m not in self.valid:
+            self.valid.add(_validated(m))
+        return m
+
+    def member(self, counter: RoundCounter) -> Callable[[Masks], bool]:
+        """:func:`_membership_test` of ``counter``, once per mask tuple."""
+        test = self.tests.get(counter)
+        if test is None:
+            test = self.tests[counter] = functools.cache(_membership_test(counter))
+        return test
+
+    def restriction_composition(self) -> Iterator[DiagramReport]:
+        """Peeling ``S ∪ A`` while deleting ``A`` equals peeling ``A`` then ``S``."""
+        name, counter, ok, valid, peel, buckets = "restriction-composition", *self._run()
+        active = sorted(counter.active)
+        for absorbed in _nonempty_subsets(active):
+            a = _mask_of(absorbed)
+            deleted = counter.delete(absorbed)
+            in_deleted = self.member(deleted)
+            for select in _nonempty_subsets([p for p in active if not a >> p & 1]):
+                s = _mask_of(select)
+                in_x_s = _head_test(StratumRef.x(select))
+                checked = 0
+                for h in self.heads(s | a, a):
+                    for sigma, mid, one_step in zip(buckets[h], peel(a, a, h), peel(s | a, a, h)):
+                        if mid not in valid:
+                            valid.add(_validated(mid))
+                        if not in_deleted(mid):
+                            raise _fail(
+                                name,
+                                sigma,
+                                f"peeling {list(absorbed)} leaves {_text(mid)}, "
+                                f"not a simplex over {deleted.to_text()!r}",
+                            )
+                        if not in_x_s(*_head(mid)):
+                            raise _fail(
+                                name, sigma, f"{_text(mid)} misses the stratum X_{_braced(s)}"
+                            )
+                        two_step = _gamma(mid, s, 0)
+                        if two_step not in valid:
+                            valid.add(_validated(two_step))
+                        if two_step != one_step:
+                            raise _fail(
+                                name, sigma, f"{_text(two_step)} != {_text(ok(one_step))}"
+                            )
+                    checked += len(buckets[h])
+                yield DiagramReport(
+                    name, {"select": list(select), "absorbed": list(absorbed)}, checked
+                )
+
+    def restriction_absorbs_drop(self) -> Iterator[DiagramReport]:
+        """Absorbing extra ghosts after peeling equals absorbing them during
+        it.  The peel ``right`` absorbing all of ``A`` is validated, and
+        tested for membership, on the first kept-absorbed subset (the empty
+        one); every ``left`` is compared with it."""
+        name, counter, ok, valid, peel, buckets = "restriction-absorbs-drop", *self._run()
+        for select, absorbed in _x_params(counter.active)[1:]:  # every S ≠ ∅
+            s, a = _mask_of(select), _mask_of(absorbed)
+            shrunk = counter.restrict(select, absorbed)
+            in_shrunk = self.member(shrunk)
+            heads = self.heads(s, a)
+            for small in _subsets(sorted(absorbed)):
+                b = _mask_of(small)
+                drop = a & ~b
+                for h in heads:
+                    for sigma, inner, right in zip(buckets[h], peel(s, b, h), peel(s, a, h)):
+                        if inner not in valid:
+                            valid.add(_validated(inner))
+                        left = _delta(inner, drop)
+                        if not small:
+                            if left not in valid:
+                                valid.add(_validated(left))
+                            if right not in valid:
+                                valid.add(_validated(right))
+                        if left != right:
+                            raise _fail(name, sigma, f"{_text(ok(left))} != {_text(right)}")
+                        if not small and not in_shrunk(right):
+                            raise _fail(
+                                name,
+                                sigma,
+                                f"{_text(right)} is not a simplex over {shrunk.to_text()!r}",
+                            )
+                parameters = {"select": sorted(select), "absorbed": sorted(absorbed)}
+                parameters["kept_absorbed"] = list(small)
+                yield DiagramReport(name, parameters, sum(len(buckets[h]) for h in heads))
+
+    def drop_restriction_commute(self) -> Iterator[DiagramReport]:
+        """Forgetting row-0 ghosts commutes with peeling round one."""
+        name, counter, ok, valid, peel, buckets = "drop-restriction-commute", *self._run()
+        # Row-0 ghost masks -> their subsets as masks, the empty one first.
+        drops: dict[int, list[int]] = {}
+        for select, absorbed in _x_params(counter.active)[1:]:  # every S ≠ ∅
+            s, a = _mask_of(select), _mask_of(absorbed)
+            stepped = counter.restrict(select, absorbed)
+            # Dropped mask -> membership in the dropped-and-stepped counter.
+            in_target: dict[int, Callable[[Masks], bool]] = {}
+            checked = 0
+            for h in self.heads(s, a):
+                for sigma, peeled in zip(buckets[h], peel(s, a, h)):
+                    loose = sigma[1] & ~s  # the row-0 ghosts outside S
+                    if loose not in drops:
+                        drops[loose] = list(map(_mask_of, _subsets(_bits(loose))))
+                    if peeled not in valid:
+                        valid.add(_validated(peeled))
+                    for v in drops[loose]:
+                        left = _delta(peeled, v)
+                        if left not in valid:
+                            valid.add(_validated(left))
+                        dropped = _delta(sigma, v)
+                        if dropped not in valid:
+                            valid.add(_validated(dropped))
+                        # γ of masks equal to sigma's is the peel already made.
+                        right = peeled if dropped == sigma else _gamma(dropped, s, a)
+                        if left != right:
+                            raise _fail(name, sigma, f"{_text(left)} != {_text(ok(right))}")
+                        if v not in in_target:
+                            # V lies outside S, so deleting it commutes with the step.
+                            in_target[v] = self.member(stepped.delete(_bits(v)))
+                        if not in_target[v](left):
+                            raise _fail(
+                                name,
+                                sigma,
+                                f"{_text(left)} is not a simplex over the "
+                                "dropped-and-stepped counter",
+                            )
+                    checked += len(drops[loose])
+            yield DiagramReport(
+                name, {"select": sorted(select), "absorbed": sorted(absorbed)}, checked
+            )
+
+    def _run(self) -> tuple:
+        return self.counter, self.ok, self.valid, self.peel, self.buckets
 
 
 def verify_diagrams(complex_: Complex) -> list[DiagramReport]:
@@ -840,10 +969,12 @@ def verify_diagrams(complex_: Complex) -> list[DiagramReport]:
     this raises :class:`VerificationError`, or the :class:`ValueError` of
     an invalid intermediate, at the first offending instance and worded
     as on structures; otherwise it returns one report per diagram and
-    parameter choice with the number of verified instances.
+    parameter choice with the number of verified instances.  What the
+    three diagrams share is computed once (see :class:`_Diagrams`).
     """
+    run = _Diagrams(complex_)
     reports: list[DiagramReport] = []
-    reports.extend(_check_restriction_composition(complex_))
-    reports.extend(_check_restriction_absorbs_drop(complex_))
-    reports.extend(_check_drop_restriction_commute(complex_))
+    reports.extend(run.restriction_composition())
+    reports.extend(run.restriction_absorbs_drop())
+    reports.extend(run.drop_restriction_commute())
     return reports

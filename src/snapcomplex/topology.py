@@ -7,17 +7,15 @@ set of those numbers; structures appear only in results and errors.
 from __future__ import annotations
 
 from collections import Counter as Multiset
-from collections.abc import Container, Sequence
-from dataclasses import dataclass
-from typing import Iterable
+from collections.abc import Container
+from typing import Iterable, NamedTuple
 
 from .complexes import Complex, Rows, _numbering, _reach
 from .errors import VerificationError
 from .witness import WitnessStructure, _lower_faces
 
 
-@dataclass(frozen=True)
-class BoundaryReport:
+class BoundaryReport(NamedTuple):
     """Ridge census of a pure complex and its boundary subcomplex.
 
     ``ghost_rule_holds`` records whether the boundary (the closure of
@@ -123,7 +121,7 @@ def homology_z2(source: Complex | Iterable[WitnessStructure]) -> dict[int, int]:
     collection's simplices are ghosted into their faces.
     """
     if isinstance(source, Complex):
-        return _homology_in(source, range(len(source)))
+        return _betti(source._encode_order(), source._lower, source._simplices)
     order = sorted(frozenset(source), key=WitnessStructure.encode)
     simplices, _, rows = _numbering(order, map(_lower_faces, order))
     return _betti(range(len(order)), rows, simplices)
@@ -132,25 +130,27 @@ def homology_z2(source: Complex | Iterable[WitnessStructure]) -> dict[int, int]:
 def _homology_in(k: Complex, members: Container[int]) -> dict[int, int]:
     """:func:`homology_z2` of the subcomplex of ``k`` whose simplices are
     numbered ``members``."""
-    order = [i for i in map(k._number.__getitem__, k.ordered()) if i in members]
+    order = [i for i in k._encode_order() if i in members]
     return _betti(order, k._lower, k._simplices)
 
 
 def _betti(
-    order: Iterable[int], rows: Rows, simplices: Sequence[WitnessStructure]
+    order: Iterable[int], rows: Rows, simplices: list[WitnessStructure]
 ) -> dict[int, int]:
     """Reduced mod-2 Betti numbers of the simplices numbered ``order``,
     given in ``encode`` order, which keeps the elimination short: row ``i``
-    of ``rows`` lists the faces of ``simplices[i]`` by number, and a face
-    outside ``order`` is a :class:`ValueError`."""
+    of ``rows`` lists the faces of ``simplices[i]`` by number, one for each
+    of its colors, so a simplex's dimension is its row's length less one;
+    a face outside ``order`` is a :class:`ValueError`."""
     by_dim: dict[int, list[int]] = {}
+    start = rows.start
     for i in order:
-        by_dim.setdefault(simplices[i].dim, []).append(i)
+        by_dim.setdefault(start[i + 1] - start[i] - 1, []).append(i)
     if not by_dim:
         raise ValueError("need at least the empty simplex")
     top = max(by_dim)
     index = {d: {i: row for row, i in enumerate(members)} for d, members in by_dim.items()}
-    flat, start = rows.flat, rows.start
+    flat = rows.flat
     ranks: dict[int, int] = {}
     for d in range(0, top + 1):
         below = index.get(d - 1, {})

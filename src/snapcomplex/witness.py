@@ -18,18 +18,17 @@ ids must be small integers: at most :data:`MAX_PROCESS_ID`.
 
 Each operation on the rows is written once, as a function of a mask tuple
 (a structure is one) that returns its result unvalidated: :func:`_head`
-reads the first two rows, :func:`_ghost` forgets processes (and
-:func:`_lower_faces` each active process in turn), :func:`_splice`
-replaces the first rows, :func:`_delta` forgets row-0 ghosts and
-:func:`_gamma` peels off round one.  The last two are the mask forms of
-the stratum maps δ and γ; they live here, not in
-:mod:`~snapcomplex.strata`, so that a collapse, which derives smaller
-complexes through them, loads no more than this module.
-:func:`_from_masks` is the one constructor from masks, and it validates
-with :func:`_validated`: a caller wraps a result in it at the step where it
-needs a structure, or only validates it where a mask tuple will do, and a
-build looks a face up by its masks first, so that only a new face is
-validated.  :func:`ghost` is the validated face map.
+reads the first two rows, :func:`_ghost` forgets processes (:func:`_ghosts`
+by each of several masks, :func:`_lower_faces` each active process in
+turn), :func:`_delta` forgets row-0 ghosts and :func:`_gamma` peels off
+round one.  The last two are the mask forms of the stratum maps δ and γ;
+they live here, not in :mod:`~snapcomplex.strata`, so that a collapse,
+which derives smaller complexes through them, loads no more than this
+module.  :func:`_from_masks` is the one constructor from masks, and it
+validates with :func:`_validated`: a caller wraps a result in it at the
+step where it needs a structure, or only validates it where a mask tuple
+will do, and a build looks a face up by its masks first, so that only a
+new face is validated.  :func:`ghost` is the validated face map.
 
 Rows are addressed leniently: reading past the last row yields the empty
 set, which is the convention used throughout the stratification code.
@@ -338,15 +337,6 @@ def _head(m: Masks) -> Masks:
     return m[:4] if len(m) > 2 else m + (0, 0)
 
 
-def _splice(m: Masks, k: int, *head: tuple[int, int]) -> Masks:
-    """The mask rows ``head`` followed by the rows of ``m`` from row ``k``
-    on, not yet validated."""
-    out: Masks = ()
-    for row in head:
-        out += row
-    return out + m[2 * k :]
-
-
 def _delta(m: Masks, v: int) -> Masks:
     """δ: ``m`` with the row-0 ghosts of the mask ``v`` forgotten entirely,
     not yet validated.  ``v`` must consist of row-0 ghosts."""
@@ -367,15 +357,15 @@ def _gamma(m: Masks, s: int, a: int) -> Masks:
     a one-row ``m`` the map removes ``a`` from the ghost row; otherwise
     row 1 is consumed: ghosts of ``s`` fall back into row 0 and survivors
     merge with row 0's witnesses."""
-    w0, g0, w1, g1 = _head(m)
     if len(m) == 2:
-        if w0 & s:
+        if m[0] & s:
             raise ValueError(f"{WitnessStructure.encode(m)} is not in the stratum X_{_braced(s)}")
-        return _splice(m, 1, (w0, g0 & ~a))
+        return (m[0], m[1] & ~a)
+    w0, g0, w1, g1 = m[:4]
     if s & ~g1 == 0:
-        head_w, head_g, kept = w0 & ~s, g0 | s, [(w1, g1 & ~s)]
+        head_g, head = g0 | s, (w0 & ~s, (g0 | s) & ~a, w1, g1 & ~s)
     elif w1 | g1 == s:
-        head_w, head_g, kept = w0 & ~g1, g0 | g1, []
+        head_g, head = g0 | g1, (w0 & ~g1, (g0 | g1) & ~a)
     else:
         raise ValueError(f"{WitnessStructure.encode(m)} is not in the stratum X_{_braced(s)}")
     if a & ~head_g:
@@ -383,7 +373,7 @@ def _gamma(m: Masks, s: int, a: int) -> Masks:
             f"{WitnessStructure.encode(m)} is not in the stratum "
             f"X_{{{_braced(s)},{_braced(a)}}}"
         )
-    return _splice(m, 2, (head_w, head_g & ~a), *kept)
+    return head + m[4:]
 
 
 def _braced(mask: int) -> str:
@@ -443,31 +433,41 @@ def _lower_faces(m: Masks) -> list[Masks]:
 def _ghost(m: Masks, hide: int) -> Masks:
     """:func:`ghost` of the mask rows ``m``, with ``hide`` given as a mask,
     not yet validated."""
+    return _ghosts(m, (hide,))[0]
+
+
+def _ghosts(m: Masks, hides: Iterable[int]) -> list[Masks]:
+    """:func:`_ghost` of ``m`` by each mask of ``hides``: the one walk of
+    :func:`ghost`, with what depends on ``m`` alone made once."""
     m = m[:]  # an exact tuple: CPython specialises item reads on those alone
     active = _active_mask(m)
-    if hide & ~active:
-        raise ValueError(
-            f"cannot ghost {_bits(hide & ~active)}: not active in the structure"
-        )
-    absorbed = hide | ((m[0] | m[1]) & ~active)
-    cut = len(m) - 2
-    while cut and not m[cut] & ~absorbed:
-        cut -= 2
-    pending = hide
-    for g in m[cut + 3 :: 2]:
-        pending |= g
-    # Walk back from the cut, so a process is met first at its last row,
-    # collecting (G, W) pairs in reverse.  The row at the cut keeps a
-    # witness outside ``absorbed``, so ``out`` is nonempty whenever a later
-    # row has to take over an emptied row's ghosts.
-    out: list[int] = []
-    for i in range(cut, 0, -2):
-        moved = m[i] & pending
-        pending ^= moved
-        if m[i] ^ moved:
-            out += (m[i + 1] | moved, m[i] ^ moved)
-        else:
-            out[-2] |= m[i + 1] | moved
-    out += (m[1] | pending, m[0] & ~pending)
-    out.reverse()
-    return tuple(out)
+    passive = (m[0] | m[1]) & ~active
+    faces = []
+    for hide in hides:
+        if hide & ~active:
+            raise ValueError(
+                f"cannot ghost {_bits(hide & ~active)}: not active in the structure"
+            )
+        absorbed = hide | passive
+        cut = len(m) - 2
+        while cut and not m[cut] & ~absorbed:
+            cut -= 2
+        pending = hide
+        for g in m[cut + 3 :: 2]:
+            pending |= g
+        # Walk back from the cut, so a process is met first at its last row,
+        # collecting (G, W) pairs in reverse.  The cut row keeps a witness
+        # outside ``absorbed``: ``out`` holds a row for an emptied one's ghosts.
+        out: list[int] = []
+        for i in range(cut, 0, -2):
+            w = m[i]
+            moved = w & pending
+            pending ^= moved
+            if w ^ moved:
+                out += (m[i + 1] | moved, w ^ moved)
+            else:
+                out[-2] |= m[i + 1] | moved
+        out += (m[1] | pending, m[0] & ~pending)
+        out.reverse()
+        faces.append(tuple(out))
+    return faces

@@ -339,14 +339,15 @@ def test_ghosting_composes_over_disjoint_sets(get_complex):
 def test_ghost_composition_ghosts_each_face_once(text, get_complex, monkeypatch):
     k = get_complex(text)
     calls = 0
-    real = complexes._ghost
+    real = complexes._ghosts
 
-    def counting(sigma, hide):
+    def counting(sigma, hides):
         nonlocal calls
-        calls += 1
-        return real(sigma, hide)
+        faces = real(sigma, hides)
+        calls += len(faces)
+        return faces
 
-    monkeypatch.setattr(complexes, "_ghost", counting)
+    monkeypatch.setattr(complexes, "_ghosts", counting)
     assert verify_ghost_composition(k) == sum(3 ** (s.dim + 1) for s in k.simplices)
     # One ghost per subset of the active set; the composed faces are read
     # from the face table.
@@ -379,12 +380,13 @@ def test_ghost_composition_catches_one_corrupted_composition(get_complex, monkey
     k = get_complex("2,1,1")
     edge = min((s for s in k.simplices if s.dim == 1), key=WitnessStructure.encode)
     hide = 1 << min(edge.active_set)
-    real = complexes._ghost
+    real = complexes._ghosts
 
-    def corrupted(sigma, mask):
-        return sigma if sigma == edge and mask == hide else real(sigma, mask)
+    def corrupted(sigma, masks):
+        faces = real(sigma, masks)
+        return [sigma if sigma == edge and h == hide else f for h, f in zip(masks, faces)]
 
-    monkeypatch.setattr(complexes, "_ghost", corrupted)
+    monkeypatch.setattr(complexes, "_ghosts", corrupted)
     with pytest.raises(VerificationError, match="ghosting"):
         verify_ghost_composition(k)
 
@@ -404,7 +406,7 @@ def test_ghost_composition_fails_as_the_reference_on_a_corrupted_face(
     def corrupted(tau, mask):
         return real(tau, 1 << second if tau == sigma and mask == 1 << first else mask)
 
-    monkeypatch.setattr(complexes, "_ghost", corrupted)
+    monkeypatch.setattr(complexes, "_ghosts", lambda m, hides: [corrupted(m, h) for h in hides])
     monkeypatch.setattr(gg_reference, "_ghost", corrupted)
     with pytest.raises((VerificationError, ValueError)) as fast:
         verify_ghost_composition(k)

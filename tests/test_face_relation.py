@@ -104,7 +104,20 @@ class IsoCase:
 
     def certify(self, image: dict, domain: list | None = None) -> None:
         domain = self.domain if domain is None else domain
-        _certify_iso(domain, self.lower, image, self.target, self.target_lower, self.label)
+        certify(domain, self.lower, image, self.target, self.target_lower, self.label)
+
+
+def certify(domain, lower, image, target, target_lower, label) -> None:
+    """``_certify_iso`` of ``image`` onto the set ``target``, whose members
+    are numbered here; an image outside ``target`` keeps its value."""
+    listed = list(target)
+    number = {tau: j for j, tau in enumerate(listed)}
+    numbered = {sigma: number.get(image[sigma], image[sigma]) for sigma in domain}
+
+    def numbered_lower(j):
+        return [number.get(face, face) for face in target_lower(listed[j])]
+
+    _certify_iso(numbered, lower, len(listed), numbered_lower, label, _encode)
 
 
 def all_pairs_face_check(case: IsoCase, image: dict) -> None:
@@ -272,7 +285,7 @@ def test_cover_check_rejects_a_cover_outside_the_domain(get_complex):
     }
     rest = [s for s in case.domain if s != vertex]
     with pytest.raises(VerificationError, match="face relation"):
-        _certify_iso(
+        certify(
             rest, case.lower, image, frozenset(target_lower), target_lower.__getitem__, case.label
         )
 

@@ -100,6 +100,27 @@ def test_the_topology_checks_load_no_strata():
     assert "snapcomplex.strata" not in loaded
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", "-r", "1,1,1,1", "--checks", "CHECKS"),
+        ("strata", "-r", "2,1", "--list"),
+    ],
+    ids=["verify", "strata-list"],
+)
+def test_certification_loads_no_dataclasses(argv):
+    loaded = _modules_after(
+        "import contextlib, io\n"
+        "from snapcomplex.cli import CHECK_ORDER, main\n"
+        f"argv = [a.replace('CHECKS', ','.join(CHECK_ORDER)) for a in {list(argv)!r}]\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert main(argv) == 0\n"
+    )
+    assert {"snapcomplex.strata", "snapcomplex.complexes"} <= loaded
+    assert "dataclasses" not in loaded
+    assert "inspect" not in loaded
+
+
 def test_every_public_name_resolves_from_the_root():
     names = snapcomplex.__all__
     assert len(set(names)) == len(names)

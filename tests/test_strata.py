@@ -29,6 +29,7 @@ from snapcomplex import (
 from snapcomplex import counters, strata, witness
 from snapcomplex.complexes import HeadIndex
 from snapcomplex.errors import VerificationError
+from snapcomplex.schedules import _subsets
 from snapcomplex.strata import _head_test, _incidence, _member_bits, _x_params
 from snapcomplex.witness import _head
 
@@ -162,15 +163,16 @@ def test_delta_round_trip(get_complex):
     assert delta(A0, {1}) == ws(({0}, ()), ({0}, ()))
 
 
-def _fs(*items):
-    return frozenset(items)
+def _mask(*items):
+    return witness._mask_of(items)
 
 
 def test_incidence_criterion():
-    assert _incidence(_fs(0, 1), _fs(1), _fs(1), _fs())  # T inside A
-    assert _incidence(_fs(0), _fs(0), _fs(0), _fs())  # same selection, smaller absorption
-    assert not _incidence(_fs(0), _fs(), _fs(0), _fs(0))
-    assert not _incidence(_fs(0), _fs(), _fs(1), _fs())
+    assert (_mask(1), _mask()) in _incidence(_mask(0, 1), _mask(1))  # T inside A
+    # The same selection and a smaller absorption.
+    assert (_mask(0), _mask()) in _incidence(_mask(0), _mask(0))
+    assert (_mask(0), _mask(0)) not in _incidence(_mask(0), _mask())
+    assert (_mask(1), _mask()) not in _incidence(_mask(0), _mask())
 
 
 def test_incidence_has_the_known_blind_spot(get_complex):
@@ -178,7 +180,7 @@ def test_incidence_has_the_known_blind_spot(get_complex):
     # "not contained" although the containment does hold setwise; the
     # calculus verifier counts these blind spots exactly.
     k = get_complex("1,1")
-    assert not _incidence(_fs(0), _fs(0), _fs(0, 1), _fs())
+    assert (_mask(0, 1), _mask()) not in _incidence(_mask(0), _mask(0))
     assert members(k, StratumRef.x({0}, {0})) <= members(k, StratumRef.x({0, 1}))
 
 
@@ -375,8 +377,40 @@ def test_calculus_tests_each_head_once_per_stratum(monkeypatch):
     monkeypatch.setattr(strata, "_head_test", counting)
     verify_strata_calculus(k)
     # A scan of every simplex would make 1 194 tests per member set, and
-    # again for every repeated reference.
+    # again for every repeated reference.  The calculus reads its member
+    # sets from the tables, which list the strata of each head once, and
+    # tests no head against a stratum.
     assert calls <= len(refs) * len(k.head_index().heads)
+    assert calls == 0
+
+
+@pytest.mark.parametrize("text", ["1,1", "2,1", "1,0,1", "2,1,0,1", "2,1,1,1"])
+def test_the_tables_hold_the_head_tests_bitsets(text, get_complex):
+    k = get_complex(text)
+    x, y, z = strata._tables(k)
+    active = sorted(k.counter.active)
+    for s, a in _x_params(active):
+        key = (witness._mask_of(s), witness._mask_of(a))
+        assert x[key] == _member_bits(k, StratumRef.x(s, a))
+        assert y.get(key, 0) == _member_bits(k, StratumRef.y(s, a))
+    for s in _subsets(active):
+        assert z[witness._mask_of(s)] == _member_bits(k, StratumRef.z(s))
+
+
+def test_the_tables_of_a_doctored_complex_hold_its_head_tests(get_complex):
+    # A simplex of 2,1 put into 1,1, and one left out, as the per-simplex
+    # scan judges them.
+    k = get_complex("1,1")
+    for doctored in (
+        _doctored(k, add=get_complex("2,1").simplices - k.simplices),
+        _doctored(k, drop={C0}),
+    ):
+        x, y, z = strata._tables(doctored)
+        for s, a in _x_params(k.counter.active):
+            key = (witness._mask_of(s), witness._mask_of(a))
+            assert x[key] == _member_bits(doctored, StratumRef.x(s, a))
+            assert y.get(key, 0) == _member_bits(doctored, StratumRef.y(s, a))
+            assert z[key[0]] == _member_bits(doctored, StratumRef.z(s))
 
 
 @pytest.mark.parametrize(

@@ -80,6 +80,24 @@ def test_homology_from_the_covers_matches_the_ghosting_path(text, get_complex):
     assert _homology_in(k, {k._number[s] for s in rim}) == homology_z2(rim)
 
 
+@pytest.mark.parametrize("text", ["2,1,1", "1,1,1,1"])
+def test_homology_reads_the_order_and_the_dimensions_off_the_rows(
+    text, get_complex, monkeypatch
+):
+    # No structure is looked up to find its number, and none is asked for
+    # its dimension: the encode order of numbers is kept on the complex.
+    k = get_complex(text)
+    rim = {k._number[s] for s in boundary(k).simplices}
+    expected = homology_z2(k), _homology_in(k, rim)
+
+    def refuse(*args):
+        raise AssertionError("read a structure")
+
+    monkeypatch.setattr(WitnessStructure, "dim", property(refuse))
+    monkeypatch.setattr(Complex, "ordered", refuse)
+    assert (homology_z2(k), _homology_in(k, rim)) == expected
+
+
 def _doctored(k, facets, drop=()):
     """``k`` through the mapping constructor, with ``facets`` and without
     the simplices ``drop``, which stay named as covers."""
