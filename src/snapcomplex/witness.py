@@ -418,7 +418,7 @@ def _lower_faces(m: Masks) -> list[Masks]:
         hide = rest & -rest
         rest ^= hide
         if not witnessed or last and not m[last] & ~(hide | passive):
-            faces.append(_ghost(m, hide))
+            faces += _ghosts(m, (hide,))
             continue
         r = last
         while r and not m[r] & hide:
@@ -431,8 +431,7 @@ def _lower_faces(m: Masks) -> list[Masks]:
 
 
 def _ghost(m: Masks, hide: int) -> Masks:
-    """:func:`ghost` of the mask rows ``m``, with ``hide`` given as a mask,
-    not yet validated."""
+    """:func:`ghost` of the mask rows ``m``, ``hide`` a mask, not yet validated."""
     return _ghosts(m, (hide,))[0]
 
 
@@ -442,22 +441,22 @@ def _ghosts(m: Masks, hides: Iterable[int]) -> list[Masks]:
     m = m[:]  # an exact tuple: CPython specialises item reads on those alone
     active = _active_mask(m)
     passive = (m[0] | m[1]) & ~active
+    last = len(m) - 2
+    later = [0] * (last + 1)  # later[c]: the ghosts of the rows past index c
+    for c in range(last - 2, -1, -2):
+        later[c] = later[c + 2] | m[c + 3]
     faces = []
     for hide in hides:
         if hide & ~active:
-            raise ValueError(
-                f"cannot ghost {_bits(hide & ~active)}: not active in the structure"
-            )
+            raise ValueError(f"cannot ghost {_bits(hide & ~active)}: not active in the structure")
         absorbed = hide | passive
-        cut = len(m) - 2
+        cut = last
         while cut and not m[cut] & ~absorbed:
             cut -= 2
-        pending = hide
-        for g in m[cut + 3 :: 2]:
-            pending |= g
+        pending = hide | later[cut]
         # Walk back from the cut, so a process is met first at its last row,
         # collecting (G, W) pairs in reverse.  The cut row keeps a witness
-        # outside ``absorbed``: ``out`` holds a row for an emptied one's ghosts.
+        # outside ``absorbed``, so ``out`` has a row for an emptied one's ghosts.
         out: list[int] = []
         for i in range(cut, 0, -2):
             w = m[i]
