@@ -210,9 +210,9 @@ class Complex:
     of numbers.  The structure-facing queries map between structures and
     numbers at the edge: :attr:`simplices` is a read-only set view of the
     numbering's keys, not a frozenset; all queries are pure.  The
-    ``encode`` order (:meth:`ordered`) and the head index
-    (:meth:`head_index`) are likewise made once, on first use; the index
-    keeps the head bitsets of the strata queried so far.
+    ``encode`` order of the numbers (:meth:`ordered` maps it to structures)
+    and the head index (:meth:`head_index`) are made once, on first use;
+    the index keeps the head bitsets of the strata queried so far.
 
     ``Complex(counter, lower_covers, facets)`` numbers the keys of
     ``lower_covers`` in their order.  A cover outside those keys is

@@ -24,16 +24,18 @@ complex's head index: the stratum's one test runs once per head, and the
 result is an int bitset of head ids, kept on the index per stratum
 reference for the life of the complex.  The certifications below compare
 member sets as these bitsets, which is exact because the buckets of
-simplices behind distinct heads are disjoint and nonempty.  They also
-validate each process set once per parameter choice and hand masks to
-the private forms ``_gamma``, ``_rho`` and ``_delta`` of the maps.
-``_gamma`` and ``_delta`` take a mask tuple (a structure is one) and
-return the image unvalidated; they live in :mod:`~snapcomplex.witness`,
-as :func:`~snapcomplex.schedules._x_params` lives in ``schedules``, so
-that the collapse engine, which uses them too, need not load this
-module.  A caller makes a structure of it, which
-validates it, at the step where it needs one; the commuting diagrams
-only validate their intermediates, and compute on mask tuples.
+simplices behind distinct heads are disjoint and nonempty; they read the
+bitsets of every ``X``, ``Y`` and ``Z`` stratum at once from
+:func:`_tables`, which lists for each head the strata that hold it.
+They run on the masks of the parameters, and hand masks to the private
+forms ``_gamma``, ``_rho`` and ``_delta`` of the maps, which return the
+image unvalidated.  ``_gamma`` and ``_delta`` live in
+:mod:`~snapcomplex.witness`, as :func:`~snapcomplex.schedules._x_params`
+lives in ``schedules``, so that the collapse engine, which uses them too,
+need not load this module.  A check computes each image once: one that
+equals a simplex of the complex it must land in is validated already,
+only a miss is validated, and each distinct mask is validated, and
+tested for membership in a counter, at most once per check.
 """
 
 from __future__ import annotations
@@ -290,12 +292,7 @@ def members(complex_: Complex, ref: StratumRef) -> frozenset[WitnessStructure]:
     and ``B`` strata are returned literally -- ``B`` is closed as it
     stands, ``Y`` need not be.
     """
-    return frozenset(_sorted_members(complex_, ref))
-
-
-def _sorted_members(complex_: Complex, ref: StratumRef) -> list[WitnessStructure]:
-    """:func:`members` in ``encode`` order."""
-    return complex_.head_index().ordered(_member_bits(complex_, ref))
+    return frozenset(complex_.head_index().ordered(_member_bits(complex_, ref)))
 
 
 # ---------------------------------------------------------------------------
