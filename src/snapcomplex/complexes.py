@@ -95,7 +95,8 @@ def membership(r: RoundCounter, sigma: WitnessStructure) -> bool:
 
 
 def _membership_test(r: RoundCounter) -> Callable[[Masks], bool]:
-    """:func:`membership` in ``r`` as a predicate on mask rows.
+    """:func:`membership` in ``r`` as a predicate on the mask rows of a
+    prestructure, as every caller's are.
 
     It counts the rows of each process in a field of ``width`` bits of one
     int: ``fields[row]`` has a 1 in the field of each process of the row.
