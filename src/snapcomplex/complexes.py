@@ -713,20 +713,20 @@ def verify_ghost_composition(k: Complex) -> int:
     # Exact tuples as keys: a structure key compares slower with a face.
     number = {tuple(sigma): i for sigma, i in k._number.items()}
     actives = [_active_mask(sigma) for sigma in k._number]
-    hides: dict[int, tuple[list[int], list[int]]] = {}
+    hides: dict[int, tuple[list[int], tuple[int, ...]]] = {}
     # rows[i]: the face row of simplex i; () where the table cannot serve it.
     rows: list[tuple[int, ...]] = []
     for sigma, active in zip(number, actives):
         if active not in hides:
             hide = _hidden_masks(active)
-            hides[active] = (hide, [active & ~h for h in hide])
+            hides[active] = (hide, tuple(active & ~h for h in hide))
         hide, expected = hides[active]
         try:
-            faces = list(map(number.get, _ghosts(sigma, hide)))
+            faces = tuple(map(number.get, _ghosts(sigma, hide)))
         except ValueError:
-            faces = [None]
-        servable = None not in faces and list(map(actives.__getitem__, faces)) == expected
-        rows.append(tuple(faces) if servable else ())
+            faces = (None,)
+        servable = None not in faces and tuple(map(actives.__getitem__, faces)) == expected
+        rows.append(faces if servable else ())
     plans: dict[int, Callable[[tuple], tuple]] = {}
     checked = 0
     for i in k._encode_order():

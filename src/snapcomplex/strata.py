@@ -59,6 +59,7 @@ from .witness import (
     _gamma,
     _head,
     _mask_of,
+    _MaskTable,
     _validated,
 )
 
@@ -813,7 +814,7 @@ class _Diagrams:
         self.heads = functools.cache(lambda s, a: _bits(x[s, a]))
         buckets = self.buckets = complex_.head_index().buckets
         self.valid: set[Masks] = set()
-        self.tests: dict[RoundCounter, Callable[[Masks], bool]] = {}
+        self.tests: dict[RoundCounter, dict[Masks, bool]] = {}
         self.peel = functools.cache(
             lambda s, a, h: [_gamma(sigma, s, a) for sigma in buckets[h]]
         )
@@ -824,11 +825,12 @@ class _Diagrams:
             self.valid.add(_validated(m))
         return m
 
-    def member(self, counter: RoundCounter) -> Callable[[Masks], bool]:
-        """:func:`_membership_test` of ``counter``, once per mask tuple."""
+    def member(self, counter: RoundCounter) -> dict[Masks, bool]:
+        """Mask tuple -> :func:`_membership_test` of ``counter``, each
+        tested on its first lookup."""
         test = self.tests.get(counter)
         if test is None:
-            test = self.tests[counter] = functools.cache(_membership_test(counter))
+            test = self.tests[counter] = _MaskTable(_membership_test(counter))
         return test
 
     def restriction_composition(self) -> Iterator[DiagramReport]:
@@ -847,7 +849,7 @@ class _Diagrams:
                     for sigma, mid, one_step in zip(buckets[h], peel(a, a, h), peel(s | a, a, h)):
                         if mid not in valid:
                             valid.add(_validated(mid))
-                        if not in_deleted(mid):
+                        if not in_deleted[mid]:
                             raise _fail(
                                 name,
                                 sigma,
@@ -896,7 +898,7 @@ class _Diagrams:
                                 valid.add(_validated(right))
                         if left != right:
                             raise _fail(name, sigma, f"{_text(ok(left))} != {_text(right)}")
-                        if not small and not in_shrunk(right):
+                        if not small and not in_shrunk[right]:
                             raise _fail(
                                 name,
                                 sigma,
@@ -915,7 +917,7 @@ class _Diagrams:
             s, a = _mask_of(select), _mask_of(absorbed)
             stepped = counter.restrict(select, absorbed)
             # Dropped mask -> membership in the dropped-and-stepped counter.
-            in_target: dict[int, Callable[[Masks], bool]] = {}
+            in_target: dict[int, dict[Masks, bool]] = {}
             checked = 0
             for h in self.heads(s, a):
                 for sigma, peeled in zip(buckets[h], peel(s, a, h)):
@@ -938,7 +940,7 @@ class _Diagrams:
                         if v not in in_target:
                             # V lies outside S, so deleting it commutes with the step.
                             in_target[v] = self.member(stepped.delete(_bits(v)))
-                        if not in_target[v](left):
+                        if not in_target[v][left]:
                             raise _fail(
                                 name,
                                 sigma,
