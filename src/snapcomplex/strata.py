@@ -931,10 +931,12 @@ class _Diagrams:
                         if left not in valid:
                             valid.add(_validated(left))
                         dropped = _delta(sigma, v)
-                        if dropped not in valid:
-                            valid.add(_validated(dropped))
-                        # γ of masks equal to sigma's is the peel already made.
-                        right = peeled if dropped == sigma else _gamma(dropped, s, a)
+                        if dropped == sigma:  # a simplex, with its peel made
+                            right = peeled
+                        else:
+                            if dropped not in valid:
+                                valid.add(_validated(dropped))
+                            right = _gamma(dropped, s, a)
                         if left != right:
                             raise _fail(name, sigma, f"{_text(left)} != {_text(ok(right))}")
                         if v not in in_target:
