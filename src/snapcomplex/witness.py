@@ -442,18 +442,16 @@ def _ghosts(m: Masks, hides: Iterable[int]) -> list[Masks]:
     active = _active_mask(m)
     passive = (m[0] | m[1]) & ~active
     last = len(m) - 2
-    later = [0] * (last + 1)  # later[c]: the ghosts of the rows past index c
-    for c in range(last - 2, -1, -2):
-        later[c] = later[c + 2] | m[c + 3]
     faces = []
     for hide in hides:
         if hide & ~active:
             raise ValueError(f"cannot ghost {_bits(hide & ~active)}: not active in the structure")
         absorbed = hide | passive
         cut = last
+        pending = hide  # and the ghosts of the rows past the cut
         while cut and not m[cut] & ~absorbed:
+            pending |= m[cut + 1]
             cut -= 2
-        pending = hide | later[cut]
         # Walk back from the cut, so a process is met first at its last row,
         # collecting (G, W) pairs in reverse.  The cut row keeps a witness
         # outside ``absorbed``, so ``out`` has a row for an emptied one's ghosts.
