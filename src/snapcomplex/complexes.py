@@ -407,8 +407,9 @@ class HeadIndex:
     buckets are nonempty and disjoint, so a union of buckets is named
     exactly by the int bitset of its head ids: equality, containment,
     intersection and union of such unions are those of their bitsets.
-    :mod:`~snapcomplex.strata` keeps the bitsets it computes in
-    ``_selected``, for the life of the complex.
+    :mod:`~snapcomplex.strata` keeps, for the life of the complex, the
+    bitset of each stratum reference in ``_selected`` and its tables of
+    every ``X``, ``Y`` and ``Z`` stratum in ``_tables``.
     Heads are numbered, and buckets listed, in ``encode`` order, which is
     therefore the order of the buckets chained by ascending head id.
     The simplices come in that order: an encoding begins with the text of
@@ -416,13 +417,14 @@ class HeadIndex:
     first of a simplex has witnesses, so each head's simplices form a run.
     """
 
-    __slots__ = ("heads", "buckets", "_selected")
+    __slots__ = ("heads", "buckets", "_selected", "_tables")
 
     def __init__(self, ordered: Iterable[WitnessStructure]):
         runs = [(head, tuple(run)) for head, run in itertools.groupby(ordered, _head)]
         self.heads = tuple(head for head, _ in runs)
         self.buckets = tuple(bucket for _, bucket in runs)
-        self._selected: dict[object, object] = {}
+        self._selected: dict[object, int] = {}
+        self._tables: tuple[dict, dict, dict] | None = None
 
     def ordered(self, bits: int) -> list[WitnessStructure]:
         """The union of the buckets of the heads in ``bits``, in ``encode`` order."""

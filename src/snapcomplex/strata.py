@@ -253,7 +253,7 @@ def _tables(complex_: Complex) -> tuple[dict, dict, dict]:
     G_1``, and in ``Z_S`` and ``X_{S,A}`` for every ``A ⊆ S ⊆ G_1``.
     ``Y_{U,A}`` holds it whether ``W_1`` is empty or not."""
     index = complex_.head_index()
-    tables = index._selected.get("tables")
+    tables = index._tables
     if tables is None:
         active = _mask_of(complex_.counter.active)
         x: dict[tuple[int, int], int] = {}
@@ -278,7 +278,7 @@ def _tables(complex_: Complex) -> tuple[dict, dict, dict]:
             z[s] = z.get(s, 0) | one_row
             for a in _submasks(s):
                 x[s, a] = x.get((s, a), 0) | one_row
-        tables = index._selected["tables"] = (x, y, z)
+        tables = index._tables = (x, y, z)
     return tables
 
 
@@ -801,8 +801,9 @@ class _Diagrams:
     (``heads``), and the γ_{S,A} images of a bucket are computed once, the
     first time an instance needs one (``peel``), since every simplex of a
     bucket is in or out of ``X_{S,A}`` alike.  Each distinct mask tuple is
-    validated once (:meth:`ok`, which the loops inline), and tested once
-    for membership in each target counter (:meth:`member`): membership
+    validated once (``valid[m]`` is ``m``, validated on its first lookup),
+    and tested once for membership in each target counter
+    (:meth:`member`): membership
     stays the definitional :func:`~snapcomplex.complexes.membership`, read
     from no complex.  Validation runs where each instance needs it, in the
     instance order, so the first invalid mask raises as on structures.
@@ -813,17 +814,11 @@ class _Diagrams:
         x = _tables(complex_)[0]
         self.heads = functools.cache(lambda s, a: _bits(x[s, a]))
         buckets = self.buckets = complex_.head_index().buckets
-        self.valid: set[Masks] = set()
+        self.valid: dict[Masks, Masks] = _MaskTable(_validated)
         self.tests: dict[RoundCounter, dict[Masks, bool]] = {}
         self.peel = functools.cache(
             lambda s, a, h: [_gamma(sigma, s, a) for sigma in buckets[h]]
         )
-
-    def ok(self, m: Masks) -> Masks:
-        """``m``, validated unless it was before."""
-        if m not in self.valid:
-            self.valid.add(_validated(m))
-        return m
 
     def member(self, counter: RoundCounter) -> dict[Masks, bool]:
         """Mask tuple -> :func:`_membership_test` of ``counter``, each
@@ -835,7 +830,8 @@ class _Diagrams:
 
     def restriction_composition(self) -> Iterator[DiagramReport]:
         """Peeling ``S ∪ A`` while deleting ``A`` equals peeling ``A`` then ``S``."""
-        name, counter, ok, valid, peel, buckets = "restriction-composition", *self._run()
+        name, counter = "restriction-composition", self.counter
+        valid, peel, buckets = self.valid, self.peel, self.buckets
         active = sorted(counter.active)
         for absorbed in _nonempty_subsets(active):
             a = _mask_of(absorbed)
@@ -847,9 +843,7 @@ class _Diagrams:
                 checked = 0
                 for h in self.heads(s | a, a):
                     for sigma, mid, one_step in zip(buckets[h], peel(a, a, h), peel(s | a, a, h)):
-                        if mid not in valid:
-                            valid.add(_validated(mid))
-                        if not in_deleted[mid]:
+                        if not in_deleted[valid[mid]]:
                             raise _fail(
                                 name,
                                 sigma,
@@ -860,12 +854,10 @@ class _Diagrams:
                             raise _fail(
                                 name, sigma, f"{_text(mid)} misses the stratum X_{_braced(s)}"
                             )
-                        two_step = _gamma(mid, s, 0)
-                        if two_step not in valid:
-                            valid.add(_validated(two_step))
+                        two_step = valid[_gamma(mid, s, 0)]
                         if two_step != one_step:
                             raise _fail(
-                                name, sigma, f"{_text(two_step)} != {_text(ok(one_step))}"
+                                name, sigma, f"{_text(two_step)} != {_text(valid[one_step])}"
                             )
                     checked += len(buckets[h])
                 yield DiagramReport(
@@ -876,8 +868,10 @@ class _Diagrams:
         """Absorbing extra ghosts after peeling equals absorbing them during
         it.  The peel ``right`` absorbing all of ``A`` is validated, and
         tested for membership, on the first kept-absorbed subset (the empty
-        one); every ``left`` is compared with it."""
-        name, counter, ok, valid, peel, buckets = "restriction-absorbs-drop", *self._run()
+        one); every ``left`` is compared with it, and validated only when it
+        differs."""
+        name, counter = "restriction-absorbs-drop", self.counter
+        valid, peel, buckets = self.valid, self.peel, self.buckets
         for select, absorbed in _x_params(counter.active)[1:]:  # every S ≠ ∅
             s, a = _mask_of(select), _mask_of(absorbed)
             shrunk = counter.restrict(select, absorbed)
@@ -888,17 +882,12 @@ class _Diagrams:
                 drop = a & ~b
                 for h in heads:
                     for sigma, inner, right in zip(buckets[h], peel(s, b, h), peel(s, a, h)):
-                        if inner not in valid:
-                            valid.add(_validated(inner))
-                        left = _delta(inner, drop)
-                        if not small:
-                            if left not in valid:
-                                valid.add(_validated(left))
-                            if right not in valid:
-                                valid.add(_validated(right))
+                        left = _delta(valid[inner], drop)
                         if left != right:
-                            raise _fail(name, sigma, f"{_text(ok(left))} != {_text(right)}")
-                        if not small and not in_shrunk[right]:
+                            raise _fail(
+                                name, sigma, f"{_text(valid[left])} != {_text(valid[right])}"
+                            )
+                        if not small and not in_shrunk[valid[right]]:
                             raise _fail(
                                 name,
                                 sigma,
@@ -910,7 +899,8 @@ class _Diagrams:
 
     def drop_restriction_commute(self) -> Iterator[DiagramReport]:
         """Forgetting row-0 ghosts commutes with peeling round one."""
-        name, counter, ok, valid, peel, buckets = "drop-restriction-commute", *self._run()
+        name, counter = "drop-restriction-commute", self.counter
+        valid, peel, buckets = self.valid, self.peel, self.buckets
         # Row-0 ghost masks -> their subsets as masks, the empty one first.
         drops: dict[int, list[int]] = {}
         for select, absorbed in _x_params(counter.active)[1:]:  # every S ≠ ∅
@@ -924,21 +914,13 @@ class _Diagrams:
                     loose = sigma[1] & ~s  # the row-0 ghosts outside S
                     if loose not in drops:
                         drops[loose] = list(map(_mask_of, _subsets(_bits(loose))))
-                    if peeled not in valid:
-                        valid.add(_validated(peeled))
                     for v in drops[loose]:
-                        left = _delta(peeled, v)
-                        if left not in valid:
-                            valid.add(_validated(left))
+                        left = valid[_delta(valid[peeled], v)]
                         dropped = _delta(sigma, v)
-                        if dropped == sigma:  # a simplex, with its peel made
-                            right = peeled
-                        else:
-                            if dropped not in valid:
-                                valid.add(_validated(dropped))
-                            right = _gamma(dropped, s, a)
+                        # A simplex, with its peel made.
+                        right = peeled if dropped == sigma else _gamma(valid[dropped], s, a)
                         if left != right:
-                            raise _fail(name, sigma, f"{_text(left)} != {_text(ok(right))}")
+                            raise _fail(name, sigma, f"{_text(left)} != {_text(valid[right])}")
                         if v not in in_target:
                             # V lies outside S, so deleting it commutes with the step.
                             in_target[v] = self.member(stepped.delete(_bits(v)))
@@ -953,9 +935,6 @@ class _Diagrams:
             yield DiagramReport(
                 name, {"select": sorted(select), "absorbed": sorted(absorbed)}, checked
             )
-
-    def _run(self) -> tuple:
-        return self.counter, self.ok, self.valid, self.peel, self.buckets
 
 
 def verify_diagrams(complex_: Complex) -> list[DiagramReport]:

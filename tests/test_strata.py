@@ -280,6 +280,7 @@ def _per_simplex_heads(self, simplices):
     self.heads = tuple(map(_head, listed))
     self.buckets = tuple((s,) for s in listed)
     self._selected = {}
+    self._tables = None
 
 
 def _verdicts(k):
