@@ -914,8 +914,9 @@ class _Diagrams:
                     loose = sigma[1] & ~s  # the row-0 ghosts outside S
                     if loose not in drops:
                         drops[loose] = list(map(_mask_of, _subsets(_bits(loose))))
+                    # δ_∅, which comes first, validates the peel itself.
                     for v in drops[loose]:
-                        left = valid[_delta(valid[peeled], v)]
+                        left = valid[_delta(peeled, v)]
                         dropped = _delta(sigma, v)
                         # A simplex, with its peel made.
                         right = peeled if dropped == sigma else _gamma(valid[dropped], s, a)

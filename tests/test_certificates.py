@@ -190,6 +190,26 @@ def test_the_diagrams_fail_on_an_image_that_is_no_prestructure(
     assert _failure(verify_diagrams, k) == ("ValueError", NOT_A_PRESTRUCTURE)
 
 
+def test_absorbing_drop_validates_equal_sides_that_are_no_prestructure(
+    get_complex, monkeypatch
+):
+    # Both sides of restriction-absorbs-drop made the same non-prestructure
+    # on the empty kept-absorbed set: they agree, and the membership test
+    # passes them, so the check must validate them there, before it reports
+    # that parameter choice.
+    k = get_complex("2,1,1")
+    s, a = strata._mask_of({0, 1}), strata._mask_of({0})
+    sigma = _last_member(k, {0, 1}, {0})
+    bad = _not_a_prestructure(witness._gamma(sigma, s, a))
+    _patched(monkeypatch, strata, "_gamma", (sigma, s, a), lambda *_: bad)
+    _patched(monkeypatch, strata, "_delta", (witness._gamma(sigma, s, 0), a), lambda *_: bad)
+    reported = []
+    with pytest.raises(ValueError, match=NOT_A_PRESTRUCTURE):
+        reported.extend(strata._Diagrams(k).restriction_absorbs_drop())
+    kept_none = {"select": [0, 1], "absorbed": [0], "kept_absorbed": []}
+    assert kept_none not in [r.parameters for r in reported]
+
+
 @pytest.mark.parametrize(
     "s, a, expected",
     [
