@@ -41,8 +41,8 @@ from .complexes import (
 )
 from .counters import RoundCounter
 from .errors import ComplexTooLargeError, VerificationError
-from .schedules import _views
-from .witness import WitnessStructure
+from .schedules import _facet, enumerate_schedules
+from .witness import Masks, WitnessStructure, _active_mask, _bits, _ghosts, _mask_of, _validated
 
 if TYPE_CHECKING:
     from .collapse import CollapseStep
@@ -101,21 +101,22 @@ def _check_purity(k: Complex) -> dict:
 
 
 @functools.lru_cache(maxsize=1)
-def _boundary(k: Complex) -> BoundaryReport:
-    """``topology.boundary(k)``, computed once for the last complex asked:
-    the pseudomanifold, boundary and homology checks all read it."""
-    from .topology import boundary
+def _boundary(k: Complex) -> tuple[BoundaryReport, set[int]]:
+    """``topology.boundary(k)`` and the numbers of the boundary's
+    simplices, computed once for the last complex asked: the
+    pseudomanifold, boundary and homology checks all read them."""
+    from .topology import _boundary
 
-    return boundary(k)
+    return _boundary(k)
 
 
 def _check_pseudomanifold(k: Complex) -> dict:
-    report = _boundary(k)
+    report = _boundary(k)[0]
     return {"status": "ok", "ridges": report.ridge_count}
 
 
 def _check_boundary(k: Complex) -> dict:
-    report = _boundary(k)
+    report = _boundary(k)[0]
     status = "ok" if report.ghost_rule_holds else "failed"
     return {
         "status": status,
@@ -147,10 +148,10 @@ def _check_homology(k: Complex) -> dict:
         "status": "ok" if contractible else "failed",
         "reduced_betti": {str(d): b for d, b in sorted(betti.items())},
     }
-    rim = _boundary(k).simplices
+    rim = _boundary(k)[1]
     if rim:
         sphere_dim = len(k.counter.support) - 2
-        rim_betti = _homology_in(k, set(map(k._number.__getitem__, rim)))
+        rim_betti = _homology_in(k, rim)
         detail["boundary_reduced_betti"] = {
             str(d): b for d, b in sorted(rim_betti.items())
         }
@@ -210,17 +211,29 @@ def _check_phi(k: Complex) -> dict:
 
 
 def _check_schedule_bijection(k: Complex) -> dict:
-    counter = k.counter
-    mapped: dict[WitnessStructure, int] = {}
-    seen_views: set[WitnessStructure] = set()
+    """Each schedule's facet, and each of its views, is looked up in ``k``
+    by its masks: a hit is a simplex the build validated and stands for
+    its number, and only a miss is validated, and stands for its masks."""
+    number = k._number
+
+    def found(m: Masks) -> int | Masks:
+        j = number.get(m)
+        return _validated(m) if j is None else j
+
+    support = _mask_of(k.counter)
+    mapped: dict[int | Masks, int] = {}
+    seen_views: set[int | Masks] = set()
     count = 0
-    for facet in facet_structures(counter):
+    for schedule in enumerate_schedules(k.counter):
+        m = _facet(support, schedule)
+        facet = found(m)
         mapped[facet] = mapped.get(facet, 0) + 1
-        seen_views.update(_views(facet).values())
+        active = _active_mask(m)
+        seen_views.update(map(found, _ghosts(m, [active ^ 1 << p for p in _bits(active)])))
         count += 1
-    vertex_set = {s for s in k.simplices if s.dim == 0}
+    vertex_set = {i for sigma, i in number.items() if sigma.dim == 0}
     injective = all(n == 1 for n in mapped.values())
-    onto = set(mapped) == k.facets
+    onto = set(mapped) == {number.get(f, f) for f in k.facets}
     covered = seen_views == vertex_set
     status = "ok" if injective and onto and covered else "failed"
     return {
@@ -310,7 +323,7 @@ def _cmd_facets(args: argparse.Namespace) -> int:
 
 
 def _cmd_strata(args: argparse.Namespace) -> int:
-    from .strata import classify_interior, intersect_pair, nerve
+    from .strata import HeadIndex, classify_interior, intersect_pair, nerve
 
     counter = _parse_counter(args.counter)
     if args.intersect is not None:
@@ -328,7 +341,7 @@ def _cmd_strata(args: argparse.Namespace) -> int:
     # classify_interior reads rows 0-1 only, so one simplex per head
     # classifies its whole bucket.
     groups: dict[str, dict] = {}
-    for bucket in k.head_index().buckets:
+    for bucket in HeadIndex.of(k).buckets:
         ref = classify_interior(bucket[0])
         if ref is None:
             entry = groups.setdefault("passive simplex", {"name": "passive simplex"})

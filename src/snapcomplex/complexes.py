@@ -7,9 +7,7 @@ empty simplex, and is immutable once built.  The build numbers the
 simplices ``0..N-1`` as it finds them and keeps what it computes on the
 way: each simplex's codimension-1 faces ``ghost(σ,{p})``, as a row of
 numbers.  Those rows are the whole face poset, and the complex sorts its
-simplices by ``encode`` once, on first use.  Stratum queries read only
-the first two rows of a simplex, its *head*; :class:`HeadIndex` groups that
-order by head so that such a query tests each head once.
+simplices by ``encode`` once, on first use.
 """
 
 from __future__ import annotations
@@ -32,7 +30,6 @@ from .witness import (
     _from_masks,
     _ghost,
     _ghosts,
-    _head,
     _lower_faces,
     _mask_of,
     _MaskTable,
@@ -78,7 +75,7 @@ def facet_structures(
         raise ValueError("facets need a nonempty support")
     support = _mask_of(r)
     for schedule in enumerate_schedules(r, max_schedules=max_schedules):
-        yield _facet(support, schedule)
+        yield _from_masks(_facet(support, schedule))
 
 
 def facets(r: RoundCounter) -> frozenset[WitnessStructure]:
@@ -212,8 +209,8 @@ class Complex:
     numbers at the edge: :attr:`simplices` is a read-only set view of the
     numbering's keys, not a frozenset; all queries are pure.  The
     ``encode`` order of the numbers (:meth:`ordered` maps it to structures)
-    and the head index (:meth:`head_index`) are made once, on first use;
-    the index keeps the head bitsets of the strata queried so far.
+    is made once, on first use.  The slot ``_heads`` is left to
+    :mod:`~snapcomplex.strata`, which keeps its head index there.
 
     ``Complex(counter, lower_covers, facets)`` numbers the keys of
     ``lower_covers`` in their order.  A cover outside those keys is
@@ -249,7 +246,7 @@ class Complex:
         self._facets = frozenset(facet_set)
         self._order: list[int] | None = None
         self._upper: Rows | None = None
-        self._heads: HeadIndex | None = None
+        self._heads: object = None
 
     @property
     def counter(self) -> RoundCounter:
@@ -355,12 +352,6 @@ class Complex:
             self._order = sorted(range(len(codes)), key=codes.__getitem__)
         return code
 
-    def head_index(self) -> HeadIndex:
-        """The simplices grouped by head ``(W_0, G_0, W_1, G_1)``."""
-        if self._heads is None:
-            self._heads = HeadIndex(self.ordered())
-        return self._heads
-
     def faces(self, sigma: WitnessStructure) -> frozenset[WitnessStructure]:
         """Every face of ``sigma`` (including itself and the empty simplex)."""
         below = self._inside(_reach(self._lower, (self._index(sigma),)))
@@ -398,38 +389,6 @@ class Complex:
                 for i in self._order
             ]
         return obj
-
-
-class HeadIndex:
-    """The simplices of a complex grouped by head ``(W_0, G_0, W_1, G_1)``.
-
-    Head ``i`` is ``heads[i]`` and its simplices are ``buckets[i]``.  The
-    buckets are nonempty and disjoint, so a union of buckets is named
-    exactly by the int bitset of its head ids: equality, containment,
-    intersection and union of such unions are those of their bitsets.
-    :mod:`~snapcomplex.strata` keeps, for the life of the complex, the
-    bitset of each stratum reference in ``_selected`` and its tables of
-    every ``X``, ``Y`` and ``Z`` stratum in ``_tables``.
-    Heads are numbered, and buckets listed, in ``encode`` order, which is
-    therefore the order of the buckets chained by ascending head id.
-    The simplices come in that order: an encoding begins with the text of
-    rows 0 and 1, no set's text prefixes another's, and every row past the
-    first of a simplex has witnesses, so each head's simplices form a run.
-    """
-
-    __slots__ = ("heads", "buckets", "_selected", "_tables")
-
-    def __init__(self, ordered: Iterable[WitnessStructure]):
-        runs = [(head, tuple(run)) for head, run in itertools.groupby(ordered, _head)]
-        self.heads = tuple(head for head, _ in runs)
-        self.buckets = tuple(bucket for _, bucket in runs)
-        self._selected: dict[object, int] = {}
-        self._tables: tuple[dict, dict, dict] | None = None
-
-    def ordered(self, bits: int) -> list[WitnessStructure]:
-        """The union of the buckets of the heads in ``bits``, in ``encode`` order."""
-        buckets = self.buckets
-        return list(itertools.chain.from_iterable(buckets[i] for i in _bits(bits)))
 
 
 def build(r: RoundCounter, *, max_simplices: int | None = None) -> Complex:

@@ -100,15 +100,7 @@ class RoundCounter(Mapping[int, int]):
 
         Every member of ``step`` must be active; the support is unchanged.
         """
-        step = frozenset(step)
-        bad = step - self.active
-        if bad:
-            raise ValueError(
-                f"cannot execute {sorted(bad)}: not active in {self.to_text()!r}"
-            )
-        return RoundCounter(
-            {p: c - 1 if p in step else c for p, c in self._entries.items()}
-        )
+        return self.restrict(step)
 
     def restrict(self, step: Iterable[int], drop: Iterable[int] = ()) -> "RoundCounter":
         """Execute ``step`` and then delete ``drop`` (one round of progress

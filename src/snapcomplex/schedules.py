@@ -13,7 +13,7 @@ from itertools import chain, combinations, islice, repeat
 
 from .counters import RoundCounter
 from .errors import ComplexTooLargeError
-from .witness import WitnessStructure, _from_rows, _mask_of, ghost
+from .witness import Masks, WitnessStructure, _from_masks, _mask_of, ghost
 
 Schedule = tuple[frozenset[int], ...]
 
@@ -111,19 +111,17 @@ def to_facet(s: Sequence[frozenset[int]], r: RoundCounter) -> WitnessStructure:
     row per layer."""
     if not is_valid_schedule(tuple(s), r):
         raise ValueError("not a valid schedule for the counter")
-    return _facet(_mask_of(r), s)
+    return _from_masks(_facet(_mask_of(r), s))
 
 
-def _facet(support: int, s: Sequence[frozenset[int]]) -> WitnessStructure:
-    """:func:`to_facet` of a schedule already known to be valid, given the
-    support mask: its process ids need no further check."""
-    rows = [(support, 0)]
+def _facet(support: int, s: Sequence[frozenset[int]]) -> Masks:
+    """The mask rows of :func:`to_facet` of a schedule already known to be
+    valid, given the support mask, not yet validated: its process ids need
+    no further check."""
+    out = [support, 0]
     for layer in s:
-        mask = 0
-        for p in layer:
-            mask |= 1 << p
-        rows.append((mask, 0))
-    return _from_rows(rows)
+        out += (sum(1 << p for p in layer), 0)
+    return tuple(out)
 
 
 def views(s: Sequence[frozenset[int]], r: RoundCounter) -> dict[int, WitnessStructure]:

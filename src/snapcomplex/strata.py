@@ -19,14 +19,13 @@ the ``X``, ``Z`` and ``XBV`` strata whose dropped set they ghost, which
 closes those under faces, and ``Y`` and ``B`` strata are taken literally.
 Membership depends on a simplex's head ``(W_0, G_0, W_1, G_1)`` alone,
 and a complex has far fewer heads than simplices (176 heads
-for 1 194 simplices over ``2,1,1,1``).  So a member set is computed on the
-complex's head index: the stratum's one test runs once per head, and the
-result is an int bitset of head ids, kept on the index per stratum
-reference for the life of the complex.  The certifications below compare
-member sets as these bitsets, which is exact because the buckets of
-simplices behind distinct heads are disjoint and nonempty; they read the
-bitsets of every ``X``, ``Y`` and ``Z`` stratum at once from
-:func:`_tables`, which lists for each head the strata that hold it.
+for 1 194 simplices over ``2,1,1,1``).  :class:`HeadIndex` groups the
+simplices by head, and one table, :func:`_tables`, made once per complex,
+lists for each head the strata that hold it: every member set is read
+from it as an int bitset of head ids, and nothing is kept per stratum
+reference.  The certifications below compare member sets as these
+bitsets, which is exact because the buckets of simplices behind
+distinct heads are disjoint and nonempty.
 They run on the masks of the parameters, and hand masks to the private
 forms ``_gamma``, ``_rho`` and ``_delta`` of the maps, which return the
 image unvalidated.  ``_gamma`` and ``_delta`` live in
@@ -187,49 +186,6 @@ def classify_interior(sigma: WitnessStructure) -> StratumRef | None:
     return StratumRef.xbv(select, sigma.ghost_row(1), sigma.ghost_row(0))
 
 
-def _head_test(ref: StratumRef) -> Callable[[int, int, int, int], bool]:
-    """Membership in the :func:`members` set of ``ref``: the stratum's
-    conditions (see the module docstring) on the mask rows 0 and 1, with
-    the stratum's masks made once.  A simplex of a complex is a witness
-    structure, so ``W_1`` reads empty only when it has one row; such a
-    simplex passes every test but a ``Y`` one once it ghosts the dropped
-    set."""
-    select = _mask_of(ref.select)
-    need_g0 = _mask_of(ref.dropped)
-    need_g1 = select if ref.kind == "Z" else _mask_of(ref.absorbed)
-    one_row_joins = ref.kind != "Y"
-    row1_fixed = ref.kind in ("X", "Y", "XBV")  # row 1 covers exactly ``select``,
-    row1_ghosted = ref.kind in ("X", "XBV")  # ... or ghosts all of it
-
-    def test(w0: int, g0: int, w1: int, g1: int) -> bool:
-        if g0 & need_g0 != need_g0:
-            return False
-        if one_row_joins and not w1:
-            return True
-        if g1 & need_g1 != need_g1:
-            return False
-        if not row1_fixed or w1 | g1 == select:
-            return True
-        return row1_ghosted and g1 & select == select
-
-    return test
-
-
-def _member_bits(complex_: Complex, ref: StratumRef) -> int:
-    """The head bitset of the :func:`members` set of ``ref``: the heads of
-    the complex's head index that pass :func:`_head_test`, each tested
-    once; the bitset is kept on the index under ``ref``."""
-    index = complex_.head_index()
-    bits = index._selected.get(ref)
-    if bits is None:
-        test, bits = _head_test(ref), 0
-        for i, head in enumerate(index.heads):
-            if test(*head):
-                bits |= 1 << i
-        index._selected[ref] = bits
-    return bits
-
-
 def _submasks(mask: int) -> list[int]:
     """Every submask of ``mask``, ``mask`` first and ``0`` last."""
     out = [mask]
@@ -240,28 +196,70 @@ def _submasks(mask: int) -> list[int]:
     return out
 
 
-def _tables(complex_: Complex) -> tuple[dict, dict, dict]:
-    """The head bitsets of the :func:`members` sets of every ``X_{S,A}``,
-    ``Y_{S,A}`` and ``Z_S`` with ``S`` in the active set, keyed by the
-    masks ``(S, A)``, ``(S, A)`` and ``S``; a ``Y`` that holds no head is
-    left out.  Made once per complex and kept on its head index.
+class HeadIndex:
+    """The simplices of a complex grouped by head ``(W_0, G_0, W_1, G_1)``.
 
-    The conditions of :func:`_head_test` are read the other way round:
-    for each head, the strata that hold it are listed.  A head with
-    ``W_1`` empty joins every ``X`` and ``Z``; otherwise, with ``U =
-    W_1 ∪ G_1``, it lies in ``X_{U,A}`` and ``Y_{U,A}`` for every ``A ⊆
-    G_1``, and in ``Z_S`` and ``X_{S,A}`` for every ``A ⊆ S ⊆ G_1``.
-    ``Y_{U,A}`` holds it whether ``W_1`` is empty or not."""
-    index = complex_.head_index()
+    Head ``i`` is ``heads[i]`` and its simplices are ``buckets[i]``.  The
+    buckets are nonempty and disjoint, so a union of buckets is named
+    exactly by the int bitset of its head ids: equality, containment,
+    intersection and union of such unions are those of their bitsets.
+    Heads are numbered, and buckets listed, in ``encode`` order, which is
+    therefore the order of the buckets chained by ascending head id.
+    The simplices come in that order: an encoding begins with the text of
+    rows 0 and 1, no set's text prefixes another's, and every row past the
+    first of a simplex has witnesses, so each head's simplices form a run.
+    ``_tables`` keeps the complex's :func:`_tables` once they are made.
+    """
+
+    __slots__ = ("heads", "buckets", "_tables")
+
+    def __init__(self, ordered: Iterable[WitnessStructure]):
+        runs = [(head, tuple(run)) for head, run in itertools.groupby(ordered, _head)]
+        self.heads = tuple(head for head, _ in runs)
+        self.buckets = tuple(bucket for _, bucket in runs)
+        self._tables: tuple[dict, dict, dict, dict, int] | None = None
+
+    @classmethod
+    def of(cls, complex_: Complex) -> HeadIndex:
+        """The head index of ``complex_``, made on first use and kept on it."""
+        index = complex_._heads
+        if index is None:
+            index = complex_._heads = cls(complex_.ordered())
+        return index
+
+
+def _tables(complex_: Complex) -> tuple[dict, dict, dict, dict, int]:
+    """The head bitsets of the :func:`members` sets of every stratum, as
+    ``(x, y, z, b, one_row)``; made once per complex and kept on its head
+    index.
+
+    ``x``, ``y`` and ``z`` hold ``X_{S,A}``, ``Y_{S,A}`` and ``Z_S``, keyed
+    by the masks ``(S, A)``, ``(S, A)`` and ``S``, for every ``S`` in the
+    active set; ``y`` holds every ``Y`` that holds a head.  ``b`` holds
+    ``B_V`` for every ``V`` that a head ghosts in row 0, and ``one_row``
+    the one-row heads, which are all that an ``X`` or ``Z`` whose select
+    set reaches outside the active set holds: rows past the first hold
+    active processes alone.  ``X_{S,A} ∩ B_V`` is ``x & b``.
+
+    The strata that hold each head are listed.  A head lies in ``B_V``
+    for every ``V ⊆ G_0``.  A head with ``W_1`` empty joins every ``X``
+    and ``Z``; otherwise, with ``U = W_1 ∪ G_1``, it lies in ``X_{U,A}``
+    and ``Y_{U,A}`` for every ``A ⊆ G_1``, and in ``Z_S`` and ``X_{S,A}``
+    for every ``A ⊆ S ⊆ G_1``.  ``Y_{U,A}`` holds it whether ``W_1`` is
+    empty or not."""
+    index = HeadIndex.of(complex_)
     tables = index._tables
     if tables is None:
         active = _mask_of(complex_.counter.active)
         x: dict[tuple[int, int], int] = {}
         y: dict[tuple[int, int], int] = {}
         z: dict[int, int] = {}
+        b: dict[int, int] = {}
         one_row = 0
-        for i, (_, _, w1, g1) in enumerate(index.heads):
+        for i, (_, g0, w1, g1) in enumerate(index.heads):
             bit, u = 1 << i, w1 | g1
+            for v in _submasks(g0):
+                b[v] = b.get(v, 0) | bit
             for a in _submasks(g1):
                 y[u, a] = y.get((u, a), 0) | bit
             if not w1:
@@ -278,22 +276,34 @@ def _tables(complex_: Complex) -> tuple[dict, dict, dict]:
             z[s] = z.get(s, 0) | one_row
             for a in _submasks(s):
                 x[s, a] = x.get((s, a), 0) | one_row
-        tables = index._tables = (x, y, z)
+        tables = index._tables = (x, y, z, b, one_row)
     return tables
 
 
 def members(complex_: Complex, ref: StratumRef) -> frozenset[WitnessStructure]:
     """The member set of a stratum, by convention closed under faces.
 
-    It is the one member set a stratum has, tested on heads by
-    :func:`_head_test`.
+    It is the one member set a stratum has, read from :func:`_tables`.
     One-row simplices join every ``X``/``Z`` stratum (and ``XBV`` strata
     whose dropped set they already ghost); that convention is exactly
     what closes the literal member sets up under taking faces.  ``Y``
     and ``B`` strata are returned literally -- ``B`` is closed as it
     stands, ``Y`` need not be.
     """
-    return frozenset(complex_.head_index().ordered(_member_bits(complex_, ref)))
+    x, y, z, b, one_row = _tables(complex_)
+    s, a, v = map(_mask_of, ref[1:])
+    if ref.kind == "Y":
+        bits = y.get((s, a), 0)
+    elif ref.kind == "Z":
+        bits = z.get(s, one_row)
+    elif ref.kind == "B":
+        bits = b.get(v, 0)
+    else:
+        bits = x.get((s, a), one_row)
+        if ref.kind == "XBV":
+            bits &= b.get(v, 0)
+    buckets = HeadIndex.of(complex_).buckets
+    return frozenset(itertools.chain.from_iterable(map(buckets.__getitem__, _bits(bits))))
 
 
 # ---------------------------------------------------------------------------
@@ -522,10 +532,11 @@ def nerve(complex_: Complex) -> NerveReport:
     """Compute the nerve of the cover ``{closure X_S : ∅ ≠ S ⊆ active}``."""
     active = sorted(complex_.counter.active)
     cover = [frozenset(s) for s in _nonempty_subsets(active)]
-    pieces = {s: _member_bits(complex_, StratumRef.x(s)) for s in cover}
+    x = _tables(complex_)[0]
+    pieces = {s: x[_mask_of(s), 0] for s in cover}
     # The heads whose bucket holds a simplex of dimension at least zero.
     live = 0
-    for i, bucket in enumerate(complex_.head_index().buckets):
+    for i, bucket in enumerate(HeadIndex.of(complex_).buckets):
         if any(sigma.dim >= 0 for sigma in bucket):
             live |= 1 << i
     spanning: set[frozenset[Procs]] = set()
@@ -569,7 +580,7 @@ def verify_strata_calculus(complex_: Complex) -> dict[str, int]:
     parameters: the closed forms are :func:`_incidence`, :func:`_cap_x`
     and :func:`_cap_family`, which the public intersections also use.
     """
-    x, y, z = _tables(complex_)
+    x, y, z, _, _ = _tables(complex_)
     active = complex_.counter.active
     act = _mask_of(active)
     subsets = [_mask_of(s) for s in _subsets(sorted(active))]
@@ -694,10 +705,10 @@ def verify_translation_maps(complex_: Complex) -> dict[str, int]:
     counter = complex_.counter
     target_for = _sub_builder(complex_)
     simplices, rows, number = complex_._simplices, complex_._lower, complex_._number
-    x = _tables(complex_)[0]
+    x, _, _, b, _ = _tables(complex_)
     # Each head's bucket is a run of the encode order of the numbers.
     order = complex_._encode_order()
-    starts = list(itertools.accumulate(map(len, complex_.head_index().buckets), initial=0))
+    starts = list(itertools.accumulate(map(len, HeadIndex.of(complex_).buckets), initial=0))
 
     def members_of(bits: int) -> list[int]:
         return [i for h in _bits(bits) for i in order[starts[h] : starts[h + 1]]]
@@ -751,7 +762,7 @@ def verify_translation_maps(complex_: Complex) -> dict[str, int]:
     for dropped in list(_subsets(sorted(counter.support)))[:-1]:
         v = _mask_of(dropped)
         label = f"δ_{_braced(v)}"
-        domain = members_of(_member_bits(complex_, StratumRef.b(dropped)))
+        domain = members_of(b.get(v, 0))
         target = target_for(counter.delete(dropped))
         found = certified(domain, lambda m: _delta(m, v), target, label)
         for i in domain:
@@ -813,7 +824,7 @@ class _Diagrams:
         self.counter = complex_.counter
         x = _tables(complex_)[0]
         self.heads = functools.cache(lambda s, a: _bits(x[s, a]))
-        buckets = self.buckets = complex_.head_index().buckets
+        buckets = self.buckets = HeadIndex.of(complex_).buckets
         self.valid: dict[Masks, Masks] = _MaskTable(_validated)
         self.tests: dict[RoundCounter, dict[Masks, bool]] = {}
         self.peel = functools.cache(
@@ -839,7 +850,6 @@ class _Diagrams:
             in_deleted = self.member(deleted)
             for select in _nonempty_subsets([p for p in active if not a >> p & 1]):
                 s = _mask_of(select)
-                in_x_s = _head_test(StratumRef.x(select))
                 checked = 0
                 for h in self.heads(s | a, a):
                     for sigma, mid, one_step in zip(buckets[h], peel(a, a, h), peel(s | a, a, h)):
@@ -850,7 +860,9 @@ class _Diagrams:
                                 f"peeling {list(absorbed)} leaves {_text(mid)}, "
                                 f"not a simplex over {deleted.to_text()!r}",
                             )
-                        if not in_x_s(*_head(mid)):
+                        # In X_S: one row, or row 1 covers exactly S or ghosts all of it.
+                        _, _, w1, g1 = _head(mid)
+                        if w1 and w1 | g1 != s and g1 & s != s:
                             raise _fail(
                                 name, sigma, f"{_text(mid)} misses the stratum X_{_braced(s)}"
                             )

@@ -45,6 +45,11 @@ def boundary(complex_: Complex) -> BoundaryReport:
     Every ridge (codimension-1 face of a facet) must lie in one or two
     facets; anything else raises :class:`VerificationError`.
     """
+    return _boundary(complex_)[0]
+
+
+def _boundary(complex_: Complex) -> tuple[BoundaryReport, set[int]]:
+    """:func:`boundary`, and the numbers of the boundary's simplices."""
     lower, simplex = complex_._lower, complex_._simplices.__getitem__
     degrees: Multiset[int] = Multiset()
     for facet in map(complex_._index, complex_.facets):
@@ -59,13 +64,14 @@ def boundary(complex_: Complex) -> BoundaryReport:
     rim = {ridge for ridge, d in degrees.items() if d == 1}
     closure = complex_._inside(_reach(lower, rim))
     ghosted = {i for sigma, i in complex_._number.items() if sigma[1]}
-    return BoundaryReport(
+    report = BoundaryReport(
         top_dim=complex_.dim,
         ridge_count=len(degrees),
         boundary_ridges=frozenset(map(simplex, rim)),
         simplices=frozenset(map(simplex, closure)),
         ghost_rule_holds=closure == ghosted,
     )
+    return report, closure
 
 
 def strong_connectivity(complex_: Complex) -> bool:

@@ -327,11 +327,6 @@ def _from_masks(m: Masks) -> WitnessStructure:
     return tuple.__new__(WitnessStructure, _validated(m))
 
 
-def _from_rows(rows: Iterable[tuple[int, int]]) -> WitnessStructure:
-    """The validated structure with the mask rows ``(W_i, G_i)`` of ``rows``."""
-    return _from_masks(tuple(x for row in rows for x in row))
-
-
 def _head(m: Masks) -> Masks:
     """``(W_0, G_0, W_1, G_1)`` of ``m``; a missing row 1 reads as empty."""
     return m[:4] if len(m) > 2 else m + (0, 0)

@@ -333,14 +333,46 @@ def test_the_translation_maps_fail_on_a_doctored_complex(drop, expected, get_com
     assert _failure(verify_translation_maps, doctored) == ("VerificationError", expected)
 
 
+# -- the schedule bijection ----------------------------------------------------
+
+
+def test_the_schedule_bijection_fails_on_a_view_that_is_no_prestructure(
+    get_complex, monkeypatch
+):
+    k = get_complex("2,1")
+    real = cli._ghosts
+    monkeypatch.setattr(
+        cli, "_ghosts", lambda m, hides: [_not_a_prestructure(v) for v in real(m, hides)]
+    )
+    assert _failure(cli._check_schedule_bijection, k) == ("ValueError", NOT_A_PRESTRUCTURE)
+
+
+def test_the_schedule_bijection_fails_without_a_facet_or_a_vertex(get_complex):
+    k = get_complex("2,1")
+    facet = min(k.facets, key=WitnessStructure.encode)
+    vertex = min((s for s in k.simplices if s.dim == 0), key=WitnessStructure.encode)
+    unlisted = Complex(k.counter, {s: k.lower_covers(s) for s in k.simplices}, k.facets - {facet})
+    assert cli._check_schedule_bijection(k)["status"] == "ok"
+    assert cli._check_schedule_bijection(unlisted)["status"] == "failed"
+    assert cli._check_schedule_bijection(_doctored(k, drop={vertex})) == {
+        "status": "failed",
+        "schedules": 5,
+        "facets": 5,
+        "vertices": 5,
+        "views": 6,
+    }
+
+
 # -- work ----------------------------------------------------------------------
 
 
 def test_all_check_verify_validates_each_mask_once_per_check(monkeypatch, capsys):
     # The build validates each stored simplex once, and the certifications
-    # each distinct mask tuple at most once.  Base: the diagrams made 20 821
-    # prestructure tests of 2 679 distinct masks, gg 9 489 of 1 194 (every
-    # face it ghosted, although each is a stored simplex).
+    # each distinct mask tuple at most once; schedule-bijection finds every
+    # facet and view among the stored simplices and validates none.  Base:
+    # the diagrams made 20 821 prestructure tests of 2 679 distinct masks,
+    # gg 9 489 of 1 194 (every face it ghosted, although each is a stored
+    # simplex), schedule-bijection 1 165 of 311.
     phases = [["build", 0, set()]]
     real = witness._is_prestructure
 
@@ -365,3 +397,4 @@ def test_all_check_verify_validates_each_mask_once_per_check(monkeypatch, capsys
     for name in ("build", "strata-intersections", "diagrams", "gg"):
         calls, distinct = counts[name]
         assert calls == distinct, (name, calls, distinct)
+    assert counts["schedule-bijection"] == (0, 0)

@@ -269,13 +269,13 @@ def test_phi_check_reuses_the_built_complex(capsys, monkeypatch):
 def test_verify_computes_the_boundary_once(capsys, monkeypatch):
     # The pseudomanifold, boundary and homology checks share one boundary.
     calls = []
-    real = topology.boundary
+    real = topology._boundary
 
     def counting(k):
         calls.append(k.counter.to_text())
         return real(k)
 
-    monkeypatch.setattr(topology, "boundary", counting)
+    monkeypatch.setattr(topology, "_boundary", counting)
     code, out, err = run(capsys, "verify", "-r", "2,1,0,1", "--checks", ",".join(CHECK_ORDER))
     assert code == 0, err
     assert json.loads(out)["ok"]

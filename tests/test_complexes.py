@@ -26,6 +26,7 @@ from snapcomplex import (
 
 from snapcomplex import collapse, complexes, witness
 from snapcomplex.errors import VerificationError
+from snapcomplex.strata import HeadIndex
 
 from . import build_reference, gg_reference
 from .conftest import TEST_COUNTERS
@@ -272,7 +273,7 @@ def test_the_order_is_the_encode_order_and_the_chained_head_buckets(text, get_co
     k = get_complex(text)
     order = k.ordered()
     assert list(order) == sorted(k.simplices, key=WitnessStructure.encode)
-    assert [sigma for bucket in k.head_index().buckets for sigma in bucket] == list(order)
+    assert [sigma for bucket in HeadIndex.of(k).buckets for sigma in bucket] == list(order)
     assert k.encodings() == {sigma: sigma.encode() for sigma in order}
 
 

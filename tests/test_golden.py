@@ -17,7 +17,7 @@ from pathlib import Path
 
 import pytest
 
-from snapcomplex.cli import CHECK_ORDER, main
+from snapcomplex.cli import main
 
 from .conftest import TEST_COUNTERS
 
@@ -27,7 +27,14 @@ _VARIANTS = {
     "build": ("build",),
     "facets": ("facets",),
     "facets-count": ("facets", "--count"),
-    "verify-all": ("verify", "--checks", ",".join(CHECK_ORDER)),
+    # The twelve checks written out, so that a check added later leaves
+    # this case's digests as they are.
+    "verify-all": (
+        "verify",
+        "--checks",
+        "purity,pseudomanifold,boundary,strong-connectivity,euler,homology,"
+        "strata-intersections,diagrams,gg,cone,phi,schedule-bijection",
+    ),
     "strata-list": ("strata", "--list"),
     "strata-nerve": ("strata", "--nerve"),
     "collapse-full": ("collapse", "--full", "--validate"),

@@ -27,13 +27,12 @@ from snapcomplex import (
     verify_translation_maps,
 )
 from snapcomplex import counters, strata, witness
-from snapcomplex.complexes import HeadIndex
 from snapcomplex.errors import VerificationError
-from snapcomplex.schedules import _subsets
-from snapcomplex.strata import _head_test, _incidence, _member_bits, _x_params
+from snapcomplex.strata import HeadIndex, _incidence, _x_params
 from snapcomplex.witness import _head
 
-from .strata_reference import in_stratum
+from .conftest import TEST_COUNTERS
+from .strata_reference import in_stratum, is_member
 
 
 def ws(*rows):
@@ -84,35 +83,65 @@ def _subsets(items):
     return [frozenset(c) for size in range(len(items) + 1) for c in combinations(items, size)]
 
 
-def _every_ref(counter):
-    """Every X/Y/Z/B/XBV stratum over the counter's processes."""
-    active, support = _subsets(sorted(counter.active)), _subsets(sorted(counter.support))
-    pairs = [(s, a) for s in active for a in _subsets(sorted(s))]
+def _every_ref(procs):
+    """Every X/Y/Z/B stratum whose process sets lie in ``procs``, and the
+    XBV strata of every X with a dropped set of at most two of them."""
+    every = _subsets(procs)
+    pairs = [(s, a) for s in every for a in _subsets(sorted(s))]
     yield from (StratumRef.x(s, a) for s, a in pairs)
     yield from (StratumRef.y(s, a) for s, a in pairs)
-    yield from (StratumRef.z(s) for s in active)
-    yield from (StratumRef.b(v) for v in support)
-    yield from (StratumRef.xbv(s, a, v) for s, a in pairs for v in support)
+    yield from (StratumRef.z(s) for s in every)
+    yield from (StratumRef.b(v) for v in every)
+    yield from (StratumRef.xbv(s, a, v) for s, a in pairs for v in every if len(v) <= 2)
 
 
 def test_mask_scans_match_the_frozenset_predicate(get_complex):
+    # Every member set read from the tables, against the reference run on
+    # every simplex.
     k = get_complex("2,1,1,1")
-    index = k.head_index()
     one_row = {s: s.ghost_row(0) for s in k.simplices if s.t == 0}
-    for ref in _every_ref(k.counter):
+    for ref in _every_ref(sorted(k.counter.support)):
         expected = frozenset(s for s in k.simplices if in_stratum(ref, s))
         if ref.kind in ("X", "Z", "XBV"):
             expected |= {s for s, g0 in one_row.items() if ref.dropped <= g0}
         assert members(k, ref) == expected, ref
-        # The head bitsets expanded back.
-        listed = index.ordered(_member_bits(k, ref))
-        assert listed == sorted(expected, key=WitnessStructure.encode), ref
+
+
+class _Read:
+    """What the reference reads of a simplex, read once: its first two rows
+    and its number of rows past the first."""
+
+    def __init__(self, sigma):
+        self.t = sigma.t
+        self.rows = [(sigma.witness_row(i), sigma.ghost_row(i)) for i in (0, 1)]
+
+    def witness_row(self, i):
+        return self.rows[i][0]
+
+    def ghost_row(self, i):
+        return self.rows[i][1]
+
+
+def _assert_the_tables_hold_the_reference(k):
+    """Every member set of ``k``, which :func:`members` reads from the
+    tables, against the reference run on one simplex of each group of
+    simplices that agree on what it reads, for strata over the support
+    and one id outside it."""
+    groups: dict[tuple, list[WitnessStructure]] = {}
+    for sigma in k.simplices:
+        key = (sigma.ghost_row(0), sigma.witness_row(1), sigma.ghost_row(1), sigma.t == 0)
+        groups.setdefault(key, []).append(sigma)
+    read = [(_Read(group[0]), group) for group in groups.values()]
+    outside = max(k.counter.support) + 1
+    for ref in _every_ref(sorted(k.counter.support | {outside})):
+        expected = {s for first, group in read if is_member(ref, first) for s in group}
+        assert members(k, ref) == expected, ref
 
 
 @pytest.mark.parametrize("text", ["1,1", "2,1", "1,0,1", "1,1,1,1", "2,1,1,1"])
 def test_head_buckets_partition_the_complex_in_encode_order(text, get_complex):
     k = get_complex(text)
-    index = k.head_index()
+    index = HeadIndex.of(k)
     assert sorted(index.heads) == sorted({_head(s) for s in k.simplices})
     assert all(index.buckets)
     for head, bucket in zip(index.heads, index.buckets):
@@ -279,7 +308,6 @@ def _per_simplex_heads(self, simplices):
     listed = list(simplices)
     self.heads = tuple(map(_head, listed))
     self.buckets = tuple((s,) for s in listed)
-    self._selected = {}
     self._tables = None
 
 
@@ -359,59 +387,20 @@ def test_diagrams_catch_a_left_broken_on_the_mask_path_alone(get_complex, monkey
     )
 
 
-def test_calculus_tests_each_head_once_per_stratum(monkeypatch):
-    k = build(RoundCounter.parse("2,1,1,1"))
-    refs = set()
-    calls = 0
-
-    def counting(ref):
-        refs.add(ref)
-        test = _head_test(ref)
-
-        def counted(*head):
-            nonlocal calls
-            calls += 1
-            return test(*head)
-
-        return counted
-
-    monkeypatch.setattr(strata, "_head_test", counting)
-    verify_strata_calculus(k)
-    # A scan of every simplex would make 1 194 tests per member set, and
-    # again for every repeated reference.  The calculus reads its member
-    # sets from the tables, which list the strata of each head once, and
-    # tests no head against a stratum.
-    assert calls <= len(refs) * len(k.head_index().heads)
-    assert calls == 0
-
-
-@pytest.mark.parametrize("text", ["1,1", "2,1", "1,0,1", "2,1,0,1", "2,1,1,1"])
+@pytest.mark.parametrize("text", TEST_COUNTERS + ("2,1,0,1", "1,0,0,1", "0", "2,1,1,1"))
 def test_the_tables_hold_the_head_tests_bitsets(text, get_complex):
-    k = get_complex(text)
-    x, y, z = strata._tables(k)
-    active = sorted(k.counter.active)
-    for s, a in _x_params(active):
-        key = (witness._mask_of(s), witness._mask_of(a))
-        assert x[key] == _member_bits(k, StratumRef.x(s, a))
-        assert y.get(key, 0) == _member_bits(k, StratumRef.y(s, a))
-    for s in _subsets(active):
-        assert z[witness._mask_of(s)] == _member_bits(k, StratumRef.z(s))
+    _assert_the_tables_hold_the_reference(get_complex(text))
 
 
 def test_the_tables_of_a_doctored_complex_hold_its_head_tests(get_complex):
-    # A simplex of 2,1 put into 1,1, and one left out, as the per-simplex
-    # scan judges them.
-    k = get_complex("1,1")
-    for doctored in (
-        _doctored(k, add=get_complex("2,1").simplices - k.simplices),
-        _doctored(k, drop={C0}),
-    ):
-        x, y, z = strata._tables(doctored)
-        for s, a in _x_params(k.counter.active):
-            key = (witness._mask_of(s), witness._mask_of(a))
-            assert x[key] == _member_bits(doctored, StratumRef.x(s, a))
-            assert y.get(key, 0) == _member_bits(doctored, StratumRef.y(s, a))
-            assert z[key[0]] == _member_bits(doctored, StratumRef.z(s))
+    # Each simplex of 1,1 left out in turn, each simplex of 2,1 that 1,1
+    # lacks put in in turn, and all of those put in at once.
+    k, other = get_complex("1,1"), get_complex("2,1")
+    doctorings = [_doctored(k, drop={s}) for s in k.simplices]
+    doctorings += [_doctored(k, add={s}) for s in other.simplices - k.simplices]
+    doctorings.append(_doctored(k, add=other.simplices - k.simplices))
+    for doctored in doctorings:
+        _assert_the_tables_hold_the_reference(doctored)
 
 
 @pytest.mark.parametrize(
