@@ -212,28 +212,26 @@ def _check_phi(k: Complex) -> dict:
 
 def _check_schedule_bijection(k: Complex) -> dict:
     """Each schedule's facet, and each of its views, is looked up in ``k``
-    by its masks: a hit is a simplex the build validated and stands for
-    its number, and only a miss is validated, and stands for its masks."""
+    by its masks, which a structure equals: a hit is a simplex the build
+    validated, and only a miss is validated."""
     number = k._number
 
-    def found(m: Masks) -> int | Masks:
-        j = number.get(m)
-        return _validated(m) if j is None else j
+    def found(m: Masks) -> Masks:
+        return m if m in number else _validated(m)
 
     support = _mask_of(k.counter)
-    mapped: dict[int | Masks, int] = {}
-    seen_views: set[int | Masks] = set()
+    mapped: dict[Masks, int] = {}
+    seen_views: set[Masks] = set()
     count = 0
     for schedule in enumerate_schedules(k.counter):
-        m = _facet(support, schedule)
-        facet = found(m)
-        mapped[facet] = mapped.get(facet, 0) + 1
+        m = found(_facet(support, schedule))
+        mapped[m] = mapped.get(m, 0) + 1
         active = _active_mask(m)
         seen_views.update(map(found, _ghosts(m, [active ^ 1 << p for p in _bits(active)])))
         count += 1
-    vertex_set = {i for sigma, i in number.items() if sigma.dim == 0}
+    vertex_set = {s for s in k.simplices if s.dim == 0}
     injective = all(n == 1 for n in mapped.values())
-    onto = set(mapped) == {number.get(f, f) for f in k.facets}
+    onto = set(mapped) == k.facets
     covered = seen_views == vertex_set
     status = "ok" if injective and onto and covered else "failed"
     return {

@@ -234,12 +234,12 @@ def _tables(complex_: Complex) -> tuple[dict, dict, dict, dict, int]:
     index.
 
     ``x``, ``y`` and ``z`` hold ``X_{S,A}``, ``Y_{S,A}`` and ``Z_S``, keyed
-    by the masks ``(S, A)``, ``(S, A)`` and ``S``, for every ``S`` in the
-    active set; ``y`` holds every ``Y`` that holds a head.  ``b`` holds
-    ``B_V`` for every ``V`` that a head ghosts in row 0, and ``one_row``
-    the one-row heads, which are all that an ``X`` or ``Z`` whose select
-    set reaches outside the active set holds: rows past the first hold
-    active processes alone.  ``X_{S,A} ∩ B_V`` is ``x & b``.
+    by the masks ``(S, A)``, ``(S, A)`` and ``S``: every one that holds a
+    head, and every ``X`` and ``Z`` with ``S`` in the active set.
+    ``one_row`` is the bitset of the one-row heads, which every ``X`` and
+    ``Z`` holds; a key with ``S`` outside the active set leaves them to
+    the reader, as a missing key does.  ``b`` holds ``B_V`` for every
+    ``V`` that a head ghosts in row 0.  ``X_{S,A} ∩ B_V`` is ``x & b``.
 
     The strata that hold each head are listed.  A head lies in ``B_V``
     for every ``V ⊆ G_0``.  A head with ``W_1`` empty joins every ``X``
@@ -265,10 +265,9 @@ def _tables(complex_: Complex) -> tuple[dict, dict, dict, dict, int]:
             if not w1:
                 one_row |= bit
                 continue
-            if not u & ~active:
-                for a in _submasks(g1):
-                    x[u, a] = x.get((u, a), 0) | bit
-            for s in _submasks(g1 & active):
+            for a in _submasks(g1):
+                x[u, a] = x.get((u, a), 0) | bit
+            for s in _submasks(g1):
                 z[s] = z.get(s, 0) | bit
                 for a in _submasks(s):
                     x[s, a] = x.get((s, a), 0) | bit
@@ -295,11 +294,11 @@ def members(complex_: Complex, ref: StratumRef) -> frozenset[WitnessStructure]:
     if ref.kind == "Y":
         bits = y.get((s, a), 0)
     elif ref.kind == "Z":
-        bits = z.get(s, one_row)
+        bits = z.get(s, 0) | one_row
     elif ref.kind == "B":
         bits = b.get(v, 0)
     else:
-        bits = x.get((s, a), one_row)
+        bits = x.get((s, a), 0) | one_row
         if ref.kind == "XBV":
             bits &= b.get(v, 0)
     buckets = HeadIndex.of(complex_).buckets

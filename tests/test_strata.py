@@ -83,16 +83,17 @@ def _subsets(items):
     return [frozenset(c) for size in range(len(items) + 1) for c in combinations(items, size)]
 
 
-def _every_ref(procs):
-    """Every X/Y/Z/B stratum whose process sets lie in ``procs``, and the
-    XBV strata of every X with a dropped set of at most two of them."""
+def _every_ref(procs, max_dropped=None):
+    """Every X/Y/Z/B/XBV stratum whose process sets lie in ``procs``; with
+    ``max_dropped``, only the XBV strata that drop at most that many."""
     every = _subsets(procs)
     pairs = [(s, a) for s in every for a in _subsets(sorted(s))]
+    dropped = [v for v in every if max_dropped is None or len(v) <= max_dropped]
     yield from (StratumRef.x(s, a) for s, a in pairs)
     yield from (StratumRef.y(s, a) for s, a in pairs)
     yield from (StratumRef.z(s) for s in every)
     yield from (StratumRef.b(v) for v in every)
-    yield from (StratumRef.xbv(s, a, v) for s, a in pairs for v in every if len(v) <= 2)
+    yield from (StratumRef.xbv(s, a, v) for s, a in pairs for v in dropped)
 
 
 def test_mask_scans_match_the_frozenset_predicate(get_complex):
@@ -126,14 +127,14 @@ def _assert_the_tables_hold_the_reference(k):
     """Every member set of ``k``, which :func:`members` reads from the
     tables, against the reference run on one simplex of each group of
     simplices that agree on what it reads, for strata over the support
-    and one id outside it."""
+    and one id outside it, XBV strata dropping at most two ids."""
     groups: dict[tuple, list[WitnessStructure]] = {}
     for sigma in k.simplices:
         key = (sigma.ghost_row(0), sigma.witness_row(1), sigma.ghost_row(1), sigma.t == 0)
         groups.setdefault(key, []).append(sigma)
     read = [(_Read(group[0]), group) for group in groups.values()]
     outside = max(k.counter.support) + 1
-    for ref in _every_ref(sorted(k.counter.support | {outside})):
+    for ref in _every_ref(sorted(k.counter.support | {outside}), max_dropped=2):
         expected = {s for first, group in read if is_member(ref, first) for s in group}
         assert members(k, ref) == expected, ref
 
@@ -394,11 +395,13 @@ def test_the_tables_hold_the_head_tests_bitsets(text, get_complex):
 
 def test_the_tables_of_a_doctored_complex_hold_its_head_tests(get_complex):
     # Each simplex of 1,1 left out in turn, each simplex of 2,1 that 1,1
-    # lacks put in in turn, and all of those put in at once.
+    # lacks put in in turn, and all of those put in at once; and the
+    # simplices of 1,1 put into 1,0, whose row 1 holds the passive 1.
     k, other = get_complex("1,1"), get_complex("2,1")
     doctorings = [_doctored(k, drop={s}) for s in k.simplices]
     doctorings += [_doctored(k, add={s}) for s in other.simplices - k.simplices]
     doctorings.append(_doctored(k, add=other.simplices - k.simplices))
+    doctorings.append(_doctored(get_complex("1,0"), add=k.simplices))
     for doctored in doctorings:
         _assert_the_tables_hold_the_reference(doctored)
 
