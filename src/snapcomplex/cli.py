@@ -406,16 +406,15 @@ def _collapse_report(payload: dict, steps: Sequence[CollapseStep]) -> str:
 
 def _hasse_dot(k: Complex) -> str:
     lines = ["digraph face_poset {", "  rankdir=BT;", '  node [shape=box, fontname="monospace"];']
-    code = k.encodings()
+    # The encodings in number order; the first call also sorts the numbers.
+    codes, simplices, lower = list(k.encodings().values()), k._simplices, k._lower
     # A stable sort by dimension of the encode order: (dim, encode()) order.
-    ordered = sorted(k.ordered(), key=lambda s: s.dim)
-    for sigma in ordered:
-        name = code[sigma]
-        lines.append(f'  "{name}" [label="dim {sigma.dim}: {name}"];')
-    faces = k._face_reader()
-    for sigma in ordered:
-        child = code[sigma]
-        for parent in sorted([code[face] for face in faces(sigma)]):
+    ordered = sorted(k._encode_order(), key=lambda i: simplices[i].dim)
+    for i in ordered:
+        lines.append(f'  "{codes[i]}" [label="dim {simplices[i].dim}: {codes[i]}"];')
+    for i in ordered:
+        child = codes[i]
+        for parent in sorted([codes[j] for j in lower[i]]):
             lines.append(f'  "{parent}" -> "{child}";')
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -55,11 +55,12 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 from .complexes import Complex
 from .counters import RoundCounter
 from .errors import CollapseStalledError
-from .schedules import _nonempty_subsets, _x_params
+from .schedules import _SUBMASKS, _x_params
 from .witness import (
     Masks,
     WitnessStructure,
     _active_mask,
+    _bits,
     _delta,
     _gamma,
     _head,
@@ -266,17 +267,14 @@ def _restrictions(
     counter, masks = part.counter, part.masks
     bit = 1 << pivot
     pairs = sorted(
-        (sa for sa in _x_params(counter.active - {pivot}) if sa[1] != sa[0]),  # A ⊊ S
-        key=lambda sa: (len(sa[1]), sorted(sa[0]), sorted(sa[1])),
+        (sa for sa in _x_params(_mask_of(counter.active) & ~bit) if sa[1] != sa[0]),  # A ⊊ S
+        key=lambda sa: (sa[1].bit_count(), _bits(sa[0]), _bits(sa[1])),
     )
-    for sel, absorbed in pairs:
-        s_mask, a_mask = _mask_of(sel), _mask_of(absorbed)
+    for s, a in pairs:
         chosen = [
-            (i, _gamma(masks[i], s_mask, a_mask))
-            for g0 in (0, bit)
-            for i in classes.get((g0, s_mask, a_mask), ())
+            (i, _gamma(masks[i], s, a)) for g0 in (0, bit) for i in classes.get((g0, s, a), ())
         ]
-        yield counter.restrict(sel, absorbed), chosen
+        yield counter.restrict(_bits(s), _bits(a)), chosen
 
 
 def _deletions(part: _Part, pivot: int) -> Iterator[tuple[RoundCounter, Pairs]]:
@@ -292,9 +290,8 @@ def _deletions(part: _Part, pivot: int) -> Iterator[tuple[RoundCounter, Pairs]]:
         if sigma[1] & ~bit:
             phases.setdefault(sigma[1] & ~bit, []).append(i)
     masks = part.masks
-    for dropped in map(frozenset, _nonempty_subsets(sorted(counter.support - {pivot}))):
-        v = _mask_of(dropped)
-        yield counter.delete(dropped), [(i, _delta(masks[i], v)) for i in phases.pop(v, ())]
+    for v in _SUBMASKS[_mask_of(counter.support) & ~bit][1:]:
+        yield counter.delete(_bits(v)), [(i, _delta(masks[i], v)) for i in phases.pop(v, ())]
 
 
 def _compute_ctrb(part: _Part, pivot: int, memo: Memo) -> list[Step]:
@@ -506,22 +503,17 @@ def validate_collapse(
         counts[step.stage] += 1
 
     survivors = rest()
+    violation = None
     if expected_remainder is not None:
         expected = frozenset(expected_remainder)
         if survivors != expected:
             extra = sorted(s.encode() for s in survivors - expected)[:3]
             missing = sorted(s.encode() for s in expected - survivors)[:3]
-            return ValidationReport(
-                ok=False,
-                checked_steps=len(sequence.steps),
-                stage_counts=dict(counts),
-                remainder=survivors,
-                violation=f"remainder mismatch: unexpected {extra}, missing {missing}",
-            )
+            violation = f"remainder mismatch: unexpected {extra}, missing {missing}"
     return ValidationReport(
-        ok=True,
+        ok=violation is None,
         checked_steps=len(sequence.steps),
         stage_counts=dict(counts),
         remainder=survivors,
-        violation=None,
+        violation=violation,
     )

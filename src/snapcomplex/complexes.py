@@ -312,19 +312,6 @@ class Complex:
             raise VerificationError(f"face {stray} is a cover outside the complex")
         return numbers
 
-    def _face_reader(self) -> Callable[[WitnessStructure], Iterator[WitnessStructure]]:
-        """:meth:`lower_covers` as an iterator, with its lookups bound once,
-        for callers that read the covers of many simplices of the complex.
-        A simplex outside the complex is a :class:`KeyError`."""
-        number, flat, start = self._number, self._lower.flat, self._lower.start
-        simplex = self._simplices.__getitem__
-
-        def faces(sigma: WitnessStructure) -> Iterator[WitnessStructure]:
-            i = number[sigma]
-            return map(simplex, flat[start[i] : start[i + 1]])
-
-        return faces
-
     def lower_covers(self, sigma: WitnessStructure) -> Covers:
         """The codimension-1 faces ``ghost(σ,{p})``, ``p`` in sorted active order."""
         return tuple(map(self._simplices.__getitem__, self._lower[self._index(sigma)]))
@@ -536,7 +523,8 @@ class ConeSplit:
     Each simplex is paired with (simplex of the smaller complex, flag); the
     flag records whether the apex participates, and the simplex is the δ
     image of the simplex with the apex ghosted.  A simplex that δ rejects
-    is a :class:`VerificationError`.
+    is a :class:`VerificationError`.  Each apex face is looked up in the
+    whole complex and each image in the base, and only a miss is validated.
     """
 
     __slots__ = ("complex", "base", "apex", "pairing")
@@ -546,12 +534,17 @@ class ConeSplit:
         self.base = base
         self.apex = apex_process
         bit = 1 << apex_process
+        number, stored = base._number, base._simplices
         pairing: dict[WitnessStructure, tuple[WitnessStructure, bool]] = {}
         for sigma in whole.simplices:
             flag = apex_process in sigma.active_set
             try:
-                face = _validated(_ghost(sigma, bit)) if flag else sigma
-                pairing[sigma] = (_from_masks(_delta(face, bit)), flag)
+                face = _ghost(sigma, bit) if flag else sigma
+                if face not in whole:
+                    _validated(face)
+                image = _delta(face, bit)
+                j = number.get(image)
+                pairing[sigma] = (_from_masks(image) if j is None else stored[j], flag)
             except ValueError as exc:
                 raise VerificationError(f"cone pairing: {exc}") from None
         self.pairing = pairing
@@ -569,23 +562,24 @@ class ConeSplit:
         covers (face, False) for each such face."""
         if self.pairing[self.apex_vertex] != (self.base.empty_simplex, True):
             raise VerificationError("apex vertex does not map to the apex of the join")
-        # (τ, flag) of the join is number 2·τ + flag, τ numbered in the base.
-        number, rows = self.base._number, self.base._lower
+        # (τ, flag) of the join is number 2·τ + flag, τ numbered in the base;
+        # each simplex is keyed by its number in the whole complex.
+        whole, number, rows = self.complex, self.base._number, self.base._lower
         image = {}
         for sigma, (tau, flag) in self.pairing.items():
             j = number.get(tau)
-            image[sigma] = (tau, flag) if j is None else 2 * j + flag
+            image[whole._number[sigma]] = (tau, flag) if j is None else 2 * j + flag
 
         def join_lower(j: int) -> list[int]:
             tau, flag = j >> 1, j & 1
             covers = [2 * face + flag for face in rows[tau]]
             return covers + [2 * tau] if flag else covers
 
-        whole, label = self.complex, f"cone pairing at apex {self.apex}"
-        encode = WitnessStructure.encode
-        _certify_iso(
-            image, whole._face_reader(), 2 * len(self.base), join_lower, label, encode
-        )
+        def word(i: int) -> str:
+            return WitnessStructure.encode(whole._simplices[i])
+
+        label = f"cone pairing at apex {self.apex}"
+        _certify_iso(image, whole._lower.__getitem__, 2 * len(self.base), join_lower, label, word)
         return {
             "apex_process": self.apex,
             "simplices": len(self.pairing),

@@ -8,12 +8,12 @@ machinery, which this module treats as the execution semantics.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterator, Sequence
 from itertools import chain, combinations, islice, repeat
 
 from .counters import RoundCounter
 from .errors import ComplexTooLargeError
-from .witness import Masks, WitnessStructure, _from_masks, _mask_of, ghost
+from .witness import Masks, WitnessStructure, _bits, _from_masks, _mask_of, _MaskTable, ghost
 
 Schedule = tuple[frozenset[int], ...]
 
@@ -24,7 +24,8 @@ def _subsets(items: Sequence) -> Iterator[tuple]:
 
     This is the package's one subset order: layer choices, strata
     parameters, collapse phases and certification loops all walk
-    subsets through here, so their outputs list them alike.
+    subsets in it, and :func:`_submasks` is the same order on masks, so
+    their outputs list them alike.
     It is made of C iterators only, as :func:`_layer_choices` needs.
     """
     return chain.from_iterable(map(combinations, repeat(items), range(len(items) + 1)))
@@ -35,15 +36,21 @@ def _nonempty_subsets(items: Sequence) -> Iterator[tuple]:
     return islice(_subsets(items), 1, None)
 
 
-def _x_params(procs: Iterable[int]) -> list[tuple[frozenset[int], frozenset[int]]]:
+def _submasks(mask: int) -> tuple[int, ...]:
+    """Every submask of ``mask``, in the order of :func:`_subsets` of its
+    ids: ``0`` first and ``mask`` last.  Read them from ``_SUBMASKS``,
+    which makes each once."""
+    return tuple(map(sum, _subsets([1 << p for p in _bits(mask)])))
+
+
+_SUBMASKS: dict[int, tuple[int, ...]] = _MaskTable(_submasks)
+
+
+def _x_params(mask: int) -> list[tuple[int, int]]:
     """Every parameter pair ``(S, A)`` of a stratum ``X_{S,A}`` with
-    ``A ⊆ S ⊆ procs``: by ``S``, then by ``A``, each in the order of
-    :func:`_subsets`.  ``(∅, ∅)`` comes first."""
-    return [
-        (frozenset(select), frozenset(absorbed))
-        for select in _subsets(sorted(procs))
-        for absorbed in _subsets(select)
-    ]
+    ``A ⊆ S ⊆ mask``, as masks: by ``S``, then by ``A``, each in the order
+    of :func:`_submasks`.  ``(0, 0)`` comes first."""
+    return [(s, a) for s in _SUBMASKS[mask] for a in _SUBMASKS[s]]
 
 
 def is_valid_schedule(s: Sequence[frozenset[int]], r: RoundCounter) -> bool:

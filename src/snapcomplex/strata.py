@@ -26,12 +26,16 @@ from it as an int bitset of head ids, and nothing is kept per stratum
 reference.  The certifications below compare member sets as these
 bitsets, which is exact because the buckets of simplices behind
 distinct heads are disjoint and nonempty.
-They run on the masks of the parameters, and hand masks to the private
+Their parameters are masks (an int with bit ``p`` set for process
+``p``) from enumeration to report: :func:`~snapcomplex.schedules._submasks`
+and :func:`~snapcomplex.schedules._x_params` list them in the package's one
+subset order, and they become process sets only in counter arguments,
+report fields and error text.  The checks hand masks to the private
 forms ``_gamma``, ``_rho`` and ``_delta`` of the maps, which return the
 image unvalidated.  ``_gamma`` and ``_delta`` live in
-:mod:`~snapcomplex.witness`, as :func:`~snapcomplex.schedules._x_params`
-lives in ``schedules``, so that the collapse engine, which uses them too,
-need not load this module.  A check computes each image once: one that
+:mod:`~snapcomplex.witness`, as the enumerations live in ``schedules``,
+so that the collapse engine, which uses them too, need not load this
+module.  A check computes each image once: one that
 equals a simplex of the complex it must land in is validated already,
 only a miss is validated, and each distinct mask is validated, and
 tested for membership in a counter, at most once per check.
@@ -46,7 +50,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple
 from .complexes import Complex, _certify_iso, _membership_test, _sub_builder
 from .counters import RoundCounter, _check_pid
 from .errors import VerificationError
-from .schedules import _nonempty_subsets, _subsets, _x_params
+from .schedules import _SUBMASKS, _nonempty_subsets, _x_params
 from .witness import (
     _SETS,
     Masks,
@@ -186,16 +190,6 @@ def classify_interior(sigma: WitnessStructure) -> StratumRef | None:
     return StratumRef.xbv(select, sigma.ghost_row(1), sigma.ghost_row(0))
 
 
-def _submasks(mask: int) -> list[int]:
-    """Every submask of ``mask``, ``mask`` first and ``0`` last."""
-    out = [mask]
-    sub = mask
-    while sub:
-        sub = (sub - 1) & mask
-        out.append(sub)
-    return out
-
-
 class HeadIndex:
     """The simplices of a complex grouped by head ``(W_0, G_0, W_1, G_1)``.
 
@@ -256,24 +250,25 @@ def _tables(complex_: Complex) -> tuple[dict, dict, dict, dict, int]:
         z: dict[int, int] = {}
         b: dict[int, int] = {}
         one_row = 0
+        sub = _SUBMASKS
         for i, (_, g0, w1, g1) in enumerate(index.heads):
             bit, u = 1 << i, w1 | g1
-            for v in _submasks(g0):
+            for v in sub[g0]:
                 b[v] = b.get(v, 0) | bit
-            for a in _submasks(g1):
+            for a in sub[g1]:
                 y[u, a] = y.get((u, a), 0) | bit
             if not w1:
                 one_row |= bit
                 continue
-            for a in _submasks(g1):
+            for a in sub[g1]:
                 x[u, a] = x.get((u, a), 0) | bit
-            for s in _submasks(g1):
+            for s in sub[g1]:
                 z[s] = z.get(s, 0) | bit
-                for a in _submasks(s):
+                for a in sub[s]:
                     x[s, a] = x.get((s, a), 0) | bit
-        for s in _submasks(active):
+        for s in sub[active]:
             z[s] = z.get(s, 0) | one_row
-            for a in _submasks(s):
+            for a in sub[s]:
                 x[s, a] = x.get((s, a), 0) | one_row
         tables = index._tables = (x, y, z, b, one_row)
     return tables
@@ -400,9 +395,9 @@ def _incidence(s: int, a: int) -> set[tuple[int, int]]:
     outer absorbed set is smaller, or the outer selected set sits
     inside the inner absorbed set.
     """
-    inside = {(s, b) for b in _submasks(a)}
-    for t in _submasks(a):
-        inside.update((t, b) for b in _submasks(t))
+    inside = {(s, b) for b in _SUBMASKS[a]}
+    for t in _SUBMASKS[a]:
+        inside.update((t, b) for b in _SUBMASKS[t])
     return inside
 
 
@@ -529,30 +524,28 @@ class NerveReport(NamedTuple):
 
 def nerve(complex_: Complex) -> NerveReport:
     """Compute the nerve of the cover ``{closure X_S : ∅ ≠ S ⊆ active}``."""
-    active = sorted(complex_.counter.active)
-    cover = [frozenset(s) for s in _nonempty_subsets(active)]
+    apex = _mask_of(complex_.counter.active)
+    cover = _SUBMASKS[apex][1:]
     x = _tables(complex_)[0]
-    pieces = {s: x[_mask_of(s), 0] for s in cover}
+    pieces = {s: x[s, 0] for s in cover}
     # The heads whose bucket holds a simplex of dimension at least zero.
     live = 0
     for i, bucket in enumerate(HeadIndex.of(complex_).buckets):
         if any(sigma.dim >= 0 for sigma in bucket):
             live |= 1 << i
-    spanning: set[frozenset[Procs]] = set()
+    # Each family as a tuple of masks in cover order, which ends on the apex.
+    spanning: set[tuple[int, ...]] = set()
     for joint in _nonempty_subsets(cover):
         shared = live
         for s in joint:
             shared &= pieces[s]
         if shared:
-            spanning.add(frozenset(joint))
-    apex = frozenset(active)
-    is_cone = all(
-        frozenset(joint | {apex}) in spanning for joint in spanning if apex not in joint
-    )
+            spanning.add(joint)
+    is_cone = all(joint + (apex,) in spanning for joint in spanning if joint[-1] != apex)
     return NerveReport(
-        cover=tuple(sorted(cover, key=lambda s: (len(s), sorted(s)))),
-        spanning=frozenset(spanning),
-        apex=apex,
+        cover=tuple(map(_SETS.__getitem__, cover)),
+        spanning=frozenset(frozenset(map(_SETS.__getitem__, joint)) for joint in spanning),
+        apex=_SETS[apex],
         is_cone=is_cone,
     )
 
@@ -580,10 +573,9 @@ def verify_strata_calculus(complex_: Complex) -> dict[str, int]:
     and :func:`_cap_family`, which the public intersections also use.
     """
     x, y, z, _, _ = _tables(complex_)
-    active = complex_.counter.active
-    act = _mask_of(active)
-    subsets = [_mask_of(s) for s in _subsets(sorted(active))]
-    xs = [(s, a, x[s, a]) for s, a in (map(_mask_of, pair) for pair in _x_params(active))]
+    act = _mask_of(complex_.counter.active)
+    subsets = _SUBMASKS[act]
+    xs = [(s, a, x[s, a]) for s, a in _x_params(act)]
 
     # Containment criterion against setwise containment.
     outside = [(t, b, ~outer) for t, b, outer in xs]
@@ -731,11 +723,10 @@ def verify_translation_maps(complex_: Complex) -> dict[str, int]:
     gamma_strata = 0
     rho_roundtrips = 0
     delta_strata = 0
-    for select, absorbed in _x_params(counter.active):
-        s, a = _mask_of(select), _mask_of(absorbed)
+    for s, a in _x_params(_mask_of(counter.active)):
         label = f"γ_{_braced(s)},{_braced(a)}"
         domain = members_of(x[s, a])
-        target = target_for(counter.restrict(select, absorbed))
+        target = target_for(counter.restrict(_bits(s), _bits(a)))
         found = certified(domain, lambda m: _gamma(m, s, a), target, label)
         gamma_strata += 1
         if a:
@@ -757,12 +748,11 @@ def verify_translation_maps(complex_: Complex) -> dict[str, int]:
                     f"ρ_{_braced(s)} is not a right inverse on {_text(target._simplices[j])}"
                 )
             rho_roundtrips += 1
-    # Every V ⊆ supp but supp itself, which _subsets lists last.
-    for dropped in list(_subsets(sorted(counter.support)))[:-1]:
-        v = _mask_of(dropped)
+    # Every V ⊆ supp but supp itself, which _SUBMASKS lists last.
+    for v in _SUBMASKS[_mask_of(counter.support)][:-1]:
         label = f"δ_{_braced(v)}"
         domain = members_of(b.get(v, 0))
-        target = target_for(counter.delete(dropped))
+        target = target_for(counter.delete(_bits(v)))
         found = certified(domain, lambda m: _delta(m, v), target, label)
         for i in domain:
             back = _delta_inverse(target._simplices[found[i]], v)
@@ -842,13 +832,11 @@ class _Diagrams:
         """Peeling ``S ∪ A`` while deleting ``A`` equals peeling ``A`` then ``S``."""
         name, counter = "restriction-composition", self.counter
         valid, peel, buckets = self.valid, self.peel, self.buckets
-        active = sorted(counter.active)
-        for absorbed in _nonempty_subsets(active):
-            a = _mask_of(absorbed)
-            deleted = counter.delete(absorbed)
+        active = _mask_of(counter.active)
+        for a in _SUBMASKS[active][1:]:
+            deleted = counter.delete(_bits(a))
             in_deleted = self.member(deleted)
-            for select in _nonempty_subsets([p for p in active if not a >> p & 1]):
-                s = _mask_of(select)
+            for s in _SUBMASKS[active & ~a][1:]:
                 checked = 0
                 for h in self.heads(s | a, a):
                     for sigma, mid, one_step in zip(buckets[h], peel(a, a, h), peel(s | a, a, h)):
@@ -856,7 +844,7 @@ class _Diagrams:
                             raise _fail(
                                 name,
                                 sigma,
-                                f"peeling {list(absorbed)} leaves {_text(mid)}, "
+                                f"peeling {_bits(a)} leaves {_text(mid)}, "
                                 f"not a simplex over {deleted.to_text()!r}",
                             )
                         # In X_S: one row, or row 1 covers exactly S or ghosts all of it.
@@ -871,9 +859,7 @@ class _Diagrams:
                                 name, sigma, f"{_text(two_step)} != {_text(valid[one_step])}"
                             )
                     checked += len(buckets[h])
-                yield DiagramReport(
-                    name, {"select": list(select), "absorbed": list(absorbed)}, checked
-                )
+                yield DiagramReport(name, {"select": _bits(s), "absorbed": _bits(a)}, checked)
 
     def restriction_absorbs_drop(self) -> Iterator[DiagramReport]:
         """Absorbing extra ghosts after peeling equals absorbing them during
@@ -883,13 +869,11 @@ class _Diagrams:
         differs."""
         name, counter = "restriction-absorbs-drop", self.counter
         valid, peel, buckets = self.valid, self.peel, self.buckets
-        for select, absorbed in _x_params(counter.active)[1:]:  # every S ≠ ∅
-            s, a = _mask_of(select), _mask_of(absorbed)
-            shrunk = counter.restrict(select, absorbed)
+        for s, a in _x_params(_mask_of(counter.active))[1:]:  # every S ≠ ∅
+            shrunk = counter.restrict(_bits(s), _bits(a))
             in_shrunk = self.member(shrunk)
             heads = self.heads(s, a)
-            for small in _subsets(sorted(absorbed)):
-                b = _mask_of(small)
+            for b in _SUBMASKS[a]:
                 drop = a & ~b
                 for h in heads:
                     for sigma, inner, right in zip(buckets[h], peel(s, b, h), peel(s, a, h)):
@@ -898,35 +882,29 @@ class _Diagrams:
                             raise _fail(
                                 name, sigma, f"{_text(valid[left])} != {_text(valid[right])}"
                             )
-                        if not small and not in_shrunk[valid[right]]:
+                        if not b and not in_shrunk[valid[right]]:
                             raise _fail(
                                 name,
                                 sigma,
                                 f"{_text(right)} is not a simplex over {shrunk.to_text()!r}",
                             )
-                parameters = {"select": sorted(select), "absorbed": sorted(absorbed)}
-                parameters["kept_absorbed"] = list(small)
+                parameters = {"select": _bits(s), "absorbed": _bits(a), "kept_absorbed": _bits(b)}
                 yield DiagramReport(name, parameters, sum(len(buckets[h]) for h in heads))
 
     def drop_restriction_commute(self) -> Iterator[DiagramReport]:
         """Forgetting row-0 ghosts commutes with peeling round one."""
         name, counter = "drop-restriction-commute", self.counter
         valid, peel, buckets = self.valid, self.peel, self.buckets
-        # Row-0 ghost masks -> their subsets as masks, the empty one first.
-        drops: dict[int, list[int]] = {}
-        for select, absorbed in _x_params(counter.active)[1:]:  # every S ≠ ∅
-            s, a = _mask_of(select), _mask_of(absorbed)
-            stepped = counter.restrict(select, absorbed)
+        for s, a in _x_params(_mask_of(counter.active))[1:]:  # every S ≠ ∅
+            stepped = counter.restrict(_bits(s), _bits(a))
             # Dropped mask -> membership in the dropped-and-stepped counter.
             in_target: dict[int, dict[Masks, bool]] = {}
             checked = 0
             for h in self.heads(s, a):
                 for sigma, peeled in zip(buckets[h], peel(s, a, h)):
-                    loose = sigma[1] & ~s  # the row-0 ghosts outside S
-                    if loose not in drops:
-                        drops[loose] = list(map(_mask_of, _subsets(_bits(loose))))
+                    drops = _SUBMASKS[sigma[1] & ~s]  # of the row-0 ghosts outside S
                     # δ_∅, which comes first, validates the peel itself.
-                    for v in drops[loose]:
+                    for v in drops:
                         left = valid[_delta(peeled, v)]
                         dropped = _delta(sigma, v)
                         # A simplex, with its peel made.
@@ -943,10 +921,8 @@ class _Diagrams:
                                 f"{_text(left)} is not a simplex over the "
                                 "dropped-and-stepped counter",
                             )
-                    checked += len(drops[loose])
-            yield DiagramReport(
-                name, {"select": sorted(select), "absorbed": sorted(absorbed)}, checked
-            )
+                    checked += len(drops)
+            yield DiagramReport(name, {"select": _bits(s), "absorbed": _bits(a)}, checked)
 
 
 def verify_diagrams(complex_: Complex) -> list[DiagramReport]:

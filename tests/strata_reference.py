@@ -12,8 +12,10 @@ three certifications below are the loops of
 sets are frozensets from :func:`member_set`, strata are
 :class:`~snapcomplex.StratumRef` objects, every image is made and
 validated by the public maps, and membership is
-:func:`snapcomplex.membership`.  They report, and fail, as the library
-does.
+:func:`snapcomplex.membership`.  Their parameters are enumerated here, with
+:mod:`itertools`, and not by the engine's ``_x_params``: a pair missing
+from the engine's list is then missing from one side only.  They report,
+and fail, as the library does.
 """
 
 from __future__ import annotations
@@ -32,7 +34,6 @@ from snapcomplex import (
 )
 from snapcomplex.complexes import Complex, _sub_builder
 from snapcomplex.errors import VerificationError
-from snapcomplex.schedules import _nonempty_subsets, _subsets, _x_params
 from snapcomplex.witness import WitnessStructure
 
 
@@ -78,9 +79,21 @@ def _fmt(values) -> str:
     return "{" + ",".join(str(p) for p in sorted(values)) + "}"
 
 
+def _subsets(items) -> list[tuple]:
+    """Every subset of ``items``, as a sorted tuple: by size, then
+    lexicographically; the empty one comes first."""
+    items = sorted(items)
+    return [c for size in range(len(items) + 1) for c in itertools.combinations(items, size)]
+
+
+def _x_params(procs) -> list[tuple[frozenset, frozenset]]:
+    """Every ``(S, A)`` with ``A ⊆ S ⊆ procs``: by ``S``, then by ``A``."""
+    return [(frozenset(s), frozenset(a)) for s in _subsets(procs) for a in _subsets(s)]
+
+
 def verify_strata_calculus(k: Complex) -> dict[str, int]:
     active = frozenset(k.counter.active)
-    subsets = [frozenset(s) for s in _subsets(sorted(active))]
+    subsets = [frozenset(s) for s in _subsets(active)]
     pairs = _x_params(active)
     mem_x = {(s, a): member_set(k, StratumRef.x(s, a)) for s, a in pairs}
     mem_z = {s: member_set(k, StratumRef.z(s)) for s in subsets}
@@ -206,10 +219,10 @@ def verify_diagrams(k: Complex) -> list[dict]:
     active = sorted(counter.active)
     reports = []
     name = "restriction-composition"
-    for absorbed in _nonempty_subsets(active):
+    for absorbed in _subsets(active)[1:]:
         a = frozenset(absorbed)
         deleted = counter.delete(a)
-        for select in _nonempty_subsets([p for p in active if p not in a]):
+        for select in _subsets([p for p in active if p not in a])[1:]:
             s = frozenset(select)
             stratum = _listed(k, StratumRef.x(s | a, a))
             for sigma in stratum:
@@ -232,7 +245,7 @@ def verify_diagrams(k: Complex) -> list[dict]:
     for s, a in _x_params(counter.active)[1:]:
         shrunk = counter.restrict(s, a)
         stratum = _listed(k, StratumRef.x(s, a))
-        for small in _subsets(sorted(a)):
+        for small in _subsets(a):
             for sigma in stratum:
                 left = delta(gamma(sigma, s, small), a - set(small))
                 right = gamma(sigma, s, a)
@@ -249,7 +262,7 @@ def verify_diagrams(k: Complex) -> list[dict]:
         checked = 0
         for sigma in _listed(k, StratumRef.x(s, a)):
             peeled = gamma(sigma, s, a)
-            for v in _subsets(sorted(sigma.ghost_row(0) - s)):
+            for v in _subsets(sigma.ghost_row(0) - s):
                 left, right = delta(peeled, v), gamma(delta(sigma, v), s, a)
                 if left != right:
                     raise _fail(name, sigma, f"{left.encode()} != {right.encode()}")
@@ -297,7 +310,7 @@ def verify_translation_maps(k: Complex) -> dict[str, int]:
             if back not in image or gamma(back, s) != tau:
                 raise VerificationError(f"ρ_{_fmt(s)} is not a right inverse on {tau.encode()}")
             rho_roundtrips += 1
-    for v in list(_subsets(sorted(counter.support)))[:-1]:
+    for v in _subsets(counter.support)[:-1]:
         label = f"δ_{_fmt(v)}"
         domain = _listed(k, StratumRef.b(v))
         target = target_for(counter.delete(v))

@@ -16,6 +16,7 @@ import pytest
 
 from snapcomplex import (
     Complex,
+    RoundCounter,
     StratumRef,
     WitnessStructure,
     members,
@@ -363,17 +364,57 @@ def test_the_schedule_bijection_fails_without_a_facet_or_a_vertex(get_complex):
     }
 
 
+# -- the cone ------------------------------------------------------------------
+
+
+def test_the_cone_fails_on_an_apex_face_that_is_no_prestructure(get_complex, monkeypatch):
+    # The apex, ghosted, also stays a row-0 witness: δ of that face, which
+    # forgets the apex ghost, would be a valid structure, so only
+    # validating the face itself catches it.
+    k = get_complex("1,1,0")
+    base = complexes._sub_builder(k)(k.counter.delete({2}))
+    edges = (s for s in k.simplices if s.dim == 1 and 2 in s.active_set)
+    edge = min(edges, key=WitnessStructure.encode)
+    real = complexes._ghost
+
+    def doctored(m, hide):
+        out = real(m, hide)
+        return (out[0] | hide,) + out[1:] if m == edge else out
+
+    monkeypatch.setattr(complexes, "_ghost", doctored)
+    with pytest.raises(VerificationError) as exc:
+        complexes.ConeSplit(k, base, 2)
+    assert str(exc.value) == f"cone pairing: {NOT_A_PRESTRUCTURE}"
+
+
+def test_the_cone_names_the_simplex_below_which_its_pairing_breaks():
+    split = complexes.cone_split(RoundCounter.parse("1,1,0"), 2)
+    edges = sorted((s for s in split.pairing if s.dim == 1), key=WitnessStructure.encode)
+    first, second = edges[:2]
+    split.pairing[first], split.pairing[second] = split.pairing[second], split.pairing[first]
+    with pytest.raises(VerificationError) as exc:
+        split.certify()
+    assert str(exc.value) == (
+        "cone pairing at apex 2 breaks the face relation below "
+        "[[[0,1,2],[]],[[0],[]],[[1],[]]]"
+    )
+
+
 # -- work ----------------------------------------------------------------------
 
 
 def test_all_check_verify_validates_each_mask_once_per_check(monkeypatch, capsys):
     # The build validates each stored simplex once, and the certifications
     # each distinct mask tuple at most once; schedule-bijection finds every
-    # facet and view among the stored simplices and validates none.  Base:
-    # the diagrams made 20 821 prestructure tests of 2 679 distinct masks,
-    # gg 9 489 of 1 194 (every face it ghosted, although each is a stored
-    # simplex), schedule-bijection 1 165 of 311.
-    phases = [["build", 0, set()]]
+    # facet and view among the stored simplices and validates none.  Base
+    # on 2,1,1,1: the diagrams made 20 821 prestructure tests of 2 679
+    # distinct masks, gg 9 489 of 1 194 (every face it ghosted, although
+    # each is a stored simplex), schedule-bijection 1 165 of 311.  On
+    # 2,1,0,1 the cone looks its faces up in the whole complex and its
+    # images in the base, so it validates only what its base's build does
+    # (108 tests) and the apex vertex and the base's empty simplex; base:
+    # 326 tests of 217 masks on top of that build.
+    phases = []
     real = witness._is_prestructure
 
     def counting(m):
@@ -391,10 +432,13 @@ def test_all_check_verify_validates_each_mask_once_per_check(monkeypatch, capsys
     monkeypatch.setattr(witness, "_is_prestructure", counting)
     for name, check in list(cli._CHECKS.items()):
         monkeypatch.setitem(cli._CHECKS, name, entering(name, check))
-    assert cli.main(["verify", "-r", "2,1,1,1", "--checks", ",".join(cli.CHECK_ORDER)]) == 0
-    capsys.readouterr()
-    counts = {name: (calls, len(masks)) for name, calls, masks in phases}
-    for name in ("build", "strata-intersections", "diagrams", "gg"):
-        calls, distinct = counts[name]
-        assert calls == distinct, (name, calls, distinct)
-    assert counts["schedule-bijection"] == (0, 0)
+    for text in ("2,1,1,1", "2,1,0,1"):
+        phases[:] = [["build", 0, set()]]
+        assert cli.main(["verify", "-r", text, "--checks", ",".join(cli.CHECK_ORDER)]) == 0
+        capsys.readouterr()
+        counts = {name: (calls, len(masks)) for name, calls, masks in phases}
+        for name in ("build", "strata-intersections", "diagrams", "gg"):
+            calls, distinct = counts[name]
+            assert calls == distinct, (text, name, calls, distinct)
+        assert counts["schedule-bijection"] == (0, 0), text
+    assert counts["cone"][0] == 108 + 2

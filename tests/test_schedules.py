@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from itertools import combinations
+
 import pytest
 
 from snapcomplex import (
@@ -13,7 +15,7 @@ from snapcomplex import (
     views,
 )
 
-from snapcomplex.schedules import _nonempty_subsets, _subsets
+from snapcomplex.schedules import _SUBMASKS, _nonempty_subsets, _submasks, _subsets, _x_params
 
 from .oracles import fubini, layered_sequence_count
 
@@ -119,3 +121,17 @@ def test_subsets_go_by_size_then_lexicographically():
         (), (0,), (1,), (2,), (0, 1), (0, 2), (1, 2), (0, 1, 2)
     ]
     assert list(_nonempty_subsets((0, 1, 2))) == list(_subsets((0, 1, 2)))[1:]
+
+
+def test_submasks_and_x_params_follow_combinations_on_every_mask_below_64():
+    def mask_of(ids):
+        return sum(1 << p for p in ids)
+
+    def by_size(ids):
+        return [c for size in range(len(ids) + 1) for c in combinations(ids, size)]
+
+    for mask in range(1 << 6):
+        subsets = by_size([p for p in range(6) if mask >> p & 1])
+        assert _submasks(mask) == _SUBMASKS[mask] == tuple(map(mask_of, subsets))
+        pairs = [(frozenset(s), frozenset(a)) for s in subsets for a in by_size(s)]
+        assert _x_params(mask) == [(mask_of(s), mask_of(a)) for s, a in pairs]
