@@ -18,71 +18,29 @@ __version__ = "1.0.0"
 
 _EXPORTS = {
     "chromatic": (
-        "ChromaticSimplex",
-        "PhiReport",
-        "chromatic_f_vector",
-        "chromatic_oracle",
-        "phi_iso",
+        "ChromaticSimplex", "PhiReport", "chromatic_f_vector", "chromatic_oracle", "phi_iso",
         "table_map",
     ),
     "collapse": (
-        "CollapseSequence",
-        "CollapseStep",
-        "ValidationReport",
-        "collapse_all",
-        "collapse_to_relative_boundary",
-        "relative_boundary_remainder",
-        "validate_collapse",
+        "CollapseSequence", "CollapseStep", "ValidationReport", "collapse_all",
+        "collapse_to_relative_boundary", "relative_boundary_remainder", "validate_collapse",
     ),
     "complexes": (
-        "Complex",
-        "ConeSplit",
-        "build",
-        "check_purity",
-        "cone_split",
-        "facet_structures",
-        "facets",
-        "membership",
-        "verify_ghost_composition",
+        "Complex", "ConeSplit", "build", "check_purity", "cone_split", "facet_structures", "facets",
+        "membership", "verify_ghost_composition",
     ),
     "counters": ("RoundCounter",),
     "errors": (
-        "CollapseStalledError",
-        "ComplexTooLargeError",
-        "SnapComplexError",
-        "VerificationError",
+        "CollapseStalledError", "ComplexTooLargeError", "SnapComplexError", "VerificationError",
     ),
-    "schedules": (
-        "Schedule",
-        "enumerate_schedules",
-        "is_valid_schedule",
-        "to_facet",
-        "views",
-    ),
+    "schedules": ("Schedule", "enumerate_schedules", "is_valid_schedule", "to_facet", "views"),
     "strata": (
-        "DiagramReport",
-        "NerveReport",
-        "StratumRef",
-        "classify_interior",
-        "delta",
-        "delta_inverse",
-        "gamma",
-        "intersect_family",
-        "intersect_pair",
-        "intersect_refs",
-        "members",
-        "nerve",
-        "rho",
-        "verify_diagrams",
-        "verify_strata_calculus",
-        "verify_translation_maps",
+        "DiagramReport", "NerveReport", "StratumRef", "classify_interior", "delta", "delta_inverse",
+        "gamma", "intersect_family", "intersect_pair", "intersect_refs", "members", "nerve", "rho",
+        "verify_diagrams", "verify_strata_calculus", "verify_translation_maps",
     ),
     "topology": (
-        "BoundaryReport",
-        "boundary",
-        "euler",
-        "homology_z2",
-        "is_sphere_like",
+        "BoundaryReport", "boundary", "euler", "homology_z2", "is_sphere_like",
         "strong_connectivity",
     ),
     "witness": ("Classification", "WitnessStructure", "ghost", "validate"),

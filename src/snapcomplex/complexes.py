@@ -13,13 +13,20 @@ simplices by ``encode`` once, on first use.
 from __future__ import annotations
 
 import itertools
-import os
 from array import array
 from collections.abc import Callable, Iterable, Iterator, Mapping, Set
 from operator import itemgetter, or_
 
 from .counters import RoundCounter
-from .errors import ComplexTooLargeError, VerificationError
+# The cap is resolved in errors, which the CLI loads without this module;
+# CAP_ENV_VAR and DEFAULT_SIMPLEX_CAP stay readable from here.
+from .errors import (
+    CAP_ENV_VAR,
+    DEFAULT_SIMPLEX_CAP,
+    ComplexTooLargeError,
+    VerificationError,
+    simplex_cap,
+)
 from .schedules import _facet, _views, enumerate_schedules
 from .witness import (
     Masks,
@@ -35,30 +42,6 @@ from .witness import (
     _MaskTable,
     _validated,
 )
-
-# A build retains about 210 B per stored simplex on 2,1,1,1 and
-# 1,1,1,1,1 and about 240 B on 1,1,1,1,1,1, and takes 10 to 20 µs for
-# each (tracemalloc and wall time, Python 3.11), so the default cap
-# bounds a complex at about 0.48 GB and 40 s.
-DEFAULT_SIMPLEX_CAP = 2_000_000
-CAP_ENV_VAR = "SNAPCOMPLEX_MAX_SIMPLICES"
-
-
-def simplex_cap(override: int | None = None) -> int:
-    """Resolve the stored-simplex budget (argument, else env var, else
-    default); a negative budget is a :class:`ValueError`."""
-    cap, source = override, "the simplex cap"
-    if cap is None:
-        env = os.environ.get(CAP_ENV_VAR)
-        if not env:
-            return DEFAULT_SIMPLEX_CAP
-        try:
-            cap, source = int(env), CAP_ENV_VAR
-        except ValueError:
-            raise ValueError(f"{CAP_ENV_VAR} must be an integer, got {env!r}") from None
-    if cap < 0:
-        raise ValueError(f"{source} must be nonnegative, got {cap}")
-    return cap
 
 
 def facet_structures(

@@ -4,11 +4,23 @@ A round counter is a finite partial map from process ids to the number of
 write/read rounds the process still has to execute.  Processes outside the
 support are non-participants (the bottom value); a stored count of 0 means
 the process participates but takes no step ("passive").
+
+:func:`_schedule_count` counts the layered schedules, which index the
+facets of the complex, without making one; it needs no engine module.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from collections.abc import Iterable, Iterator, Mapping
+from itertools import islice, product
+from math import comb
+
+from .errors import ComplexTooLargeError
+
+# Keeps every mask within 128 B; the complexes this package can build
+# have a handful of processes.
+MAX_PROCESS_ID = 1023
 
 
 def _check_pid(p: object) -> int:
@@ -17,13 +29,23 @@ def _check_pid(p: object) -> int:
     return p
 
 
+def _mask_of(procs: Iterable[int]) -> int:
+    """The bitmask of a set of process ids; rejects ids a mask cannot hold."""
+    mask = 0
+    for p in procs:
+        if _check_pid(p) > MAX_PROCESS_ID:
+            raise ValueError(f"process id must be at most {MAX_PROCESS_ID}, got {p!r}")
+        mask |= 1 << p
+    return mask
+
+
 class RoundCounter(Mapping[int, int]):
     """Immutable finite map: process id -> remaining round count (>= 0).
 
     Absent processes carry the bottom value and are represented only by
     absence; equality and hashing are map equality on the support.  Any
     nonnegative id is accepted here, but building a complex needs ids no
-    larger than ``witness.MAX_PROCESS_ID``.
+    larger than :data:`MAX_PROCESS_ID`.
     """
 
     __slots__ = ("_entries", "_hash")
@@ -168,3 +190,37 @@ class RoundCounter(Mapping[int, int]):
     @classmethod
     def from_json_obj(cls, obj: Mapping[str, int]) -> "RoundCounter":
         return cls({int(k): v for k, v in obj.items()})
+
+
+def _schedule_count(r: RoundCounter, cap: int) -> int:
+    """The number of layered schedules of ``r``, refused as
+    ``facet_structures(r, max_schedules=cap)`` refuses it.
+
+    A state holds the ``(rounds left, processes)`` pairs of the live
+    processes.  A layer takes ``k`` of ``m`` processes with ``c`` rounds
+    left in ``comb(m, k)`` ways, leaving them ``c - 1``.  The ways to reach
+    each state are summed one total of rounds left at a time; every state
+    reaches the end, so one reached more than ``cap`` ways exceeds it."""
+    if not r:
+        raise ValueError("facets need a nonempty support")
+    _mask_of(r)
+    if r.cardinality > cap:
+        raise ComplexTooLargeError(cap, "round budget")
+    start = tuple(sorted(Counter(c for c in r.values() if c).items()))
+    levels: dict[int, dict[tuple, int]] = {r.cardinality: {start: 1}}
+    for total in range(r.cardinality, -1, -1):
+        for state, ways in levels.pop(total, {}).items():
+            if ways > cap:
+                raise ComplexTooLargeError(cap, "schedule cap")
+            # The first choice takes no process, which is no layer.
+            for take in islice(product(*[range(m + 1) for _, m in state]), 1, None):
+                weight, after = ways, Counter()
+                for (c, m), k in zip(state, take):
+                    weight *= comb(m, k)
+                    after[c] += m - k
+                    after[c - 1] += k
+                key = tuple(sorted((c, m) for c, m in after.items() if c and m))
+                level = levels.setdefault(total - sum(take), {})
+                level[key] = level.get(key, 0) + weight
+    # The one state at total 0, every round spent, holds the count.
+    return ways

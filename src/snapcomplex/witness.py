@@ -40,7 +40,9 @@ import enum
 import json
 from collections.abc import Callable, Iterable, Iterator, Mapping
 
-from .counters import _check_pid
+# The id bound lives with the counters, whose facet count checks it
+# without loading this module.
+from .counters import MAX_PROCESS_ID, _mask_of
 
 Row = tuple[frozenset[int], frozenset[int]]
 
@@ -87,21 +89,6 @@ class _MaskTable(dict):
 # Filled lazily: a run only ever meets subsets of its counter's support.
 _SETS: dict[int, frozenset[int]] = _MaskTable(lambda m: frozenset(_bits(m)))
 _TEXT: dict[int, str] = _MaskTable(lambda m: "[" + ",".join(map(str, _bits(m))) + "]")
-
-
-# Keeps every mask within 128 B; the complexes this package can build
-# have a handful of processes.
-MAX_PROCESS_ID = 1023
-
-
-def _mask_of(procs: Iterable[int]) -> int:
-    """The bitmask of a set of process ids; rejects ids a mask cannot hold."""
-    mask = 0
-    for p in procs:
-        if _check_pid(p) > MAX_PROCESS_ID:
-            raise ValueError(f"process id must be at most {MAX_PROCESS_ID}, got {p!r}")
-        mask |= 1 << p
-    return mask
 
 
 def _pairs(m: Masks) -> Iterator[tuple[int, int]]:

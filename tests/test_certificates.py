@@ -25,7 +25,7 @@ from snapcomplex import (
     verify_strata_calculus,
     verify_translation_maps,
 )
-from snapcomplex import cli, complexes, strata, witness
+from snapcomplex import cli, commands, complexes, strata, witness
 from snapcomplex.errors import VerificationError
 
 from . import strata_reference
@@ -341,11 +341,11 @@ def test_the_schedule_bijection_fails_on_a_view_that_is_no_prestructure(
     get_complex, monkeypatch
 ):
     k = get_complex("2,1")
-    real = cli._ghosts
+    real = commands._ghosts
     monkeypatch.setattr(
-        cli, "_ghosts", lambda m, hides: [_not_a_prestructure(v) for v in real(m, hides)]
+        commands, "_ghosts", lambda m, hides: [_not_a_prestructure(v) for v in real(m, hides)]
     )
-    assert _failure(cli._check_schedule_bijection, k) == ("ValueError", NOT_A_PRESTRUCTURE)
+    assert _failure(commands._check_schedule_bijection, k) == ("ValueError", NOT_A_PRESTRUCTURE)
 
 
 def test_the_schedule_bijection_fails_without_a_facet_or_a_vertex(get_complex):
@@ -353,9 +353,9 @@ def test_the_schedule_bijection_fails_without_a_facet_or_a_vertex(get_complex):
     facet = min(k.facets, key=WitnessStructure.encode)
     vertex = min((s for s in k.simplices if s.dim == 0), key=WitnessStructure.encode)
     unlisted = Complex(k.counter, {s: k.lower_covers(s) for s in k.simplices}, k.facets - {facet})
-    assert cli._check_schedule_bijection(k)["status"] == "ok"
-    assert cli._check_schedule_bijection(unlisted)["status"] == "failed"
-    assert cli._check_schedule_bijection(_doctored(k, drop={vertex})) == {
+    assert commands._check_schedule_bijection(k)["status"] == "ok"
+    assert commands._check_schedule_bijection(unlisted)["status"] == "failed"
+    assert commands._check_schedule_bijection(_doctored(k, drop={vertex})) == {
         "status": "failed",
         "schedules": 5,
         "facets": 5,
@@ -430,8 +430,8 @@ def test_all_check_verify_validates_each_mask_once_per_check(monkeypatch, capsys
         return run
 
     monkeypatch.setattr(witness, "_is_prestructure", counting)
-    for name, check in list(cli._CHECKS.items()):
-        monkeypatch.setitem(cli._CHECKS, name, entering(name, check))
+    for name, check in list(commands._CHECKS.items()):
+        monkeypatch.setitem(commands._CHECKS, name, entering(name, check))
     for text in ("2,1,1,1", "2,1,0,1"):
         phases[:] = [["build", 0, set()]]
         assert cli.main(["verify", "-r", text, "--checks", ",".join(cli.CHECK_ORDER)]) == 0

@@ -4,10 +4,11 @@ import json
 import resource
 import subprocess
 import sys
+import time
 
 import pytest
 
-from snapcomplex import Complex, chromatic, cli, topology, witness
+from snapcomplex import Complex, chromatic, commands, topology, witness
 from snapcomplex.cli import CHECK_ORDER, main
 from snapcomplex.complexes import DEFAULT_SIMPLEX_CAP
 
@@ -82,7 +83,7 @@ def test_verify_rejects_unknown_check(capsys):
 
 @pytest.mark.parametrize("checks", ["", " , "])
 def test_verify_rejects_an_empty_check_list(capsys, monkeypatch, checks):
-    monkeypatch.setattr(cli, "build", lambda *args, **kwargs: pytest.fail("built"))
+    monkeypatch.setattr(commands, "build", lambda *args, **kwargs: pytest.fail("built"))
     code, out, err = run(capsys, "verify", "-r", "1,1", "--checks", checks)
     assert (code, out) == (2, "")
     assert err.startswith("error: no checks given;") and err.count("\n") == 1
@@ -182,6 +183,17 @@ def test_svg_export_is_refused_before_the_build(monkeypatch):
     assert "svg export is limited" in proc.stderr
 
 
+@pytest.mark.parametrize("text", ["0", "1", "5", "1,1", "1,0,1", "2,1,0,1", "2,1,1"])
+def test_the_json_template_writes_what_the_encoder_writes(text, get_complex):
+    k = get_complex(text)
+    assert commands._complex_json(k) == commands._dump(k.to_json_obj(include_simplices=True))
+
+
+def test_a_written_list_may_be_empty():
+    payload = {"counter": {"0": 1}, "kind": "full"}
+    assert commands._dump_with(payload, "steps", []) == commands._dump({**payload, "steps": []})
+
+
 def test_export_json_round_trips(capsys):
     code, out, _ = run(capsys, "export", "-r", "1,1", "--format", "json")
     assert code == 0
@@ -239,6 +251,78 @@ def test_facet_listing_respects_the_cap(capsys):
     assert err == '{"error": "schedule cap exceeded", "limit": 20}\n'
 
 
+_LONG = ",".join(["1"] * 1025)
+
+
+@pytest.mark.parametrize(
+    "argv, env, code, err",
+    [
+        (("-r", "x"), None, 2, "error: facets need a nonempty support\n"),
+        (("-r", ""), None, 2, "error: facets need a nonempty support\n"),
+        (
+            ("-r", "2,2,2", "--max-simplices", "3"),
+            None,
+            3,
+            '{"error": "round budget exceeded", "limit": 3}\n',
+        ),
+        (
+            ("-r", "2,2,2", "--max-simplices", "100"),
+            None,
+            3,
+            '{"error": "schedule cap exceeded", "limit": 100}\n',
+        ),
+        (
+            ("-r", "1,1", "--max-simplices", "-1"),
+            None,
+            2,
+            "error: the simplex cap must be nonnegative, got -1\n",
+        ),
+        (
+            ("-r", "1,1"),
+            "-1",
+            2,
+            "error: SNAPCOMPLEX_MAX_SIMPLICES must be nonnegative, got -1\n",
+        ),
+        (("-r", _LONG), None, 2, "error: process id must be at most 1023, got 1024\n"),
+        (
+            ("-r", "0", "--max-simplices", "0"),
+            None,
+            3,
+            '{"error": "schedule cap exceeded", "limit": 0}\n',
+        ),
+    ],
+    ids=["x", "empty", "round-budget", "schedule-cap", "flag", "env", "1025-ids", "zero-cap"],
+)
+def test_the_count_refuses_what_the_listing_refuses(capsys, monkeypatch, argv, env, code, err):
+    # The count makes no schedule, yet fails as the enumeration fails.
+    if env is None:
+        monkeypatch.delenv("SNAPCOMPLEX_MAX_SIMPLICES", raising=False)
+    else:
+        monkeypatch.setenv("SNAPCOMPLEX_MAX_SIMPLICES", env)
+    assert run(capsys, "facets", *argv, "--count") == (code, "", err)
+    assert run(capsys, "facets", *argv) == (code, "", err)
+
+
+def test_the_count_refuses_3333_at_once(capsys, monkeypatch):
+    # 3,3,3,3 has 10 681 263 schedules; enumerating them to the cap took 46 s.
+    monkeypatch.delenv("SNAPCOMPLEX_MAX_SIMPLICES", raising=False)
+    start = time.perf_counter()
+    outcome = run(capsys, "facets", "-r", "3,3,3,3", "--count")
+    assert time.perf_counter() - start < 1.0
+    assert outcome == (3, "", '{"error": "schedule cap exceeded", "limit": 2000000}\n')
+    assert run(capsys, "facets", "-r", "3,3,3,3", "--count", "--max-simplices", "10681263") == (
+        0,
+        "10681263\n",
+        "",
+    )
+
+
+def test_the_count_of_a_long_counter_needs_no_stack(capsys):
+    # A schedule of 5,000 layers, far past the interpreter's recursion
+    # limit; the lone round of process 1 goes in one of 2 * 5000 + 1 places.
+    assert run(capsys, "facets", "-r", "5000,1", "--count") == (0, "10001\n", "")
+
+
 def test_cone_check_reuses_the_built_complex(capsys, monkeypatch):
     # 2,1,0 has 24 simplices; the cone base 2,1 has 12.  Only a rebuild of
     # the whole complex under the environment cap would exceed 23.
@@ -252,13 +336,13 @@ def test_cone_check_reuses_the_built_complex(capsys, monkeypatch):
 
 def test_phi_check_reuses_the_built_complex(capsys, monkeypatch):
     built = []
-    real = cli.build
+    real = commands.build
 
     def counting(counter, **kwargs):
         built.append(counter.to_text())
         return real(counter, **kwargs)
 
-    monkeypatch.setattr(cli, "build", counting)
+    monkeypatch.setattr(commands, "build", counting)
     monkeypatch.setattr(chromatic, "build", counting)
     code, out, err = run(capsys, "verify", "-r", "1,1,1,1", "--checks", "phi")
     assert code == 0, err
@@ -311,7 +395,7 @@ def test_the_homology_check_ghosts_no_face(text, get_complex, monkeypatch):
     ghosting = ((witness, "_lower_faces"), (witness, "_ghost"), (topology, "_lower_faces"))
     for module, name in ghosting:
         monkeypatch.setattr(module, name, refuse)
-    detail = cli._check_homology(k)
+    detail = commands._check_homology(k)
     assert detail["status"] == "ok"
     assert "boundary_reduced_betti" in detail
 
@@ -333,13 +417,13 @@ def test_a_broken_certificate_fails_its_check(capsys, monkeypatch, text, check, 
         monkeypatch.setattr(chromatic, "table_map", lambda cs, n: true_map(swap.get(cs, cs), n))
     else:
 
-        class Corrupted(cli.ConeSplit):
+        class Corrupted(commands.ConeSplit):
             def __init__(self, *args):
                 super().__init__(*args)
                 swap = _swap_two_edges(self.pairing, lambda s: s.encode())
                 self.pairing = {s: self.pairing[swap.get(s, s)] for s in self.pairing}
 
-        monkeypatch.setattr(cli, "ConeSplit", Corrupted)
+        monkeypatch.setattr(commands, "ConeSplit", Corrupted)
     code, out, _ = run(capsys, "verify", "-r", text, "--checks", check)
     assert code == 1
     result = json.loads(out)["checks"][check]
@@ -449,11 +533,12 @@ def test_sub_builds_may_have_more_rounds_than_simplices(capsys, argv):
 
 
 @pytest.mark.parametrize(
-    "argv", [("build", "-r", "1999999"), ("facets", "-r", "1000000,999999", "--count")]
+    "argv", [("build", "-r", "1999999"), ("facets", "-r", "1000000,999999")]
 )
 def test_running_out_of_memory_exits_three(argv, monkeypatch):
     # Both round budgets are just under the default cap, so only the
     # address-space limit stops the search; 128 MB stops it within seconds.
+    # (The facet listing searches; the count makes no schedule.)
     monkeypatch.delenv("SNAPCOMPLEX_MAX_SIMPLICES", raising=False)
     proc = subprocess.run(
         [sys.executable, "-m", "snapcomplex", *argv],

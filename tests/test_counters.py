@@ -1,10 +1,16 @@
 from __future__ import annotations
 
+import itertools
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from snapcomplex import RoundCounter
+from snapcomplex import ComplexTooLargeError, RoundCounter, facet_structures
+from snapcomplex.counters import _schedule_count
+from snapcomplex.errors import DEFAULT_SIMPLEX_CAP
+
+from .oracles import fubini, layered_sequence_count
 
 counters = st.dictionaries(
     st.integers(min_value=0, max_value=9), st.integers(min_value=0, max_value=5), max_size=5
@@ -116,3 +122,42 @@ def test_restrict_matches_execute_then_delete_on_any_sets(r, step, drop):
     else:
         expected = ("raises", f"cannot drop {sorted(drop - r.support)}: outside the support")
     assert _outcome(lambda: r.restrict(step, drop)) == expected
+
+
+def _census() -> list[str]:
+    """Every counter up to relabelling with 1 to 5 entries, the first
+    positive and at most 6 rounds in all: non-increasing budgets."""
+    return [
+        ",".join(map(str, budgets))
+        for n in range(1, 6)
+        for budgets in itertools.product(range(6, -1, -1), repeat=n)
+        if budgets[0] > 0 and sum(budgets) <= 6 and list(budgets) == sorted(budgets, reverse=True)
+    ]
+
+
+def test_the_census_has_97_counters():
+    assert len(_census()) == 97
+
+
+@pytest.mark.parametrize("text", _census() + ["1,x,1", "3,0,2", "0", "0,0"])
+def test_the_schedule_count_matches_independent_counts(text):
+    r = RoundCounter.parse(text)
+    count = _schedule_count(r, DEFAULT_SIMPLEX_CAP)
+    assert count == layered_sequence_count(dict(r)) == len(set(facet_structures(r)))
+
+
+@pytest.mark.parametrize("text", ["1,1,1", "2,1,0,1", "3,3", "0"])
+def test_the_schedule_count_meets_the_cap_exactly(text):
+    r = RoundCounter.parse(text)
+    count = layered_sequence_count(dict(r))
+    assert _schedule_count(r, count) == count
+    with pytest.raises(ComplexTooLargeError) as raised:
+        _schedule_count(r, count - 1)
+    assert (raised.value.budget, raised.value.limit) == ("schedule cap", count - 1)
+
+
+def test_the_schedule_count_is_polynomial_in_equal_budgets():
+    # Fourteen processes of one round each: 15 states, not 2^14 subsets
+    # per layer.  Their schedules are the ordered set partitions.
+    r = RoundCounter({p: 1 for p in range(14)})
+    assert _schedule_count(r, 10**20) == fubini(14)

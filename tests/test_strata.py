@@ -425,7 +425,7 @@ def test_checks_validate_each_process_set_once_per_parameter(
         calls += 1
         return real(p)
 
-    for module in (counters, strata, witness):
+    for module in (counters, strata):
         monkeypatch.setattr(module, "_check_pid", counting)
     check(k)
     assert calls * 10 <= parent_calls
